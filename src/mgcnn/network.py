@@ -19,9 +19,13 @@ resolution-independent meaning, followed by softmax.
 :func:`loss_and_gradient` implements reverse-mode differentiation of the
 cross-entropy (plus optional regularization) with respect to every learnable
 block: layer banks, biases, classifier weights and offsets, and the
-embedding bank when it is marked learnable.  Inputs are processed in fixed
-chunks so memory stays bounded and reductions happen in a fixed order
-regardless of worker count.
+embedding bank when it is marked learnable.  Its forward pass caches each
+chunk's states and pre-activations, and the reverse sweep reads them back
+rather than propagating again: per layer it applies the adjoint bank once
+and takes the stencil gradient from the same shifted-slice kernel as the
+forward pass (:func:`mgcnn.stencils.tap_gradient`).  Inputs are processed
+in fixed chunks so memory stays bounded and reductions happen in a fixed
+order regardless of worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError
 from .grid import Grid2D, Image
-from .stencils import StencilBank, bank_apply
+from .stencils import StencilBank, bank_apply, tap_gradient
 
 if TYPE_CHECKING:
     from .training import RegConfig
@@ -281,8 +285,15 @@ def forward_step(
     gain: float = 1.0,
 ) -> np.ndarray:
     """One explicit Euler layer: ``y + dt * act(bank(y) + bias)``."""
-    bias = np.asarray(bias, dtype=np.float64).reshape(-1, 1, 1)
-    return y + dt * _act(bank_apply(bank.weights, y) + bias, act, gain)
+    return _layer(y, bank, bias, dt, act, gain)[0]
+
+
+def _layer(
+    y: np.ndarray, bank: StencilBank, bias: np.ndarray, dt: float, act: Activation, gain: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`forward_step` and its pre-activation ``z = bank(y) + bias``."""
+    z = bank_apply(bank.weights, y) + np.asarray(bias, dtype=np.float64).reshape(-1, 1, 1)
+    return y + dt * _act(z, act, gain), z
 
 
 def _check_finite(y: np.ndarray, where: str) -> None:
@@ -378,9 +389,17 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LossReport:
+    """Loss value and its two parts.
+
+    ``features`` holds the batch's final states ``y_N`` when :func:`loss`
+    computed them, so a caller that accepts this point can reuse them; it
+    takes no part in comparison.
+    """
+
     total: float
     data_term: float
     reg_term: float
+    features: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -426,20 +445,7 @@ def loss(
     ce = _cross_entropy(_logits(y_out, clf), labels)
     data = float(ce.mean()) if labels.size else 0.0
     reg_value, _ = _reg_parts(params, clf, reg)
-    return LossReport(total=data + reg_value, data_term=data, reg_term=reg_value)
-
-
-def _tap_gradient(u: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """d(loss)/d(bank weights) given upstream ``u = (..., c_out, ny, nx)``."""
-    ny, nx = y.shape[-2:]
-    r = k // 2
-    pad = np.pad(y, [(0, 0)] * (y.ndim - 2) + [(r, r), (r, r)], mode="wrap")
-    g = np.empty((u.shape[-3], y.shape[-3], k, k))
-    for p in range(k):
-        for q in range(k):
-            window = pad[..., p : p + ny, q : q + nx]
-            g[:, :, p, q] = np.einsum("moyx,miyx->oi", u, window, optimize=True)
-    return g
+    return LossReport(total=data + reg_value, data_term=data, reg_term=reg_value, features=y_out)
 
 
 def _adjoint_weights(weights: np.ndarray) -> np.ndarray:
@@ -454,7 +460,13 @@ def loss_and_gradient(
     reg: "RegConfig | None" = None,
     workers: int = 1,
 ) -> tuple[LossReport, Gradients]:
-    """Reverse-mode gradient of :func:`loss` for every learnable block."""
+    """Reverse-mode gradient of :func:`loss` for every learnable block.
+
+    The forward pass keeps every state and pre-activation of the chunk; the
+    reverse sweep reads them back instead of applying the banks again, so
+    each layer costs one bank application forward and one adjoint
+    application plus one :func:`~mgcnn.stencils.tap_gradient` backward.
+    """
     images = np.asarray(images, dtype=np.float64)
     labels = _check_labels(labels, clf.num_classes)
     m = images.shape[0]
@@ -465,7 +477,14 @@ def loss_and_gradient(
         x = images[s]
         y0 = embed_input(x, params)
         _check_finite(y0, "embedding")
-        states = _propagate(y0, params, keep=True)
+        states, pre = [y0], []
+        for i, bank in enumerate(params.banks):
+            y, z = _layer(
+                states[-1], bank, params.biases[i], params.dt, params.activation, params.act_gain
+            )
+            _check_finite(y, f"layer {i}")
+            states.append(y)
+            pre.append(z)
         logits = _logits(states[-1], clf)
         ce_sum = float(_cross_entropy(logits, labels[s]).sum())
 
@@ -480,13 +499,11 @@ def loss_and_gradient(
         g_banks = np.zeros((n, c, c, k, k))
         g_biases = np.zeros((n, c))
         for i in range(n - 1, -1, -1):
-            bank = params.banks[i].weights
-            z = bank_apply(bank, states[i]) + params.biases[i].reshape(-1, 1, 1)
-            u = params.dt * dy * _act_deriv(z, params.activation, params.act_gain)
+            u = params.dt * dy * _act_deriv(pre.pop(), params.activation, params.act_gain)
             g_biases[i] = u.sum(axis=(0, 2, 3))
-            g_banks[i] = _tap_gradient(u, states[i], k)
-            dy = dy + bank_apply(_adjoint_weights(bank), u)
-        g_embed = _tap_gradient(dy, x[:, None, :, :], k)
+            g_banks[i] = tap_gradient(u, states[i], k)
+            dy = dy + bank_apply(_adjoint_weights(params.banks[i].weights), u)
+        g_embed = tap_gradient(dy, x[:, None, :, :], k)
         return ce_sum, g_banks, g_biases, g_w, g_mu, g_embed
 
     grads = Gradients(

@@ -10,13 +10,22 @@ with all indices wrapping around.  On a periodic grid this operator is
 circulant, so its eigenvalues are the 2D DFT of the zero-padded,
 center-shifted weights; :func:`stencil_symbol` returns exactly that.
 
+A bank of stencils (``c_out x c_in`` windows) is applied by one kernel,
+shared with its weight gradient :func:`tap_gradient`: the batch is
+wrap-padded once and laid out channel-major, so that for every output cell
+at once a tap ``(p, q)`` is the same contiguous column slice shifted by a
+fixed offset.  Each tap is then a single ``(c_out, c_in)`` matrix product
+on that slice, in the manner of the unfolded convolutions of Chellapilla,
+Puri and Simard (2006), without materialising the ``k^2`` times larger
+unfolded input.
+
 Changing resolution composes the operator with a restriction ``R`` and a
 prolongation ``P``: the coarse-grid operator is ``R K(s) P``.  Because R, K
 and P are all translation equivariant (by one coarse cell), the composition
 is again a stencil operator, and the map from fine weights to coarse weights
 is linear.  :func:`build_coarsen_map` materializes that ``k^2 x k^2`` matrix
 once by probing with unit stencils on a small reference grid; refinement
-solves the same linear system in reverse.
+applies its inverse, computed once per map.
 """
 
 from __future__ import annotations
@@ -44,11 +53,17 @@ __all__ = [
     "refine_stencil",
     "stability_report",
     "stencil_symbol",
+    "tap_gradient",
 ]
 
 # Coarsening maps with condition numbers beyond this are refused outright:
 # refinement would amplify rounding noise past any useful tolerance.
 COND_LIMIT = 1e12
+
+# Columns per block in the convolution kernel: a block's shifted input
+# slices, its sums and one partial product stay in a core's L2 cache across
+# all k^2 taps.  Fixed, so the summation order of the tap gradient is too.
+_BLOCK = 8192
 
 
 @dataclass
@@ -138,28 +153,94 @@ class StencilBank:
         return cls(np.zeros((c_out, c_in, k, k)))
 
 
+def _frame(a: np.ndarray, k: int, wrap: bool) -> np.ndarray:
+    """Lay ``a`` of shape ``(..., c, ny, nx)`` out channel-major as ``(c, B * H * W)``.
+
+    ``B`` is the product of the leading axes, ``H = ny + 2r``, ``W = nx + 2r``
+    and ``r = k // 2``.  With ``wrap`` every image is periodically padded by
+    ``r`` on all four sides; otherwise it sits in the top-left corner of a
+    zero-filled ``H x W`` frame.  Cell ``(b, i, j)`` of the frames is column
+    ``(b * H + i) * W + j``.
+    """
+    r = k // 2
+    flat = np.moveaxis(a.reshape((-1,) + a.shape[-3:]), 1, 0)
+    pad = [(r, r), (r, r)] if wrap else [(0, 2 * r), (0, 2 * r)]
+    return np.pad(flat, [(0, 0), (0, 0)] + pad, mode="wrap" if wrap else "constant").reshape(
+        flat.shape[0], -1
+    )
+
+
+def _tap_slices(y: np.ndarray, k: int) -> tuple[np.ndarray, int, list[int]]:
+    """The wrap-padded frames of ``y``, the column span of every tap, and the
+    column offset of each tap in row-major order.
+
+    Tap ``(p, q)`` of output cell ``(b, i, j)`` reads the frame column of
+    that cell plus ``p * W + q``.  So for all output cells at once, a tap is
+    the contiguous slice ``cols[:, off : off + span]``, where ``span`` ends
+    at the last output cell; the columns that fall in the padding of the
+    output are computed too and discarded by the caller.
+    """
+    width = y.shape[-1] + k - 1
+    cols = _frame(y, k, wrap=True)
+    span = max(cols.shape[1] - (k - 1) * (width + 1), 0)
+    return cols, span, [p * width + q for p in range(k) for q in range(k)]
+
+
 def bank_apply(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Apply a stencil bank to ``y`` with shape ``(..., c_in, ny, nx)``.
 
     Returns ``(..., c_out, ny, nx)``.  Leading axes (a batch, say) pass
-    through untouched.  Direct tap-by-tap accumulation on a periodically
-    padded array; no FFT involved.
+    through untouched.  The batch is wrap-padded once, channel-major (see
+    :func:`_tap_slices`); each of the ``k^2`` taps is then one
+    ``(c_out, c_in) @ (c_in, columns)`` product on a shifted contiguous
+    slice, accumulated in row-major tap order.  Columns are taken in blocks
+    of ``_BLOCK`` so that a block's slices and sums stay in cache across the
+    taps.  No unfolded copy, no FFT.
     """
     weights = np.asarray(weights, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     c_out, c_in, k, _ = weights.shape
     ny, nx = y.shape[-2:]
     if ny < k or nx < k:
         raise DimensionError(f"grid {ny}x{nx} is smaller than the {k}x{k} stencil")
     if y.shape[-3] != c_in:
         raise DimensionError(f"bank expects {c_in} input channels, got {y.shape[-3]}")
-    r = k // 2
-    pad = np.pad(y, [(0, 0)] * (y.ndim - 2) + [(r, r), (r, r)], mode="wrap")
-    out = np.zeros(y.shape[:-3] + (c_out, ny, nx))
-    for p in range(k):
-        for q in range(k):
-            window = pad[..., p : p + ny, q : q + nx]
-            out += np.einsum("oi,...iyx->...oyx", weights[:, :, p, q], window, optimize=True)
-    return out
+    cols, span, offsets = _tap_slices(y, k)
+    by_tap = weights.transpose(2, 3, 0, 1).reshape(k * k, c_out, c_in)
+    acc = np.empty((c_out, cols.shape[1]))
+    part = np.empty((c_out, min(span, _BLOCK)))
+    for a in range(0, span, _BLOCK):
+        b = min(a + _BLOCK, span)
+        block, block_part = acc[:, a:b], part[:, : b - a]
+        np.matmul(by_tap[0], cols[:, a:b], out=block)
+        for w, off in zip(by_tap[1:], offsets[1:]):
+            np.matmul(w, cols[:, a + off : b + off], out=block_part)
+            block += block_part
+    out = acc.reshape(c_out, -1, ny + k - 1, nx + k - 1)[:, :, :ny, :nx]
+    return np.ascontiguousarray(np.moveaxis(out, 0, 1)).reshape(y.shape[:-3] + (c_out, ny, nx))
+
+
+def tap_gradient(u: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """Gradient of ``<u, bank_apply(W, y)>`` with respect to ``W``.
+
+    ``u`` has shape ``(..., c_out, ny, nx)`` and ``y`` ``(..., c_in, ny, nx)``
+    with the same leading axes; the result has shape ``(c_out, c_in, k, k)``.
+    With ``u`` placed at the output columns of the frames and zeros in the
+    padding, tap ``(p, q)`` is ``u_cols @ cols[:, off : off + span].T`` on the
+    slices of :func:`bank_apply`, summed over the same column blocks in
+    order.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    cols, span, offsets = _tap_slices(y, k)
+    u_cols = _frame(u, k, wrap=False)
+    g = np.zeros((k * k, u.shape[-3], y.shape[-3]))
+    for a in range(0, span, _BLOCK):
+        b = min(a + _BLOCK, span)
+        block = u_cols[:, a:b]
+        for t, off in enumerate(offsets):
+            g[t] += block @ cols[:, a + off : b + off].T
+    return np.ascontiguousarray(g.reshape((k, k) + g.shape[1:]).transpose(2, 3, 0, 1))
 
 
 def conv_apply(s: Stencil, img: Image) -> Image:
@@ -230,7 +311,8 @@ class CoarsenMap:
     def apply(self, weights: np.ndarray) -> np.ndarray:
         return (self.matrix @ weights.reshape(-1)).reshape(self.k, self.k)
 
-    def solve(self, coarse_weights: np.ndarray) -> np.ndarray:
+    def inverse(self) -> np.ndarray:
+        """The inverse matrix, computed once; refused when ill-posed."""
         if self.cond > COND_LIMIT or not np.isfinite(self.cond):
             raise IllPosedError(
                 f"coarsening map is too ill-conditioned to invert (cond={self.cond:.3e})"
@@ -240,7 +322,10 @@ class CoarsenMap:
                 self._inverse = np.linalg.inv(self.matrix)
             except np.linalg.LinAlgError as exc:
                 raise IllPosedError(f"coarsening map is singular: {exc}") from exc
-        return (self._inverse @ coarse_weights.reshape(-1)).reshape(self.k, self.k)
+        return self._inverse
+
+    def solve(self, coarse_weights: np.ndarray) -> np.ndarray:
+        return (self.inverse() @ coarse_weights.reshape(-1)).reshape(self.k, self.k)
 
 
 def build_coarsen_map(k: int, pair: TransferPair) -> CoarsenMap:
@@ -316,8 +401,6 @@ def coarsen_bank(bank: StencilBank, m: CoarsenMap) -> StencilBank:
 def refine_bank(bank: StencilBank, m: CoarsenMap) -> StencilBank:
     """Refine every stencil of a bank, preserving channel structure."""
     _check_k(m, bank.k)
-    out = np.empty_like(bank.weights)
-    for co in range(bank.c_out):
-        for ci in range(bank.c_in):
-            out[co, ci] = m.solve(bank.weights[co, ci])
-    return StencilBank(out)
+    flat = bank.weights.reshape(bank.c_out * bank.c_in, -1)
+    fine = flat @ m.inverse().T
+    return StencilBank(fine.reshape(bank.weights.shape))

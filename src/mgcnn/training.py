@@ -26,6 +26,7 @@ Regularization (shared with :func:`mgcnn.network.loss`):
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
@@ -181,6 +182,29 @@ def _laplacian_flat(v: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return _smooth_grad(v.reshape(shape)).reshape(v.shape)
 
 
+@functools.lru_cache(maxsize=16)
+def _laplacian_entries(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the matrix of :func:`_laplacian_flat`.
+
+    The periodic 5-point operator on fields of ``shape`` has at most 5
+    nonzeros per row; entries that coincide on grids with a side below 3 are
+    summed, so each position appears once.  Cached per shape, read-only.
+    """
+    size = math.prod(shape)
+    idx = np.arange(size).reshape(shape)
+    neighbours = [np.roll(idx, s, axis=a) for a in (-1, -2) for s in (1, -1)]
+    rows = np.tile(idx.reshape(-1), 5)
+    cols = np.concatenate([idx.reshape(-1)] + [n.reshape(-1) for n in neighbours])
+    vals = np.repeat([8.0, -2.0, -2.0, -2.0, -2.0], size)
+    keys, where = np.unique(rows * size + cols, return_inverse=True)
+    summed = np.zeros(keys.size)
+    np.add.at(summed, where, vals)
+    entries = (keys // size, keys % size, summed)
+    for a in entries:
+        a.setflags(write=False)
+    return entries
+
+
 def newton_classifier_step(
     features: np.ndarray,
     labels: np.ndarray,
@@ -259,6 +283,55 @@ def newton_classifier_step(
     return NewtonResult(classifier=out, objectives=objectives, used_fallback=used_fallback)
 
 
+def _dense_hessian(
+    A: np.ndarray, probs: np.ndarray, lam: float, w_shape: tuple[int, ...]
+) -> np.ndarray:
+    """The softmax Gauss-Newton Hessian plus penalty and jitter, as a dense matrix.
+
+    Unknown layout: per-class weight rows, then the offsets.  Only the
+    class pairs ``j <= j2`` are computed; the others are their mirror.
+    """
+    m, L = probs.shape
+    F = A.shape[1]
+    H = np.zeros((L * (F + 1), L * (F + 1)))
+    for j in range(L):
+        rj = slice(j * F, (j + 1) * F)
+        for j2 in range(j, L):
+            rj2 = slice(j2 * F, (j2 + 1) * F)
+            coupling = probs[:, j] * ((1.0 if j == j2 else 0.0) - probs[:, j2]) / m
+            H[rj, rj2] = A.T @ (A * coupling[:, None])
+            cross = coupling @ A
+            H[L * F + j, rj2] = H[rj2, L * F + j] = cross
+            H[L * F + j, L * F + j2] = coupling.sum()
+            if j2 != j:
+                H[rj2, rj] = H[rj, rj2].T
+                H[L * F + j2, rj] = H[rj, L * F + j2] = cross
+                H[L * F + j2, L * F + j] = H[L * F + j, L * F + j2]
+    if lam > 0.0:
+        rows, cols, vals = _laplacian_entries(w_shape[1:])
+        for j in range(L):
+            H[j * F + rows, j * F + cols] += lam * vals
+    H[np.diag_indices_from(H)] += NEWTON_JITTER
+    return H
+
+
+def _hessian_matvec(A: np.ndarray, probs: np.ndarray, lam: float, w_shape: tuple[int, ...]):
+    """The product with :func:`_dense_hessian`, without forming it."""
+    m, L = probs.shape
+    F = A.shape[1]
+
+    def hess_vec(v: np.ndarray) -> np.ndarray:
+        vw = v[: L * F].reshape(L, F)
+        vmu = v[L * F :]
+        scores = A @ vw.T + vmu  # (m, L)
+        t = probs * scores - probs * (probs * scores).sum(axis=1, keepdims=True)
+        hw = (t.T @ A) / m + lam * _laplacian_flat(vw, w_shape)
+        hmu = t.sum(axis=0) / m
+        return np.concatenate([hw.reshape(-1), hmu]) + NEWTON_JITTER * v
+
+    return hess_vec
+
+
 def _newton_direction(
     A: np.ndarray,
     probs: np.ndarray,
@@ -269,52 +342,25 @@ def _newton_direction(
 ):
     """Solve ``H d = -g`` for the softmax Gauss-Newton Hessian.
 
-    Unknown layout: per-class weight rows, then the offsets.  Returns
+    Dense assembly and a direct solve up to ``DENSE_NEWTON_LIMIT`` unknowns,
+    conjugate gradients on the matrix-free product beyond.  Returns
     ``(None, None)`` when the solve fails so the caller can fall back.
     """
-    m, L = probs.shape
+    L = probs.shape[1]
     F = A.shape[1]
     size = L * (F + 1)
     rhs = -np.concatenate([g_w.reshape(-1), g_mu])
 
     if size <= DENSE_NEWTON_LIMIT:
-        H = np.zeros((size, size))
-        for j in range(L):
-            for j2 in range(L):
-                coupling = probs[:, j] * ((1.0 if j == j2 else 0.0) - probs[:, j2]) / m
-                block = A.T @ (A * coupling[:, None])
-                H[j * F : (j + 1) * F, j2 * F : (j2 + 1) * F] = block
-                H[L * F + j, j2 * F : (j2 + 1) * F] = coupling @ A
-                H[j * F : (j + 1) * F, L * F + j2] = coupling @ A
-                H[L * F + j, L * F + j2] = coupling.sum()
-        if lam > 0.0:
-            reg_op = np.zeros((L, F, L, F))
-            eye = np.zeros((F, F))
-            basis = np.zeros(F)
-            for a in range(F):
-                basis[a] = 1.0
-                eye[:, a] = _laplacian_flat(basis, w_shape[1:])
-                basis[a] = 0.0
-            for j in range(L):
-                reg_op[j, :, j, :] = lam * eye
-            H[: L * F, : L * F] += reg_op.reshape(L * F, L * F)
-        H[np.diag_indices_from(H)] += NEWTON_JITTER
+        H = _dense_hessian(A, probs, lam, w_shape)
         try:
             d = scipy.linalg.solve(H, rhs, assume_a="sym")
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
             return None, None
     else:
-
-        def hess_vec(v: np.ndarray) -> np.ndarray:
-            vw = v[: L * F].reshape(L, F)
-            vmu = v[L * F :]
-            scores = A @ vw.T + vmu  # (m, L)
-            t = probs * scores - probs * (probs * scores).sum(axis=1, keepdims=True)
-            hw = (t.T @ A) / m + lam * _laplacian_flat(vw, w_shape)
-            hmu = t.sum(axis=0) / m
-            return np.concatenate([hw.reshape(-1), hmu]) + NEWTON_JITTER * v
-
-        op = scipy.sparse.linalg.LinearOperator((size, size), matvec=hess_vec)
+        op = scipy.sparse.linalg.LinearOperator(
+            (size, size), matvec=_hessian_matvec(A, probs, lam, w_shape)
+        )
         d, info = scipy.sparse.linalg.cg(op, rhs, maxiter=200, atol=0.0, rtol=1e-8)
         if info < 0 or not np.all(np.isfinite(d)):
             return None, None
@@ -382,20 +428,24 @@ def _take_prop_step(
     report: LossReport,
     grads: Gradients,
     workers: int,
-) -> NetworkParams:
+    keep_states: bool,
+) -> tuple[NetworkParams, np.ndarray | None]:
+    """The next propagation parameters, and the final states of ``images``
+    under them when an accepted Armijo trial computed them and
+    ``keep_states`` is set."""
     if isinstance(rule, FixedStep):
-        return _prop_step(params, grads, rule.step_size)
+        return _prop_step(params, grads, rule.step_size), None
     sq = grads.prop_sq_norm(params.embed_learnable)
     if sq == 0.0:
-        return params
+        return params, None
     t = rule.step_size
     for _ in range(rule.max_backtracks):
         trial = _prop_step(params, grads, t)
-        trial_loss = loss(images, labels, trial, clf, reg, workers=workers).total
-        if trial_loss <= report.total - rule.c * t * sq:
-            return trial
+        trial_report = loss(images, labels, trial, clf, reg, workers=workers)
+        if trial_report.total <= report.total - rule.c * t * sq:
+            return trial, trial_report.features if keep_states else None
         t *= rule.beta
-    return params  # no acceptable step; keep the current point
+    return params, None  # no acceptable step; keep the current point
 
 
 def bcd_train(
@@ -411,7 +461,9 @@ def bcd_train(
 
     Each history row reflects the full training set after that iteration's
     propagation and classifier updates.  Replays are bit-identical for a
-    fixed config and seed.
+    fixed config and seed.  In full-batch mode the accepted Armijo trial has
+    already propagated the whole training set, and its final states serve as
+    the Newton features; otherwise they come from a fresh pass.
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
@@ -428,11 +480,12 @@ def bcd_train(
         idx = batcher.next()
         images, labels = train.images[idx], train.labels[idx]
         report, grads = loss_and_gradient(images, labels, params, clf, reg, workers=workers)
-        params = _take_prop_step(
-            images, labels, params, clf, reg, cfg.prop_step_rule, report, grads, workers
+        params, features = _take_prop_step(
+            images, labels, params, clf, reg, cfg.prop_step_rule, report, grads, workers,
+            keep_states=len(idx) == len(train),
         )
-
-        features = propagate_final(train.images, params, workers=workers)
+        if features is None:
+            features = propagate_final(train.images, params, workers=workers)
         if cfg.newton_steps > 0:
             clf = newton_classifier_step(
                 features, train.labels, clf, reg, cfg.newton_steps

@@ -17,9 +17,10 @@ from mgcnn.stencils import (
     refine_stencil,
     stability_report,
     stencil_symbol,
+    tap_gradient,
 )
 
-from oracles import dense_circulant, galerkin_coarse_stencil
+from oracles import dense_circulant, galerkin_coarse_stencil, naive_bank_apply
 
 CA = TransferPair.constant_average()
 FW = TransferPair.bilinear_full_weighting()
@@ -89,6 +90,61 @@ class TestStencilTypes:
                 conv_apply(Stencil(w[co, ci]), Image(g, y[ci])).values for ci in range(2)
             )
             np.testing.assert_allclose(out[co], expect, atol=1e-13)
+
+
+# (weights shape, input shape): a non-square grid, a grid equal to the
+# stencil, no batch axis, two leading axes, and the 1 -> 3 embedding.
+KERNEL_CASES = [
+    ((2, 2, 3, 3), (4, 2, 5, 7)),
+    ((2, 2, 3, 3), (3, 2, 3, 3)),
+    ((2, 2, 3, 3), (2, 6, 6)),
+    ((2, 2, 3, 3), (2, 3, 2, 6, 5)),
+    ((3, 1, 3, 3), (4, 1, 6, 6)),
+    ((2, 3, 5, 5), (2, 3, 5, 6)),
+]
+
+
+def naive_batched(weights, y):
+    flat = y.reshape((-1,) + y.shape[-3:])
+    out = np.stack([naive_bank_apply(weights, image) for image in flat])
+    return out.reshape(y.shape[:-3] + out.shape[1:])
+
+
+class TestKernel:
+    @pytest.mark.parametrize("w_shape,y_shape", KERNEL_CASES)
+    def test_bank_apply_matches_scalar_loop(self, w_shape, y_shape):
+        rng = np.random.default_rng(11)
+        w, y = rng.normal(size=w_shape), rng.normal(size=y_shape)
+        got = bank_apply(w, y)
+        assert got.shape == y_shape[:-3] + (w_shape[0],) + y_shape[-2:]
+        np.testing.assert_allclose(got, naive_batched(w, y), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("w_shape,y_shape", KERNEL_CASES)
+    def test_tap_gradient_is_the_adjoint(self, w_shape, y_shape):
+        rng = np.random.default_rng(12)
+        w, y = rng.normal(size=w_shape), rng.normal(size=y_shape)
+        u = rng.normal(size=y_shape[:-3] + (w_shape[0],) + y_shape[-2:])
+        g = tap_gradient(u, y, w_shape[2])
+        assert g.shape == w_shape
+        lhs = float((u * bank_apply(w, y)).sum())
+        assert abs(lhs - float((g * w).sum())) <= 1e-12 * abs(lhs)
+
+    def test_tap_gradient_entries_match_scalar_loop(self):
+        rng = np.random.default_rng(13)
+        y, u = rng.normal(size=(3, 2, 5, 4)), rng.normal(size=(3, 3, 5, 4))
+        g = tap_gradient(u, y, 3)
+        basis = np.zeros((3, 2, 3, 3))
+        for idx in np.ndindex(basis.shape):
+            basis[idx] = 1.0
+            want = float((u * naive_batched(basis, y)).sum())
+            basis[idx] = 0.0
+            assert abs(g[idx] - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_empty_batch(self):
+        w = np.ones((2, 2, 3, 3))
+        assert bank_apply(w, np.zeros((0, 2, 4, 4))).shape == (0, 2, 4, 4)
+        empty = np.zeros((0, 2, 4, 4))
+        np.testing.assert_array_equal(tap_gradient(empty, empty, 3), 0.0)
 
 
 class TestSymbol:
@@ -225,6 +281,17 @@ class TestRefine:
         m = build_coarsen_map(3, CA)
         with pytest.raises(DimensionError):
             coarsen_stencil(Stencil.identity(5), m)
+
+    def test_bank_refuses_ill_posed_maps(self):
+        m = build_coarsen_map(3, CA)
+        bank = StencilBank.identity(2)
+        ill = CoarsenMap(k=m.k, kind=m.kind, matrix=m.matrix, cond=1e13, truncation_mass=0.0)
+        singular = CoarsenMap(
+            k=3, kind=m.kind, matrix=np.zeros((9, 9)), cond=1.0, truncation_mass=0.0
+        )
+        for bad in (ill, singular):
+            with pytest.raises(IllPosedError):
+                refine_bank(bank, bad)
 
 
 class TestBanks:

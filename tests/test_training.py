@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import mgcnn.training as training_mod
 from mgcnn.data import LabeledDataset, SyntheticKind, make_synthetic
 from mgcnn.grid import Grid2D
 from mgcnn.network import (
     Activation,
     Classifier,
+    _cross_entropy,
+    _logits,
     propagate_final,
     random_network_params,
     zero_classifier,
@@ -191,6 +194,56 @@ class TestNewtonClassifierStep:
                                    zero_classifier(g, 2, 2), RegConfig(), steps=1)
 
 
+def newton_problem(seed, field_shape, m=7, L=3):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, int(np.prod(field_shape))))
+    logits = rng.normal(size=(m, L))
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    return A, probs, (L,) + field_shape
+
+
+class TestNewtonAssembly:
+    # (2, 4, 5) has full 5-point rows; (1, 2, 3) has a side of 2, where the
+    # periodic neighbours coincide and their entries add.
+    @pytest.mark.parametrize("field_shape", [(2, 4, 5), (1, 2, 3)])
+    def test_dense_hessian_matches_matrix_free_product(self, field_shape):
+        A, probs, w_shape = newton_problem(40, field_shape)
+        lam = 0.3
+        H = training_mod._dense_hessian(A, probs, lam, w_shape)
+        hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
+        columns = np.stack([hess_vec(e) for e in np.eye(H.shape[0])], axis=1)
+        assert np.abs(H - columns).max() <= 1e-12 * max(1.0, np.abs(H).max())
+
+    def test_cg_branch_solves_the_same_system(self, monkeypatch):
+        A, probs, w_shape = newton_problem(41, (2, 4, 5))
+        lam = 0.3
+        H = training_mod._dense_hessian(A, probs, lam, w_shape)
+        # a right-hand side in the range of the nearly shift-invariant H
+        rhs = H @ np.random.default_rng(42).normal(size=H.shape[0])
+        g_w, g_mu = -rhs[: -w_shape[0]].reshape(w_shape[0], -1), -rhs[-w_shape[0] :]
+        dense = training_mod._newton_direction(A, probs, g_w, g_mu, lam, w_shape)
+
+        def no_dense(*args):
+            raise AssertionError("dense assembly on the CG branch")
+
+        monkeypatch.setattr(training_mod, "DENSE_NEWTON_LIMIT", 0)
+        monkeypatch.setattr(training_mod, "_dense_hessian", no_dense)
+        cg = training_mod._newton_direction(A, probs, g_w, g_mu, lam, w_shape)
+        for d_w, d_mu in (dense, cg):
+            d = np.concatenate([d_w.reshape(-1), d_mu])
+            assert np.linalg.norm(H @ d - rhs) <= 1e-6 * np.linalg.norm(rhs)
+
+    def test_cached_laplacian_is_read_only(self):
+        rows, cols, vals = training_mod._laplacian_entries((2, 4, 5))
+        for a in (rows, cols, vals):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        again = training_mod._laplacian_entries((2, 4, 5))
+        assert all(x is y for x, y in zip(again, (rows, cols, vals)))
+        assert vals.sum() == 0.0  # constants are in the kernel
+
+
 def blob_set(n=40, seed=0, noise=0.05):
     return make_synthetic(SyntheticKind.BLOBS, n, Grid2D(6, 6, 1.0), seed=seed,
                           noise=noise)
@@ -274,6 +327,36 @@ class TestBcdTrain:
                            RegConfig(0.01, 0.01),
                            BcdConfig(outer_iters=1, newton_steps=2))
         assert np.isnan(no_val.history[0].val_acc)
+
+    @pytest.mark.parametrize("rule,batch_size", [
+        (ArmijoBacktracking(), None),
+        (FixedStep(0.05), None),
+        (ArmijoBacktracking(), 8),
+    ])
+    def test_last_row_matches_a_fresh_pass(self, rule, batch_size):
+        # full-batch Armijo reuses the accepted trial's states as features;
+        # they must be the exact states of a fresh pass at the final point
+        ds = blob_set(n=30, seed=12)
+        res = bcd_train(ds, varied_params(13, num_layers=2), zero_classifier(ds.grid, 2, 2),
+                        RegConfig(0.02, 0.05),
+                        BcdConfig(outer_iters=4, newton_steps=2, prop_step_rule=rule,
+                                  batch_size=batch_size))
+        logits = _logits(propagate_final(ds.images, res.params), res.classifier)
+        assert res.history[-1].data_term == float(_cross_entropy(logits, ds.labels).mean())
+
+    def test_full_batch_armijo_skips_the_feature_pass(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return propagate_final(*args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "propagate_final", counted)
+        ds = blob_set(n=30, seed=14)
+        res = bcd_train(ds, varied_params(15, num_layers=2), zero_classifier(ds.grid, 2, 2),
+                        RegConfig(0.02, 0.05), BcdConfig(outer_iters=3, newton_steps=2))
+        assert len(res.history) == 3
+        assert calls == []
 
     def test_empty_training_set_rejected(self):
         ds = blob_set().subset(np.array([], dtype=int))
