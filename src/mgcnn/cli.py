@@ -24,6 +24,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import traceback
 from dataclasses import asdict, dataclass, replace
@@ -82,7 +83,10 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective settings of one run; field defaults are the documented ones."""
+    """Effective settings of one run; field defaults are the documented ones.
+
+    Out-of-range values raise ``ConfigError`` on construction.
+    """
 
     dataset: str = "bars"  # bars | blobs | idx
     idx_images: str = ""
@@ -117,6 +121,16 @@ class RunConfig:
     level_iters: tuple[int, ...] = ()  # per-level outer_iters, finest first
     depths: tuple[int, ...] = (2, 4)  # depth sequence (deepen)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("outer_iters", "newton_steps", "batch_size"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("layers", "channels"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.step_size) and self.step_size > 0.0):
+            raise ConfigError(f"step_size must be finite and > 0, got {self.step_size}")
 
 
 # dataclass field annotations are strings under deferred annotation evaluation
@@ -166,7 +180,8 @@ _HELP = {
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Read a config file on top of the defaults; unknown keys are fatal."""
+    """Read a config file on top of the defaults; unknown keys and values
+    that ``RunConfig`` rejects raise ``ConfigError``."""
     values: dict = {}
     fields = RunConfig.__dataclass_fields__
     if path is not None:

@@ -8,10 +8,16 @@ quadratic smoothness penalty, so it is convex and Newton's method with step
 halving is both safe and fast.
 
 The Newton system uses the exact softmax Gauss-Newton Hessian.  For small
-problems it is assembled densely and solved directly; past a size threshold
-the same Hessian is applied matrix-free inside conjugate gradients.  Both
-paths are deterministic.  A singular or non-descent system falls back to a
-gradient step with Armijo search and flags the step report.
+problems it is solved directly in class coordinates.  Softmax logits are
+invariant to adding the same vector to every class, so the data term of the
+Hessian vanishes along class-constant directions, and the penalty and the
+jitter act on each class alike.  The class mean therefore decouples exactly:
+it sees only ``lambda * Laplacian + jitter``, which the FFT diagonalises on
+the periodic grid, and the ``L - 1`` class contrasts form one dense system of
+``(L-1)(F+1)`` unknowns instead of ``L(F+1)``.  Past a size threshold the full
+Hessian is applied matrix-free inside conjugate gradients.  Both paths are
+deterministic.  A singular or non-descent system falls back to a gradient
+step with Armijo search and flags the step report.
 
 Regularization (shared with :func:`mgcnn.network.loss`):
 
@@ -70,9 +76,10 @@ __all__ = [
     "reg_value_and_grad",
 ]
 
-# Dense Newton assembly up to this many unknowns; CG beyond.
+# Direct Newton solve up to this many unknowns, counted as L(F+1); CG beyond.
 DENSE_NEWTON_LIMIT = 3000
-# Tikhonov jitter that absorbs the softmax shift invariance of the Hessian.
+# Tikhonov jitter that absorbs the softmax shift invariance of the Hessian;
+# on the class-mean block it is all the data term leaves.
 NEWTON_JITTER = 1e-10
 MAX_HALVINGS = 20
 
@@ -283,40 +290,88 @@ def newton_classifier_step(
     return NewtonResult(classifier=out, objectives=objectives, used_fallback=used_fallback)
 
 
-def _dense_hessian(
+def _contrast_basis(L: int) -> np.ndarray:
+    """Orthonormal ``(L, L-1)`` basis of the class contrasts (Helmert columns).
+
+    Column ``a`` holds ``1/sqrt(a(a+1))`` on classes ``0..a-1`` and
+    ``-a/sqrt(a(a+1))`` on class ``a``, so every column sums to zero.
+    """
+    Q = np.zeros((L, L - 1))
+    for a in range(1, L):
+        Q[:a, a - 1] = 1.0 / math.sqrt(a * (a + 1))
+        Q[a, a - 1] = -a / math.sqrt(a * (a + 1))
+    return Q
+
+
+def _contrast_hessian(
     A: np.ndarray, probs: np.ndarray, lam: float, w_shape: tuple[int, ...]
 ) -> np.ndarray:
-    """The softmax Gauss-Newton Hessian plus penalty and jitter, as a dense matrix.
+    """The Hessian restricted to class contrasts, as a dense matrix.
 
-    Unknown layout: per-class weight rows, then the offsets.  Only the
-    class pairs ``j <= j2`` are computed; the others are their mirror.
+    Unknown layout: for each column ``q_a`` of :func:`_contrast_basis`, the
+    contrast of the weights, then of the offsets (``F + 1`` entries).  Block
+    ``(a, b)`` is ``Ã^T diag(s_ab) Ã`` with ``Ã = [A, 1]`` and per-sample
+    weights ``s_ab = q_a^T (diag p - p p^T) q_b / m``, the covariance of the
+    contrasts ``q_a`` and ``q_b`` under the class distribution ``p``.  Taken
+    in that form, the diagonal weights are nonnegative sums of squares, so
+    a diagonal block is one symmetric rank-``m`` product; only the blocks
+    ``a <= b`` are computed, the others are their mirror.  The penalty and
+    the jitter act on each class alike, so they enter every diagonal block
+    unchanged.
     """
     m, L = probs.shape
     F = A.shape[1]
-    H = np.zeros((L * (F + 1), L * (F + 1)))
-    for j in range(L):
-        rj = slice(j * F, (j + 1) * F)
-        for j2 in range(j, L):
-            rj2 = slice(j2 * F, (j2 + 1) * F)
-            coupling = probs[:, j] * ((1.0 if j == j2 else 0.0) - probs[:, j2]) / m
-            H[rj, rj2] = A.T @ (A * coupling[:, None])
-            cross = coupling @ A
-            H[L * F + j, rj2] = H[rj2, L * F + j] = cross
-            H[L * F + j, L * F + j2] = coupling.sum()
-            if j2 != j:
-                H[rj2, rj] = H[rj, rj2].T
-                H[L * F + j2, rj] = H[rj, L * F + j2] = cross
-                H[L * F + j2, L * F + j] = H[L * F + j, L * F + j2]
+    n = F + 1
+    Q = _contrast_basis(L)
+    A1 = np.empty((m, n))
+    A1[:, :F] = A
+    A1[:, F] = 1.0
+    dev = Q - (probs @ Q)[:, None, :]  # (m, L, L-1): contrasts minus their means
+    H = np.empty(((L - 1) * n, (L - 1) * n))
+    for a in range(L - 1):
+        ra = slice(a * n, (a + 1) * n)
+        for b in range(a, L - 1):
+            rb = slice(b * n, (b + 1) * n)
+            s = (probs * dev[:, :, a] * dev[:, :, b]).sum(axis=1) / m
+            if b == a:
+                root = A1 * np.sqrt(s)[:, None]
+                np.matmul(root.T, root, out=H[ra, ra])
+            else:
+                np.matmul(A1.T, A1 * s[:, None], out=H[ra, rb])
+                H[rb, ra] = H[ra, rb].T
     if lam > 0.0:
         rows, cols, vals = _laplacian_entries(w_shape[1:])
-        for j in range(L):
-            H[j * F + rows, j * F + cols] += lam * vals
+        for a in range(L - 1):
+            H[a * n + rows, a * n + cols] += lam * vals
     H[np.diag_indices_from(H)] += NEWTON_JITTER
     return H
 
 
+def _class_mean_solve(b: np.ndarray, lam: float, field_shape: tuple[int, ...]) -> np.ndarray:
+    """Solve the class-mean block ``(lam * Laplacian + jitter) x = b`` exactly.
+
+    ``b`` is one ``[w | mu]`` row.  The periodic 5-point Laplacian is
+    diagonal in Fourier space, with symbol ``2(4 - 2cos(2πk/nx) -
+    2cos(2πl/ny))`` on every channel's field; the offset sees the jitter only.
+    """
+    ny, nx = field_shape[-2:]
+    F = b.size - 1
+    symbol = 2.0 * (
+        4.0
+        - 2.0 * np.cos(2.0 * np.pi * np.arange(nx // 2 + 1) / nx)
+        - 2.0 * np.cos(2.0 * np.pi * np.arange(ny)[:, None] / ny)
+    )
+    spectrum = np.fft.rfft2(b[:F].reshape(field_shape)) / (lam * symbol + NEWTON_JITTER)
+    x_w = np.fft.irfft2(spectrum, s=(ny, nx))
+    return np.append(x_w.reshape(-1), b[F] / NEWTON_JITTER)
+
+
 def _hessian_matvec(A: np.ndarray, probs: np.ndarray, lam: float, w_shape: tuple[int, ...]):
-    """The product with :func:`_dense_hessian`, without forming it."""
+    """The product with the softmax Gauss-Newton Hessian plus penalty and
+    jitter, without forming it.
+
+    Unknown layout: per-class weight rows, then the offsets.
+    """
     m, L = probs.shape
     F = A.shape[1]
 
@@ -342,28 +397,42 @@ def _newton_direction(
 ):
     """Solve ``H d = -g`` for the softmax Gauss-Newton Hessian.
 
-    Dense assembly and a direct solve up to ``DENSE_NEWTON_LIMIT`` unknowns,
-    conjugate gradients on the matrix-free product beyond.  Returns
-    ``(None, None)`` when the solve fails so the caller can fall back.
+    Up to ``DENSE_NEWTON_LIMIT`` unknowns the system is split exactly in two.
+    The data term of ``H`` acts on each sample through ``diag p - p p^T``,
+    which annihilates the all-ones class vector, while the penalty and the
+    jitter act on every class alike.  In the orthonormal class basis
+    ``[1/sqrt(L), Q]`` the Hessian is therefore block diagonal: the class
+    mean sees only ``lam * Laplacian + jitter``, solved by FFT, and the
+    ``L - 1`` contrasts form one dense ``(L-1)(F+1)`` system
+    (:func:`_contrast_hessian`), solved directly.  The direction is
+    ``Q d_c + 1 ⊗ d_mean``.  Beyond the limit, conjugate gradients run on
+    the matrix-free product of the full Hessian.  Returns ``(None, None)``
+    when the solve fails so the caller can fall back.
     """
     L = probs.shape[1]
     F = A.shape[1]
     size = L * (F + 1)
-    rhs = -np.concatenate([g_w.reshape(-1), g_mu])
 
     if size <= DENSE_NEWTON_LIMIT:
-        H = _dense_hessian(A, probs, lam, w_shape)
+        rhs = -np.concatenate([g_w, g_mu[:, None]], axis=1)  # rows [w_j | mu_j]
+        Q = _contrast_basis(L)
+        H = _contrast_hessian(A, probs, lam, w_shape)
         try:
-            d = scipy.linalg.solve(H, rhs, assume_a="sym")
+            d_c = scipy.linalg.solve(H, (Q.T @ rhs).reshape(-1), assume_a="sym")
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
             return None, None
-    else:
-        op = scipy.sparse.linalg.LinearOperator(
-            (size, size), matvec=_hessian_matvec(A, probs, lam, w_shape)
+        d = Q @ d_c.reshape(L - 1, F + 1) + _class_mean_solve(
+            rhs.mean(axis=0), lam, w_shape[1:]
         )
-        d, info = scipy.sparse.linalg.cg(op, rhs, maxiter=200, atol=0.0, rtol=1e-8)
-        if info < 0 or not np.all(np.isfinite(d)):
-            return None, None
+        return d[:, :F], d[:, F]
+
+    rhs = -np.concatenate([g_w.reshape(-1), g_mu])
+    op = scipy.sparse.linalg.LinearOperator(
+        (size, size), matvec=_hessian_matvec(A, probs, lam, w_shape)
+    )
+    d, info = scipy.sparse.linalg.cg(op, rhs, maxiter=200, atol=0.0, rtol=1e-8)
+    if info < 0 or not np.all(np.isfinite(d)):
+        return None, None
     return d[: L * F].reshape(L, F), d[L * F :]
 
 

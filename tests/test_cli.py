@@ -119,6 +119,23 @@ class TestExitCodes:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "no_such_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("outer_iters", "-1"),
+        ("newton_steps", "-1"),
+        ("batch_size", "-5"),
+        ("layers", "0"),
+        ("channels", "0"),
+        ("step_size", "nan"),
+        ("step_size", "inf"),
+        ("step_size", "0"),
+        ("step_size", "-1"),
+    ])
+    def test_out_of_range_value_is_two_and_named(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path, FAST_TRAIN + f"{key} = {value}\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_path_is_three_and_named(self, tmp_path, capsys):
         missing = tmp_path / "absent-images.idx"
         cfg = write_cfg(tmp_path, f"""

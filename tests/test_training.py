@@ -202,22 +202,63 @@ def newton_problem(seed, field_shape, m=7, L=3):
     return A, probs, (L,) + field_shape
 
 
+def class_rows(v, L):
+    """Flat ``[w_1..w_L | mu]`` unknowns as L rows ``[w_j | mu_j]``."""
+    return np.concatenate([v[:-L].reshape(L, -1), v[-L:, None]], axis=1)
+
+
+def flat_unknowns(rows):
+    return np.concatenate([rows[:, :-1].reshape(-1), rows[:, -1]])
+
+
 class TestNewtonAssembly:
     # (2, 4, 5) has full 5-point rows; (1, 2, 3) has a side of 2, where the
     # periodic neighbours coincide and their entries add.
     @pytest.mark.parametrize("field_shape", [(2, 4, 5), (1, 2, 3)])
     def test_dense_hessian_matches_matrix_free_product(self, field_shape):
-        A, probs, w_shape = newton_problem(40, field_shape)
+        # The dense system is the full Hessian seen through the contrast
+        # basis Q: column (a, f) is Q^T H (Q e_(a, f)), class by class.
         lam = 0.3
-        H = training_mod._dense_hessian(A, probs, lam, w_shape)
+        for L in (2, 3):
+            A, probs, w_shape = newton_problem(40, field_shape, L=L)
+            Q = training_mod._contrast_basis(L)
+            np.testing.assert_allclose(Q.T @ Q, np.eye(L - 1), atol=1e-15)
+            assert np.abs(Q.sum(axis=0)).max() <= 1e-15
+            H = training_mod._contrast_hessian(A, probs, lam, w_shape)
+            hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
+            columns = []
+            for e in np.eye(H.shape[0]):
+                h = hess_vec(flat_unknowns(Q @ e.reshape(L - 1, -1)))
+                columns.append((Q.T @ class_rows(h, L)).reshape(-1))
+            columns = np.stack(columns, axis=1)
+            assert np.abs(H - columns).max() <= 1e-12 * max(1.0, np.abs(H).max())
+
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("lam", [0.3, 0.0])
+    def test_dense_direction_solves_the_full_system(self, L, lam):
+        # Classifier weights with a nonzero, rough class mean put weight on
+        # the FFT-solved mean block when lam > 0.
+        A, probs, w_shape = newton_problem(43, (2, 4, 5), L=L)
+        rng = np.random.default_rng(44)
+        m = A.shape[0]
+        w = rng.normal(size=(L, A.shape[1])) + rng.normal(size=A.shape[1])
+        resid = (probs - np.eye(L)[rng.integers(0, L, m)]) / m
+        g_w = resid.T @ A + lam * training_mod._laplacian_flat(w, w_shape)
+        g_mu = resid.sum(axis=0)
+        rhs = -np.concatenate([g_w.reshape(-1), g_mu])
+        if lam > 0.0:
+            assert np.linalg.norm(g_w.mean(axis=0)) >= 0.1 * np.linalg.norm(g_w)
+        d_w, d_mu = training_mod._newton_direction(A, probs, g_w, g_mu, lam, w_shape)
         hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
-        columns = np.stack([hess_vec(e) for e in np.eye(H.shape[0])], axis=1)
-        assert np.abs(H - columns).max() <= 1e-12 * max(1.0, np.abs(H).max())
+        d = np.concatenate([d_w.reshape(-1), d_mu])
+        assert np.linalg.norm(hess_vec(d) - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_cg_branch_solves_the_same_system(self, monkeypatch):
         A, probs, w_shape = newton_problem(41, (2, 4, 5))
         lam = 0.3
-        H = training_mod._dense_hessian(A, probs, lam, w_shape)
+        hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
+        size = w_shape[0] * (A.shape[1] + 1)
+        H = np.stack([hess_vec(e) for e in np.eye(size)], axis=1)
         # a right-hand side in the range of the nearly shift-invariant H
         rhs = H @ np.random.default_rng(42).normal(size=H.shape[0])
         g_w, g_mu = -rhs[: -w_shape[0]].reshape(w_shape[0], -1), -rhs[-w_shape[0] :]
@@ -227,7 +268,7 @@ class TestNewtonAssembly:
             raise AssertionError("dense assembly on the CG branch")
 
         monkeypatch.setattr(training_mod, "DENSE_NEWTON_LIMIT", 0)
-        monkeypatch.setattr(training_mod, "_dense_hessian", no_dense)
+        monkeypatch.setattr(training_mod, "_contrast_hessian", no_dense)
         cg = training_mod._newton_direction(A, probs, g_w, g_mu, lam, w_shape)
         for d_w, d_mu in (dense, cg):
             d = np.concatenate([d_w.reshape(-1), d_mu])
