@@ -29,7 +29,7 @@ from .errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from .grid import Grid2D, Image, TransferKind, TransferPair
+from .grid import Grid2D, TransferKind, TransferPair
 
 __all__ = [
     "BadMagicError",
@@ -39,7 +39,6 @@ __all__ = [
     "DivergenceError",
     "Grid2D",
     "IllPosedError",
-    "Image",
     "MgcnnError",
     "TransferKind",
     "TransferPair",

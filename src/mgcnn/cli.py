@@ -52,7 +52,7 @@ from .multiscale import (
     multilevel_train,
     shallow_to_deep_train,
 )
-from .network import Activation, NetworkInit, zero_classifier
+from .network import Activation, NetworkInit, RegConfig, zero_classifier
 from .stencils import build_coarsen_map, stability_report
 from .training import (
     ArmijoBacktracking,
@@ -123,14 +123,31 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("outer_iters", "newton_steps", "batch_size"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("layers", "channels"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.step_size) and self.step_size > 0.0):
-            raise ConfigError(f"step_size must be finite and > 0, got {self.step_size}")
+        def check(ok: bool, name: str, rule: str) -> None:
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+        for name in ("limit", "outer_iters", "newton_steps", "batch_size", "levels", "seed"):
+            check(getattr(self, name) >= 0, name, ">= 0")
+        for name in ("grid_nx", "grid_ny", "layers", "channels"):
+            check(getattr(self, name) >= 1, name, ">= 1")
+        check(self.num_examples >= 2, "num_examples", ">= 2")
+        check(self.kernel >= 1 and self.kernel % 2 == 1, "kernel", "odd and >= 1")
+        for name in ("grid_h", "final_time", "step_size"):
+            value = getattr(self, name)
+            check(math.isfinite(value) and value > 0.0, name, "finite and > 0")
+        for name in ("noise", "init_scale", "lambda_w", "lambda_theta", "blur_sigma"):
+            value = getattr(self, name)
+            check(math.isfinite(value) and value >= 0.0, name, "finite and >= 0")
+        check(math.isfinite(self.act_gain), "act_gain", "finite")
+        for name in ("train_fraction", "armijo_beta", "armijo_c"):
+            check(0.0 < getattr(self, name) < 1.0, name, "strictly between 0 and 1")
+        check(self.activation.strip().lower() in {a.value for a in Activation},
+              "activation", "tanh or identity")
+        check(all(n >= 0 for n in self.level_iters), "level_iters", "a list of counts >= 0")
+        check(all(d >= 1 for d in self.depths)
+              and all(b > a and b % a == 0 for a, b in zip(self.depths, self.depths[1:])),
+              "depths", "positive and increasing by integer factors")
 
 
 # dataclass field annotations are strings under deferred annotation evaluation
@@ -271,6 +288,22 @@ def _load_dataset(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
     return split(full, cfg.train_fraction, seed=cfg.seed)
 
 
+def _check_grid(cfg: RunConfig, grid: Grid2D, levels: int) -> None:
+    """Refuse a grid that cannot be halved ``levels`` times while staying at
+    least ``kernel`` cells wide."""
+    nx, ny = grid.nx, grid.ny
+    for _ in range(levels):
+        if nx % 2 or ny % 2:
+            raise ConfigError(
+                f"levels = {levels} cannot halve the {grid.nx}x{grid.ny} grid: "
+                f"it reaches an odd {nx}x{ny} grid"
+            )
+        nx, ny = nx // 2, ny // 2
+    if min(nx, ny) < cfg.kernel:
+        cause = f"levels = {levels} leaves a" if levels else "the data has a"
+        raise ConfigError(f"{cause} {nx}x{ny} grid, narrower than kernel = {cfg.kernel}")
+
+
 def _write_summary(path: Path, label: str, rows: list[tuple]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -282,6 +315,7 @@ def _write_summary(path: Path, label: str, rows: list[tuple]) -> None:
 
 def cmd_train(cfg: RunConfig, out: Path, workers: int) -> int:
     train, val = _load_dataset(cfg)
+    _check_grid(cfg, train.grid, 0)
     init = _network_init(cfg)
     params = init.network_params(cfg.layers, cfg.seed)
     clf = zero_classifier(train.grid, cfg.channels, train.num_classes)
@@ -300,9 +334,7 @@ def cmd_train(cfg: RunConfig, out: Path, workers: int) -> int:
     return 0
 
 
-def _reg(cfg: RunConfig):
-    from .training import RegConfig
-
+def _reg(cfg: RunConfig) -> RegConfig:
     return RegConfig(lambda_w=cfg.lambda_w, lambda_theta=cfg.lambda_theta)
 
 
@@ -324,6 +356,7 @@ def cmd_adapt(model_path: str, direction: Direction, cfg: RunConfig, out: Path, 
 
 def cmd_multilevel(cfg: RunConfig, out: Path, workers: int) -> int:
     train, val = _load_dataset(cfg)
+    _check_grid(cfg, train.grid, cfg.levels)
     pair = _transfer_pair(cfg)
     pyr = ResolutionPyramid.build(train, cfg.levels, pair, cfg.blur_sigma)
     val_pyr = ResolutionPyramid.build(val, cfg.levels, pair, cfg.blur_sigma)
@@ -379,6 +412,7 @@ def cmd_deepen(cfg: RunConfig, out: Path, workers: int) -> int:
     train, val = _load_dataset(cfg)
     if not cfg.depths:
         raise ConfigError("deepen needs a nonempty depths list")
+    _check_grid(cfg, train.grid, 0)
     init = _network_init(cfg)
 
     def make_model(depth: int, seed: int):
@@ -424,15 +458,9 @@ def cmd_inspect(model_path: str) -> int:
     )
     print(f"{'layer':>5}  {'max_real':>12}  {'step_growth':>12}  {'bank_norm':>12}")
     for i, bank in enumerate(params.banks):
-        max_real = -np.inf
-        growth = 0.0
-        for co in range(bank.c_out):
-            for ci in range(bank.c_in):
-                rep = stability_report(bank.stencil(co, ci), grid, params.dt)
-                max_real = max(max_real, rep.max_real)
-                growth = max(growth, rep.spectral_radius_step)
+        rep = stability_report(bank.weights, grid, params.dt)
         norm = float(np.sqrt((bank.weights**2).sum()))
-        print(f"{i:>5}  {max_real:>12.6g}  {growth:>12.6g}  {norm:>12.6g}")
+        print(f"{i:>5}  {rep.max_real:>12.6g}  {rep.spectral_radius_step:>12.6g}  {norm:>12.6g}")
     return 0
 
 
@@ -459,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key-value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--workers", type=int, default=1, help="batch-level worker threads")
-        p.add_argument("--sequential", action="store_true", help="force single-threaded execution")
+        p.add_argument("--sequential", action="store_true", help="one worker thread (same as --workers 1)")
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")
 

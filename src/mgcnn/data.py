@@ -83,8 +83,8 @@ class LabeledDataset:
             raise CountMismatchError(
                 f"{self.images.shape[0]} images but {self.labels.size} labels"
             )
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
-            raise ValueError("image values must lie in [0, 1]")
+        if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
+            raise ValueError("image values must lie in [0, 1]")  # NaN fails both tests
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
 

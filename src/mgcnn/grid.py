@@ -20,9 +20,10 @@ All boundaries are periodic.  That keeps every operator here translation
 equivariant, which is what makes the Galerkin stencil algebra in
 :mod:`mgcnn.stencils` exact rather than approximate.
 
-Array-level helpers (:func:`restrict_values`, :func:`prolong_values`,
-:func:`gaussian_blur_values`) act on the trailing two axes so stacks of
-images or multi-channel fields can be transferred in one call.
+Images are plain arrays of shape ``(..., ny, nx)``.  The transfers
+(:func:`restrict_values`, :func:`prolong_values`) and the blur
+(:func:`gaussian_blur_values`) act on the trailing two axes, so stacks of
+images or multi-channel fields move in one call.
 """
 
 from __future__ import annotations
@@ -37,15 +38,11 @@ from .errors import DimensionError
 
 __all__ = [
     "Grid2D",
-    "Image",
     "TransferKind",
     "TransferPair",
-    "gaussian_blur",
     "gaussian_blur_values",
     "gaussian_kernel_1d",
-    "prolong_image",
     "prolong_values",
-    "restrict_image",
     "restrict_values",
     "verify_rp_identity",
 ]
@@ -81,36 +78,6 @@ class Grid2D:
 
     def refined(self) -> "Grid2D":
         return Grid2D(2 * self.nx, 2 * self.ny, 0.5 * self.h)
-
-
-@dataclass
-class Image:
-    """Real-valued samples at the cell centers of ``grid``.
-
-    ``values`` is stored as a ``(ny, nx)`` array; a flat row-major vector of
-    length ``nx * ny`` is accepted and reshaped.  Row-major flattening is the
-    canonical serialization order throughout the package.
-    """
-
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim == 1 and v.size == self.grid.ncells:
-            v = v.reshape(self.grid.shape)
-        if v.shape != self.grid.shape:
-            raise DimensionError(
-                f"image values of shape {v.shape} do not fit grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("image values must be finite")
-        self.values = v
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Row-major view of the samples."""
-        return self.values.reshape(-1)
 
 
 class TransferKind(Enum):
@@ -192,16 +159,6 @@ def prolong_values(values: np.ndarray, kind: TransferKind) -> np.ndarray:
     return _prolong_linear_axis(out, -1)
 
 
-def restrict_image(img: Image, pair: TransferPair) -> Image:
-    """Move an image to the 2x coarser grid with ``pair``'s restriction."""
-    return Image(img.grid.coarsened(), restrict_values(img.values, pair.kind))
-
-
-def prolong_image(img: Image, pair: TransferPair) -> Image:
-    """Move an image to the 2x finer grid with ``pair``'s prolongation."""
-    return Image(img.grid.refined(), prolong_values(img.values, pair.kind))
-
-
 def verify_rp_identity(pair: TransferPair, grid: Grid2D) -> float:
     """Worst-case deviation of ``R P`` from ``gamma * I`` on ``grid``.
 
@@ -251,7 +208,3 @@ def gaussian_blur_values(values: np.ndarray, sigma: float) -> np.ndarray:
         out = acc
     return out
 
-
-def gaussian_blur(img: Image, sigma: float) -> Image:
-    """Blur an image in place of its grid; mass is preserved exactly."""
-    return Image(img.grid, gaussian_blur_values(img.values, sigma))

@@ -5,16 +5,24 @@ The network is the forward-Euler discretization of
     y'(t) = act( K(s(t)) y(t) + b(t) ),   y(0) = L x,
 
 on a fixed image grid: ``N`` layers of ``y <- y + dt * act(bank(y) + bias)``
-with ``N * dt = T``.  States are multi-channel images stored as plain arrays
-of shape ``(channels, ny, nx)``; batched helpers accept a leading batch axis
-and are what the training loop actually calls.
+with ``N * dt = T``.  Inputs are plain arrays of shape ``(..., ny, nx)``
+and states of shape ``(..., channels, ny, nx)``; every function here takes
+one image or a batch alike.
 
 Classification reads the final state through a linear functional per class,
 
     logit_j = h^2 * <w_j, y_N> + mu_j,
 
 i.e. a midpoint-rule inner product on the grid, so classifier weights keep a
-resolution-independent meaning, followed by softmax.
+resolution-independent meaning, followed by softmax.  The loss is the mean
+cross-entropy plus two smoothness penalties (:func:`reg_value_and_grad`):
+
+    lambda_w     * h^2 * sum_j ||D w_j||^2        spatial smoothness of the
+                                                  classifier fields, periodic
+                                                  forward differences
+    lambda_theta * sum_k ||theta_{k+1}-theta_k||^2 / dt
+                                                  temporal smoothness of the
+                                                  layer stencils and biases
 
 :func:`loss_and_gradient` implements reverse-mode differentiation of the
 cross-entropy (plus optional regularization) with respect to every learnable
@@ -24,25 +32,23 @@ chunk's states and pre-activations, and the reverse sweep reads them back
 rather than propagating again: per layer it applies the adjoint bank once
 and takes the stencil gradient from the same shifted-slice kernel as the
 forward pass (:func:`mgcnn.stencils.tap_gradient`).  Inputs are processed
-in fixed chunks so memory stays bounded and reductions happen in a fixed
-order regardless of worker count.
+in fixed chunks of ``CHUNK`` examples so memory stays bounded and reductions
+happen in a fixed order whatever the worker count; with ``workers > 1`` the
+chunks of one call run on that many threads, next to BLAS's own threads.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .grid import Grid2D, Image
+from .grid import Grid2D
 from .stencils import StencilBank, bank_apply, tap_gradient
-
-if TYPE_CHECKING:
-    from .training import RegConfig
 
 __all__ = [
     "Activation",
@@ -51,16 +57,17 @@ __all__ = [
     "LossReport",
     "NetworkInit",
     "NetworkParams",
-    "Trajectory",
+    "RegConfig",
+    "RegGrads",
     "classify",
     "embed_input",
     "forward_propagate",
     "forward_step",
-    "gradient",
     "loss",
     "loss_and_gradient",
     "propagate_final",
     "random_network_params",
+    "reg_value_and_grad",
     "softmax",
     "zero_classifier",
 ]
@@ -259,21 +266,11 @@ def random_network_params(
     )
 
 
-@dataclass
-class Trajectory:
-    """All states ``y_0 .. y_N`` of one forward propagation."""
-
-    states: list[np.ndarray]
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.states[-1]
-
-
-def embed_input(x: Image | np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Map a single-channel input image to the feature channels, ``y_0 = L x``."""
-    values = x.values if isinstance(x, Image) else np.asarray(x, dtype=np.float64)
-    return bank_apply(params.embed.weights, values[..., None, :, :])
+def embed_input(x: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """Map single-channel images ``(..., ny, nx)`` to the feature channels,
+    ``y_0 = L x`` of shape ``(..., c, ny, nx)``."""
+    x = np.asarray(x, dtype=np.float64)
+    return bank_apply(params.embed.weights, x[..., None, :, :])
 
 
 def forward_step(
@@ -315,14 +312,12 @@ def _propagate(y0: np.ndarray, params: NetworkParams, keep: bool) -> list[np.nda
     return states
 
 
-def forward_propagate(
-    x: Image | np.ndarray, params: NetworkParams, act: Activation | None = None
-) -> Trajectory:
-    """Propagate one input image through all layers, keeping every state."""
-    p = params if act is None else replace(params, activation=act)
-    y0 = embed_input(x, p)
+def forward_propagate(x: np.ndarray, params: NetworkParams) -> list[np.ndarray]:
+    """Propagate input image(s) ``(..., ny, nx)`` through all layers and
+    return every state ``y_0 .. y_N``."""
+    y0 = embed_input(x, params)
     _check_finite(y0, "embedding")
-    return Trajectory(_propagate(y0, p, keep=True))
+    return _propagate(y0, params, keep=True)
 
 
 def _chunks(n: int) -> list[slice]:
@@ -423,11 +418,66 @@ class Gradients:
         return total
 
 
-def _reg_parts(params: NetworkParams, clf: Classifier, reg: "RegConfig | None"):
+@dataclass(frozen=True)
+class RegConfig:
+    lambda_w: float = 0.0
+    lambda_theta: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.lambda_w < 0.0 or self.lambda_theta < 0.0:
+            raise ValueError("regularization weights must be nonnegative")
+
+
+@dataclass
+class RegGrads:
+    banks: np.ndarray
+    biases: np.ndarray
+    weights: np.ndarray
+
+
+def _smooth_sq(w: np.ndarray) -> float:
+    dx = np.roll(w, -1, axis=-1) - w
+    dy = np.roll(w, -1, axis=-2) - w
+    return float((dx * dx).sum() + (dy * dy).sum())
+
+
+def _smooth_grad(w: np.ndarray) -> np.ndarray:
+    # gradient of _smooth_sq: 2 * D^T D w, the periodic 5-point Laplacian
+    return 2.0 * (
+        4.0 * w
+        - np.roll(w, 1, axis=-1)
+        - np.roll(w, -1, axis=-1)
+        - np.roll(w, 1, axis=-2)
+        - np.roll(w, -1, axis=-2)
+    )
+
+
+def reg_value_and_grad(
+    params: NetworkParams, clf: Classifier, reg: RegConfig
+) -> tuple[float, RegGrads]:
+    """Value and gradients of both smoothness penalties."""
+    h2 = clf.grid.h**2
+    n, c, k = params.num_layers, params.channels, params.kernel_size
+
+    value = reg.lambda_w * h2 * _smooth_sq(clf.weights)
+    g_w = reg.lambda_w * h2 * _smooth_grad(clf.weights)
+
+    g_banks = np.zeros((n, c, c, k, k))
+    g_biases = np.zeros((n, c))
+    if reg.lambda_theta > 0.0 and n > 1:
+        banks = np.stack([b.weights for b in params.banks])
+        for theta, g in ((banks, g_banks), (params.biases, g_biases)):
+            diff = theta[1:] - theta[:-1]
+            value += reg.lambda_theta * float((diff * diff).sum()) / params.dt
+            scale = 2.0 * reg.lambda_theta / params.dt
+            g[:-1] -= scale * diff
+            g[1:] += scale * diff
+    return value, RegGrads(banks=g_banks, biases=g_biases, weights=g_w)
+
+
+def _reg_parts(params: NetworkParams, clf: Classifier, reg: RegConfig | None):
     if reg is None:
         return 0.0, None
-    from .training import reg_value_and_grad  # runtime import; training sits above this module
-
     return reg_value_and_grad(params, clf, reg)
 
 
@@ -436,7 +486,7 @@ def loss(
     labels: np.ndarray,
     params: NetworkParams,
     clf: Classifier,
-    reg: "RegConfig | None" = None,
+    reg: RegConfig | None = None,
     workers: int = 1,
 ) -> LossReport:
     """Mean cross-entropy over the batch plus the regularization value."""
@@ -457,7 +507,7 @@ def loss_and_gradient(
     labels: np.ndarray,
     params: NetworkParams,
     clf: Classifier,
-    reg: "RegConfig | None" = None,
+    reg: RegConfig | None = None,
     workers: int = 1,
 ) -> tuple[LossReport, Gradients]:
     """Reverse-mode gradient of :func:`loss` for every learnable block.
@@ -539,14 +589,3 @@ def loss_and_gradient(
     report = LossReport(total=data + reg_value, data_term=data, reg_term=reg_value)
     return report, grads
 
-
-def gradient(
-    images: np.ndarray,
-    labels: np.ndarray,
-    params: NetworkParams,
-    clf: Classifier,
-    reg: "RegConfig | None" = None,
-    workers: int = 1,
-) -> Gradients:
-    """Gradient record only; see :func:`loss_and_gradient`."""
-    return loss_and_gradient(images, labels, params, clf, reg, workers)[1]

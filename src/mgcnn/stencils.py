@@ -8,7 +8,9 @@ periodic cross-correlation:
 
 with all indices wrapping around.  On a periodic grid this operator is
 circulant, so its eigenvalues are the 2D DFT of the zero-padded,
-center-shifted weights; :func:`stencil_symbol` returns exactly that.
+center-shifted weights; :func:`stencil_symbol` returns exactly that.  A
+bank's operator couples the channels, so its spectrum is that of the
+``c x c`` block symbol at each frequency (:func:`stability_report`).
 
 A bank of stencils (``c_out x c_in`` windows) is applied by one kernel,
 shared with its weight gradient :func:`tap_gradient`: the batch is
@@ -35,22 +37,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, IllPosedError
-from .grid import Grid2D, Image, TransferPair, TransferKind, prolong_values, restrict_values
+from .grid import Grid2D, TransferPair, TransferKind, prolong_values, restrict_values
 
 __all__ = [
     "COND_LIMIT",
     "CoarsenMap",
     "StabilityReport",
-    "Stencil",
     "StencilBank",
-    "Symbol",
     "bank_apply",
     "build_coarsen_map",
     "coarsen_bank",
-    "coarsen_stencil",
-    "conv_apply",
     "refine_bank",
-    "refine_stencil",
     "stability_report",
     "stencil_symbol",
     "tap_gradient",
@@ -64,37 +61,6 @@ COND_LIMIT = 1e12
 # slices, its sums and one partial product stay in a core's L2 cache across
 # all k^2 taps.  Fixed, so the summation order of the tap gradient is too.
 _BLOCK = 8192
-
-
-@dataclass
-class Stencil:
-    """A ``k x k`` convolution window, ``k`` odd, indexed row-major."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DimensionError(f"stencil weights must be square, got shape {w.shape}")
-        if w.shape[0] % 2 == 0:
-            raise DimensionError(f"stencil size must be odd, got {w.shape[0]}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("stencil weights must be finite")
-        self.weights = w
-
-    @property
-    def k(self) -> int:
-        return self.weights.shape[0]
-
-    @classmethod
-    def identity(cls, k: int = 3) -> "Stencil":
-        w = np.zeros((k, k))
-        w[k // 2, k // 2] = 1.0
-        return cls(w)
-
-    @classmethod
-    def zeros(cls, k: int = 3) -> "Stencil":
-        return cls(np.zeros((k, k)))
 
 
 @dataclass
@@ -127,9 +93,6 @@ class StencilBank:
     @property
     def k(self) -> int:
         return self.weights.shape[2]
-
-    def stencil(self, co: int, ci: int) -> Stencil:
-        return Stencil(self.weights[co, ci].copy())
 
     def copy(self) -> "StencilBank":
         return StencilBank(self.weights.copy())
@@ -243,34 +206,23 @@ def tap_gradient(u: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(g.reshape((k, k) + g.shape[1:]).transpose(2, 3, 0, 1))
 
 
-def conv_apply(s: Stencil, img: Image) -> Image:
-    """Periodic cross-correlation of an image with one stencil."""
-    out = bank_apply(s.weights[None, None], img.values[None])
-    return Image(img.grid, out[0])
+def stencil_symbol(weights: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Eigenvalues of the stencil operators on ``grid``: the 2D DFT of each
+    embedded stencil.
 
-
-@dataclass
-class Symbol:
-    """Circulant eigenvalues of a stencil operator on a fixed grid."""
-
-    grid: Grid2D
-    values: np.ndarray  # complex, shape (ny, nx)
-
-
-def stencil_symbol(s: Stencil, grid: Grid2D) -> Symbol:
-    """Eigenvalues of ``K(s)`` on ``grid``: the 2D DFT of the embedded stencil.
-
-    The weights are zero-padded to the grid and shifted so the stencil center
-    lands at the origin; ``fft2`` of that array enumerates the eigenvalues of
-    the circulant operator, one per spatial frequency.
+    ``weights`` has shape ``(..., k, k)``; the result is complex with shape
+    ``(..., ny, nx)``.  Each window is zero-padded to the grid and shifted so
+    its center lands at the origin; ``fft2`` of that array enumerates the
+    eigenvalues of the circulant operator, one per spatial frequency.
     """
-    k, c = s.k, s.k // 2
+    weights = np.asarray(weights, dtype=np.float64)
+    k = weights.shape[-1]
     if grid.ny < k or grid.nx < k:
         raise DimensionError(f"grid {grid.ny}x{grid.nx} is smaller than the {k}x{k} stencil")
-    embedded = np.zeros(grid.shape)
-    embedded[:k, :k] = s.weights
-    embedded = np.roll(embedded, (-c, -c), axis=(0, 1))
-    return Symbol(grid, np.fft.fft2(embedded))
+    embedded = np.zeros(weights.shape[:-2] + grid.shape)
+    embedded[..., :k, :k] = weights
+    embedded = np.roll(embedded, (-(k // 2), -(k // 2)), axis=(-2, -1))
+    return np.fft.fft2(embedded)
 
 
 @dataclass(frozen=True)
@@ -281,9 +233,20 @@ class StabilityReport:
     spectral_radius_step: float
 
 
-def stability_report(s: Stencil, grid: Grid2D, dt: float) -> StabilityReport:
-    """Largest eigenvalue real part and step growth factor ``max |1 + dt*lam|``."""
-    lam = stencil_symbol(s, grid).values
+def stability_report(weights: np.ndarray, grid: Grid2D, dt: float) -> StabilityReport:
+    """Largest eigenvalue real part and step growth factor ``max |1 + dt*lam|``
+    of the channel-coupled operator of a ``(c, c, k, k)`` bank.
+
+    Every block of the operator is circulant, so one spatial frequency
+    couples only the ``c`` channels: the spectrum is the union over
+    frequencies of the eigenvalues of the ``c x c`` block symbol (local
+    Fourier analysis).
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 4 or weights.shape[0] != weights.shape[1]:
+        raise DimensionError(f"expected a square (c, c, k, k) bank, got shape {weights.shape}")
+    blocks = np.moveaxis(stencil_symbol(weights, grid), (0, 1), (-2, -1))
+    lam = np.linalg.eigvals(blocks)
     return StabilityReport(
         max_real=float(lam.real.max()),
         spectral_radius_step=float(np.abs(1.0 + dt * lam).max()),
@@ -308,9 +271,6 @@ class CoarsenMap:
     truncation_mass: float
     _inverse: np.ndarray | None = field(default=None, repr=False)
 
-    def apply(self, weights: np.ndarray) -> np.ndarray:
-        return (self.matrix @ weights.reshape(-1)).reshape(self.k, self.k)
-
     def inverse(self) -> np.ndarray:
         """The inverse matrix, computed once; refused when ill-posed."""
         if self.cond > COND_LIMIT or not np.isfinite(self.cond):
@@ -323,9 +283,6 @@ class CoarsenMap:
             except np.linalg.LinAlgError as exc:
                 raise IllPosedError(f"coarsening map is singular: {exc}") from exc
         return self._inverse
-
-    def solve(self, coarse_weights: np.ndarray) -> np.ndarray:
-        return (self.inverse() @ coarse_weights.reshape(-1)).reshape(self.k, self.k)
 
 
 def build_coarsen_map(k: int, pair: TransferPair) -> CoarsenMap:
@@ -376,18 +333,6 @@ def build_coarsen_map(k: int, pair: TransferPair) -> CoarsenMap:
 def _check_k(m: CoarsenMap, k: int) -> None:
     if m.k != k:
         raise DimensionError(f"coarsening map is for k={m.k}, stencil has k={k}")
-
-
-def coarsen_stencil(s: Stencil, m: CoarsenMap) -> Stencil:
-    """Coarse-grid stencil of ``R K(s) P``."""
-    _check_k(m, s.k)
-    return Stencil(m.apply(s.weights))
-
-
-def refine_stencil(s_coarse: Stencil, m: CoarsenMap) -> Stencil:
-    """Fine-grid stencil whose Galerkin coarsening is ``s_coarse``."""
-    _check_k(m, s_coarse.k)
-    return Stencil(m.solve(s_coarse.weights))
 
 
 def coarsen_bank(bank: StencilBank, m: CoarsenMap) -> StencilBank:

@@ -19,14 +19,7 @@ Hessian is applied matrix-free inside conjugate gradients.  Both paths are
 deterministic.  A singular or non-descent system falls back to a gradient
 step with Armijo search and flags the step report.
 
-Regularization (shared with :func:`mgcnn.network.loss`):
-
-    lambda_w     * h^2 * sum_j ||D w_j||^2        spatial smoothness of the
-                                                  classifier fields, periodic
-                                                  forward differences
-    lambda_theta * sum_k ||theta_{k+1}-theta_k||^2 / dt
-                                                  temporal smoothness of the
-                                                  layer stencils and biases
+The smoothness penalties are those of :func:`mgcnn.network.loss`.
 """
 
 from __future__ import annotations
@@ -35,28 +28,31 @@ import csv
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
+from .data import LabeledDataset
 from .network import (
     Classifier,
     Gradients,
     LossReport,
     NetworkParams,
+    RegConfig,
+    RegGrads,
     loss,
     loss_and_gradient,
     propagate_final,
+    reg_value_and_grad,
     softmax,
     _check_labels,
     _cross_entropy,
     _logits,
+    _smooth_grad,
+    _smooth_sq,
 )
-
-if TYPE_CHECKING:
-    from .data import LabeledDataset
 
 __all__ = [
     "ArmijoBacktracking",
@@ -65,7 +61,7 @@ __all__ = [
     "FixedStep",
     "HistoryRow",
     "NewtonResult",
-    "RegConfig",
+    "RegConfig",  # re-exported from mgcnn.network, like RegGrads and reg_value_and_grad
     "RegGrads",
     "TrainResult",
     "bcd_train",
@@ -78,67 +74,11 @@ __all__ = [
 
 # Direct Newton solve up to this many unknowns, counted as L(F+1); CG beyond.
 DENSE_NEWTON_LIMIT = 3000
-# Tikhonov jitter that absorbs the softmax shift invariance of the Hessian;
-# on the class-mean block it is all the data term leaves.
+# Tikhonov jitter on the Hessian diagonal, which keeps the contrast system
+# and the CG operator definite where the data term is flat.  The class-mean
+# block is left at zero where the jitter would be its only curvature.
 NEWTON_JITTER = 1e-10
 MAX_HALVINGS = 20
-
-
-@dataclass(frozen=True)
-class RegConfig:
-    lambda_w: float = 0.0
-    lambda_theta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.lambda_w < 0.0 or self.lambda_theta < 0.0:
-            raise ValueError("regularization weights must be nonnegative")
-
-
-@dataclass
-class RegGrads:
-    banks: np.ndarray
-    biases: np.ndarray
-    weights: np.ndarray
-
-
-def _smooth_sq(w: np.ndarray) -> float:
-    dx = np.roll(w, -1, axis=-1) - w
-    dy = np.roll(w, -1, axis=-2) - w
-    return float((dx * dx).sum() + (dy * dy).sum())
-
-
-def _smooth_grad(w: np.ndarray) -> np.ndarray:
-    # gradient of _smooth_sq: 2 * D^T D w, the periodic 5-point Laplacian
-    return 2.0 * (
-        4.0 * w
-        - np.roll(w, 1, axis=-1)
-        - np.roll(w, -1, axis=-1)
-        - np.roll(w, 1, axis=-2)
-        - np.roll(w, -1, axis=-2)
-    )
-
-
-def reg_value_and_grad(
-    params: NetworkParams, clf: Classifier, reg: RegConfig
-) -> tuple[float, RegGrads]:
-    """Value and gradients of both smoothness penalties."""
-    h2 = clf.grid.h**2
-    n, c, k = params.num_layers, params.channels, params.kernel_size
-
-    value = reg.lambda_w * h2 * _smooth_sq(clf.weights)
-    g_w = reg.lambda_w * h2 * _smooth_grad(clf.weights)
-
-    g_banks = np.zeros((n, c, c, k, k))
-    g_biases = np.zeros((n, c))
-    if reg.lambda_theta > 0.0 and n > 1:
-        banks = np.stack([b.weights for b in params.banks])
-        for theta, g in ((banks, g_banks), (params.biases, g_biases)):
-            diff = theta[1:] - theta[:-1]
-            value += reg.lambda_theta * float((diff * diff).sum()) / params.dt
-            scale = 2.0 * reg.lambda_theta / params.dt
-            g[:-1] -= scale * diff
-            g[1:] += scale * diff
-    return value, RegGrads(banks=g_banks, biases=g_biases, weights=g_w)
 
 
 @dataclass(frozen=True)
@@ -348,11 +288,16 @@ def _contrast_hessian(
 
 
 def _class_mean_solve(b: np.ndarray, lam: float, field_shape: tuple[int, ...]) -> np.ndarray:
-    """Solve the class-mean block ``(lam * Laplacian + jitter) x = b`` exactly.
+    """Solve the class-mean block ``(lam * Laplacian + jitter) x = b``.
 
     ``b`` is one ``[w | mu]`` row.  The periodic 5-point Laplacian is
     diagonal in Fourier space, with symbol ``2(4 - 2cos(2πk/nx) -
-    2cos(2πl/ny))`` on every channel's field; the offset sees the jitter only.
+    2cos(2πl/ny))`` on every channel's field.  On the null space of
+    ``lam * Laplacian`` (each channel's zero frequency, every frequency when
+    ``lam`` is 0, and the offset) the right-hand side is zero in exact
+    arithmetic, because the softmax residual sums to zero over classes;
+    dividing its rounding by the jitter would only add a random
+    class-constant shift, so the solution is 0 there.
     """
     ny, nx = field_shape[-2:]
     F = b.size - 1
@@ -361,9 +306,11 @@ def _class_mean_solve(b: np.ndarray, lam: float, field_shape: tuple[int, ...]) -
         - 2.0 * np.cos(2.0 * np.pi * np.arange(nx // 2 + 1) / nx)
         - 2.0 * np.cos(2.0 * np.pi * np.arange(ny)[:, None] / ny)
     )
-    spectrum = np.fft.rfft2(b[:F].reshape(field_shape)) / (lam * symbol + NEWTON_JITTER)
+    curvature = lam * symbol
+    spectrum = np.fft.rfft2(b[:F].reshape(field_shape))
+    spectrum = np.where(curvature > 0.0, spectrum / (curvature + NEWTON_JITTER), 0.0)
     x_w = np.fft.irfft2(spectrum, s=(ny, nx))
-    return np.append(x_w.reshape(-1), b[F] / NEWTON_JITTER)
+    return np.append(x_w.reshape(-1), 0.0)
 
 
 def _hessian_matvec(A: np.ndarray, probs: np.ndarray, lam: float, w_shape: tuple[int, ...]):
@@ -518,12 +465,12 @@ def _take_prop_step(
 
 
 def bcd_train(
-    train: "LabeledDataset",
+    train: LabeledDataset,
     params: NetworkParams,
     clf: Classifier,
     reg: RegConfig,
     cfg: BcdConfig,
-    val: "LabeledDataset | None" = None,
+    val: LabeledDataset | None = None,
     workers: int = 1,
 ) -> TrainResult:
     """Run ``cfg.outer_iters`` BCD iterations; inputs are left untouched.
@@ -589,7 +536,7 @@ class EvalReport:
 
 
 def evaluate(
-    dataset: "LabeledDataset", params: NetworkParams, clf: Classifier, workers: int = 1
+    dataset: LabeledDataset, params: NetworkParams, clf: Classifier, workers: int = 1
 ) -> EvalReport:
     """Accuracy, mean cross-entropy and confusion matrix on a dataset.
 

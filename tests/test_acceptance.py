@@ -14,7 +14,7 @@ import numpy as np
 
 from mgcnn.cli import main
 from mgcnn.data import SyntheticKind, load_model, make_synthetic, split
-from mgcnn.grid import Grid2D, Image, TransferPair
+from mgcnn.grid import Grid2D, TransferPair
 from mgcnn.multiscale import (
     Direction,
     LevelSchedule,
@@ -28,17 +28,17 @@ from mgcnn.network import (
     Classifier,
     NetworkInit,
     forward_propagate,
-    gradient,
     loss,
+    loss_and_gradient,
     random_network_params,
     zero_classifier,
 )
 from mgcnn.stencils import (
-    Stencil,
+    StencilBank,
+    bank_apply,
     build_coarsen_map,
-    coarsen_stencil,
-    conv_apply,
-    refine_stencil,
+    coarsen_bank,
+    refine_bank,
 )
 from mgcnn.training import (
     ArmijoBacktracking,
@@ -76,14 +76,13 @@ def test_criterion_1_coarse_operator_exactness():
         nyc = ny // 2
         r = dense_restriction(ny, ny, "constant_average")
         p = dense_prolongation(nyc, nyc, "constant_average")
-        coarse_grid = Grid2D(nyc, nyc, 2.0)
         for _ in range(50):
             w = rng.normal(size=(3, 3))
             img = rng.random((nyc, nyc))
             want = (r @ dense_circulant(w, ny, ny) @ p) @ img.ravel()
-            got = conv_apply(coarsen_stencil(Stencil(w), cmap),
-                             Image(coarse_grid, img))
-            worst = max(worst, np.abs(got.values.ravel() - want).max())
+            coarse = coarsen_bank(StencilBank(w[None, None]), cmap)
+            got = bank_apply(coarse.weights, img[None])
+            worst = max(worst, np.abs(got.ravel() - want).max())
     el = time.perf_counter() - t0
     ok = worst <= 1e-12 and el < 5.0
     report(1, ok, f"coarse conv vs dense triple product, max dev "
@@ -98,8 +97,8 @@ def test_criterion_2_refinement_well_posed():
         m = build_coarsen_map(3, pair)
         conds[pair.kind.value] = m.cond
         for _ in range(100):
-            s = Stencil(rng.normal(size=(3, 3)))
-            back = refine_stencil(coarsen_stencil(s, m), m)
+            s = StencilBank(rng.normal(size=(1, 1, 3, 3)))
+            back = refine_bank(coarsen_bank(s, m), m)
             worst = max(worst, np.abs(back.weights - s.weights).max())
     el = time.perf_counter() - t0
     ok = all(c < 1e6 for c in conds.values()) and worst <= 1e-10 and el < 1.0
@@ -113,8 +112,8 @@ def test_criterion_3_reference_pair_deviation_recorded():
     # gets instead of gating on it.  Criteria 1 and 2 are the hard gates.
     devs = {}
     for pair in (CA, FW):
-        got = coarsen_stencil(Stencil(REFERENCE_FINE.copy()),
-                              build_coarsen_map(3, pair)).weights
+        got = coarsen_bank(StencilBank(REFERENCE_FINE[None, None]),
+                           build_coarsen_map(3, pair)).weights[0, 0]
         devs[pair.kind.value] = round(float(np.abs(got - REFERENCE_COARSE).max()), 4)
     best = min(devs.values())
     ok = np.isfinite(best)
@@ -135,7 +134,7 @@ def test_criterion_4_gradients_match_finite_differences():
     imgs = rng.random((4, 6, 6))
     labels = np.array([0, 1, 2, 0])
     reg = RegConfig(lambda_w=0.05, lambda_theta=0.02)
-    grads = gradient(imgs, labels, p, clf, reg)
+    _, grads = loss_and_gradient(imgs, labels, p, clf, reg)
 
     errs = {}
 
@@ -193,7 +192,7 @@ def test_criterion_5_step_halving_first_order():
         for b in p.banks:
             b.weights[:] = shared
         p.biases[:] = bias
-        return forward_propagate(grid_x, p).output
+        return forward_propagate(grid_x, p)[-1]
 
     outs = [run(n) for n in (4, 8, 16, 32, 64)]
     diffs = [np.linalg.norm(a - b) for a, b in zip(outs, outs[1:])]

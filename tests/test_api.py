@@ -1,0 +1,59 @@
+"""The package's public surface: module layering and exported names."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mgcnn
+from mgcnn import network, training
+from mgcnn.stencils import CoarsenMap, StencilBank
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# every module that declares __all__
+MODULES = ["mgcnn", "mgcnn.cli", "mgcnn.data", "mgcnn.grid", "mgcnn.multiscale",
+           "mgcnn.network", "mgcnn.stencils", "mgcnn.training"]
+
+# Single-image and single-stencil wrappers replaced by the array-level API.
+REMOVED = {
+    "mgcnn.grid": ["Image", "restrict_image", "prolong_image", "gaussian_blur"],
+    "mgcnn.stencils": ["Stencil", "Symbol", "conv_apply", "coarsen_stencil", "refine_stencil"],
+    "mgcnn.network": ["Trajectory", "gradient"],
+    "mgcnn": ["Image"],
+}
+
+
+def test_network_does_not_load_training():
+    code = "import sys, mgcnn.network; print('mgcnn.training' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    mod = importlib.import_module(name)
+    for attr in mod.__all__:
+        assert hasattr(mod, attr), f"{name}.{attr}"
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_removed_names_are_gone(name):
+    mod = importlib.import_module(name)
+    for attr in REMOVED[name]:
+        assert not hasattr(mod, attr), f"{name}.{attr}"
+        assert attr not in getattr(mod, "__all__", ())
+
+
+def test_removed_methods_are_gone():
+    assert not hasattr(StencilBank, "stencil")
+    assert not hasattr(CoarsenMap, "apply")
+    assert not hasattr(CoarsenMap, "solve")
+
+
+def test_penalty_has_one_home():
+    for attr in ("RegConfig", "RegGrads", "reg_value_and_grad"):
+        assert getattr(training, attr) is getattr(network, attr)

@@ -10,9 +10,8 @@ from mgcnn.data import ModelFile, load_model, save_model
 from mgcnn.errors import ConfigError
 from mgcnn.grid import Grid2D
 from mgcnn.network import Classifier, random_network_params, zero_classifier
-from mgcnn.stencils import stability_report
 
-from oracles import rel_err
+from oracles import dense_circulant, rel_err
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -129,10 +128,39 @@ class TestExitCodes:
         ("step_size", "inf"),
         ("step_size", "0"),
         ("step_size", "-1"),
+        ("kernel", "4"),
+        ("kernel", "0"),
+        ("kernel", "9"),  # odd, but wider than the 8x8 grid
+        ("train_fraction", "1.5"),
+        ("train_fraction", "0"),
+        ("num_examples", "1"),
+        ("grid_h", "-1"),
+        ("grid_nx", "0"),
+        ("final_time", "0"),
+        ("activation", "relu"),
+        ("act_gain", "nan"),
+        ("init_scale", "-1"),
+        ("noise", "-1"),
+        ("lambda_w", "-1"),
+        ("lambda_theta", "-1"),
+        ("armijo_beta", "1.5"),
+        ("armijo_c", "0"),
+        ("limit", "-1"),
+        ("seed", "-1"),
+        ("blur_sigma", "-1"),
+        ("levels", "-1"),
+        ("levels", "5"),  # 8 -> 4 -> 2 -> 1 -> odd
+        ("levels", "2"),  # 8 -> 4 -> 2, narrower than the 3x3 kernel
+        ("level_iters", "5,-1"),
+        ("depths", "4,2"),
+        ("depths", "2,3"),
+        ("depths", "0,2"),
     ])
     def test_out_of_range_value_is_two_and_named(self, tmp_path, capsys, key, value):
         cfg = write_cfg(tmp_path, FAST_TRAIN + f"{key} = {value}\n")
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        # levels is checked against the loaded grid, which only multilevel reads
+        command = "multilevel" if key == "levels" else "train"
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -342,6 +370,7 @@ class TestInspectCommand:
             assert float(row[2]) == 2.0
 
     def test_report_matches_direct_stability_report(self, tmp_path, capsys):
+        # the spectrum of the whole channel-coupled operator, built densely
         rng = np.random.default_rng(5)
         path = tmp_path / "r.bin"
         params = random_network_params(channels=2, num_layers=3, final_time=1.5,
@@ -353,10 +382,14 @@ class TestInspectCommand:
         assert main(["inspect", "--model", str(path)]) == 0
         table = [l.split() for l in capsys.readouterr().out.splitlines()[3:]]
         assert len(table) == 3
+        n = grid.ncells
         for i, row in enumerate(table):
-            reps = [stability_report(params.banks[i].stencil(a, b), grid, params.dt)
-                    for a in range(2) for b in range(2)]
-            want_real = max(r.max_real for r in reps)
-            want_growth = max(r.spectral_radius_step for r in reps)
+            w = params.banks[i].weights
+            op = np.block([[dense_circulant(w[a, b], grid.ny, grid.nx) for b in range(2)]
+                           for a in range(2)])
+            assert op.shape == (2 * n, 2 * n)
+            lam = np.linalg.eigvals(op)
+            want_real = float(lam.real.max())
+            want_growth = float(np.abs(1.0 + params.dt * lam).max())
             assert abs(float(row[1]) - want_real) <= 1e-5 * max(1.0, abs(want_real))
             assert abs(float(row[2]) - want_growth) <= 1e-5 * max(1.0, abs(want_growth))

@@ -18,6 +18,7 @@ from mgcnn.errors import (
     BadMagicError,
     CountMismatchError,
     DataFormatError,
+    DimensionError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -33,6 +34,17 @@ def idx_pair(tmp_path, images, labels):
     write_idx_images(ip, np.asarray(images, dtype=np.uint8))
     write_idx_labels(lp, np.asarray(labels, dtype=np.uint8))
     return ip, lp
+
+
+class TestLabeledDataset:
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            LabeledDataset(Grid2D(3, 2), np.zeros((1, 3, 3)), [0], num_classes=2)
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError):
+            LabeledDataset(Grid2D(2, 2), np.array([[[1.0, np.nan], [0.0, 0.0]]]), [0],
+                           num_classes=2)
 
 
 class TestLoadIdx:

@@ -4,15 +4,11 @@ import pytest
 from mgcnn.errors import DimensionError
 from mgcnn.grid import (
     Grid2D,
-    Image,
     TransferKind,
     TransferPair,
-    gaussian_blur,
     gaussian_blur_values,
     gaussian_kernel_1d,
-    prolong_image,
     prolong_values,
-    restrict_image,
     restrict_values,
     verify_rp_identity,
 )
@@ -44,22 +40,6 @@ class TestGrid2D:
     def test_bad_grid_rejected(self, nx, ny, h):
         with pytest.raises(DimensionError):
             Grid2D(nx, ny, h)
-
-
-class TestImage:
-    def test_flat_reshape_roundtrip(self):
-        g = Grid2D(3, 2)
-        img = Image(g, np.arange(6.0))
-        assert img.values.shape == (2, 3)
-        assert np.array_equal(img.flat, np.arange(6.0))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            Image(Grid2D(3, 2), np.zeros((3, 3)))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            Image(Grid2D(2, 2), np.array([[1.0, np.nan], [0.0, 0.0]]))
 
 
 class TestRestrict:
@@ -117,15 +97,6 @@ class TestProlong:
         expect = (p @ img.reshape(-1)).reshape(8, 8)
         np.testing.assert_allclose(prolong_values(img, FW), expect, atol=1e-13)
 
-    def test_image_wrappers_update_grid(self):
-        g = Grid2D(4, 4, 1.0)
-        img = Image(g, np.arange(16.0))
-        up = prolong_image(img, TransferPair.constant_average())
-        assert up.grid == Grid2D(8, 8, 0.5)
-        down = restrict_image(up, TransferPair.constant_average())
-        assert down.grid == g
-        np.testing.assert_allclose(down.values, img.values, atol=1e-14)
-
 
 class TestTransferIdentities:
     def test_rp_identity_constant_average(self):
@@ -168,10 +139,8 @@ class TestTransferIdentities:
 
 class TestBlur:
     def test_constant_unchanged(self):
-        g = Grid2D(6, 6)
-        img = Image(g, np.full((6, 6), 0.7))
-        out = gaussian_blur(img, 1.0)
-        np.testing.assert_allclose(out.values, 0.7, atol=1e-14)
+        out = gaussian_blur_values(np.full((6, 6), 0.7), 1.0)
+        np.testing.assert_allclose(out, 0.7, atol=1e-14)
 
     def test_delta_reproduces_kernel(self):
         k1 = gaussian_kernel_1d(1.0)

@@ -315,7 +315,7 @@ class TestProlongDepth:
         chain = [p]
         for _ in range(3):
             chain.append(prolong_depth(chain[-1], 2))
-        outs = [forward_propagate(x, q).output for q in chain]
+        outs = [forward_propagate(x, q)[-1] for q in chain]
         diffs = [np.linalg.norm(a - b) for a, b in zip(outs, outs[1:])]
         ratios = [d0 / d1 for d0, d1 in zip(diffs, diffs[1:])]
         assert all(r >= 1.5 for r in ratios), ratios

@@ -14,11 +14,11 @@ from mgcnn.network import (
     Activation,
     Classifier,
     NetworkParams,
+    RegConfig,
     classify,
     embed_input,
     forward_propagate,
     forward_step,
-    gradient,
     loss,
     loss_and_gradient,
     propagate_final,
@@ -27,7 +27,6 @@ from mgcnn.network import (
     zero_classifier,
 )
 from mgcnn.stencils import StencilBank
-from mgcnn.training import RegConfig
 
 from oracles import (
     fd_gradient,
@@ -147,38 +146,38 @@ class TestForwardPropagate:
     def test_zero_depth_trajectory(self):
         p = random_network_params(channels=2, num_layers=0, final_time=1.0)
         x = np.random.default_rng(7).random((4, 4))
-        traj = forward_propagate(x, p)
-        assert len(traj.states) == 1
-        np.testing.assert_array_equal(traj.output, embed_input(x, p))
+        states = forward_propagate(x, p)
+        assert len(states) == 1
+        np.testing.assert_array_equal(states[-1], embed_input(x, p))
 
     def test_zero_params_tanh_fixed_point(self):
         p = small_params(num_layers=3)
         for b in p.banks:
             b.weights[:] = 0.0
         x = np.random.default_rng(8).random((4, 4))
-        traj = forward_propagate(x, p)
-        assert len(traj.states) == 4
-        for s in traj.states[1:]:
-            np.testing.assert_array_equal(s, traj.states[0])
+        states = forward_propagate(x, p)
+        assert len(states) == 4
+        for s in states[1:]:
+            np.testing.assert_array_equal(s, states[0])
 
     def test_matches_manual_two_step_composition(self):
         p = scramble_in_time(small_params(num_layers=2), seed=9)
         x = np.random.default_rng(9).random((6, 6))
-        traj = forward_propagate(x, p)
+        states = forward_propagate(x, p)
         y = embed_input(x, p)
         y1 = forward_step(y, p.banks[0], p.biases[0], p.dt, p.activation)
         y2 = forward_step(y1, p.banks[1], p.biases[1], p.dt, p.activation)
-        np.testing.assert_array_equal(traj.states[1], y1)
-        np.testing.assert_array_equal(traj.output, y2)
+        np.testing.assert_array_equal(states[1], y1)
+        np.testing.assert_array_equal(states[-1], y2)
 
     def test_matches_naive_oracle_all_states(self):
         p = scramble_in_time(small_params(num_layers=3), seed=10)
         x = np.random.default_rng(10).random((6, 6))
-        traj = forward_propagate(x, p)
+        states = forward_propagate(x, p)
         want = naive_forward(x, p.embed.weights, [b.weights for b in p.banks],
                              p.biases, p.dt, "tanh", p.act_gain)
-        assert len(traj.states) == len(want)
-        for got, ref in zip(traj.states, want):
+        assert len(states) == len(want)
+        for got, ref in zip(states, want):
             assert rel_err(got, ref) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -195,17 +194,21 @@ class TestForwardPropagate:
         imgs = np.random.default_rng(11).random((5, 6, 6))
         batch = propagate_final(imgs, p)
         for i in range(5):
-            single = forward_propagate(imgs[i], p).output
+            single = forward_propagate(imgs[i], p)[-1]
             np.testing.assert_array_equal(batch[i], single)
+        # a batch through forward_propagate keeps every state of every image
+        states = forward_propagate(imgs, p)
+        assert len(states) == p.num_layers + 1
+        np.testing.assert_array_equal(states[-1], batch)
 
     def test_identity_activation_superposition(self):
         p = small_params(act=Activation.IDENTITY)  # zero biases at init
         rng = np.random.default_rng(12)
         x1, x2 = rng.random((2, 6, 6))
         a, b = 1.7, -0.4
-        lhs = forward_propagate(a * x1 + b * x2, p).output
-        rhs = (a * forward_propagate(x1, p).output
-               + b * forward_propagate(x2, p).output)
+        lhs = forward_propagate(a * x1 + b * x2, p)[-1]
+        rhs = (a * forward_propagate(x1, p)[-1]
+               + b * forward_propagate(x2, p)[-1])
         assert rel_err(lhs, rhs) <= 1e-12
 
 
@@ -225,7 +228,7 @@ class TestEulerRefinement:
             for b in p.banks:
                 b.weights[:] = shared
             p.biases[:] = bias
-            return forward_propagate(grid_x, p).output
+            return forward_propagate(grid_x, p)[-1]
 
         outs = [run(n) for n in (4, 8, 16, 32, 64)]
         diffs = [np.linalg.norm(a - b) for a, b in zip(outs, outs[1:])]
@@ -349,7 +352,7 @@ class TestGradient:
         for b in p.banks:
             b.weights[:] = 0.0
         clf = zero_classifier(g, 2, 2)
-        grads = gradient(np.zeros((2, 4, 4)), np.array([0, 1]), p, clf)
+        _, grads = loss_and_gradient(np.zeros((2, 4, 4)), np.array([0, 1]), p, clf)
         for block in (grads.banks, grads.biases, grads.weights, grads.mu, grads.embed):
             np.testing.assert_array_equal(block, 0.0)
 
@@ -361,7 +364,7 @@ class TestGradient:
         clf = Classifier(g, np.zeros((3, 2, 4, 4)), mu)
         imgs = rng.random((5, 4, 4))
         labels = np.array([0, 1, 2, 1, 0])
-        grads = gradient(imgs, labels, p, clf)
+        _, grads = loss_and_gradient(imgs, labels, p, clf)
         onehot = np.zeros((5, 3))
         onehot[np.arange(5), labels] = 1.0
         want = naive_softmax(mu) - onehot.mean(axis=0)
@@ -375,7 +378,7 @@ class TestGradient:
         imgs = rng.random((4, 6, 6))
         labels = np.array([0, 1, 2, 0])
         reg = RegConfig(lambda_w=0.05, lambda_theta=0.02)
-        grads = gradient(imgs, labels, p, clf, reg)
+        _, grads = loss_and_gradient(imgs, labels, p, clf, reg)
 
         # fd_gradient perturbs a buffer in place and calls a zero-arg
         # closure, so each block check builds the model from its buffer.

@@ -3,18 +3,14 @@ import pytest
 
 import mgcnn.stencils as stencils_mod
 from mgcnn.errors import DimensionError, IllPosedError
-from mgcnn.grid import Grid2D, Image, TransferPair
+from mgcnn.grid import Grid2D, TransferPair, prolong_values, restrict_values
 from mgcnn.stencils import (
     CoarsenMap,
-    Stencil,
     StencilBank,
     bank_apply,
     build_coarsen_map,
     coarsen_bank,
-    coarsen_stencil,
-    conv_apply,
     refine_bank,
-    refine_stencil,
     stability_report,
     stencil_symbol,
     tap_gradient,
@@ -35,39 +31,53 @@ REFERENCE_COARSE = np.array(
     [[-0.48, -0.17, 0.82], [-0.15, -0.80, 0.37], [0.84, 0.40, 0.07]]
 )
 
+IDENTITY = StencilBank.identity(1).weights  # (1, 1, 3, 3)
+ZERO = StencilBank.zeros(1, 1).weights
+
+
+def single(w):
+    """A ``(1, 1, k, k)`` bank holding one window."""
+    return np.asarray(w, dtype=np.float64)[None, None]
+
+
+def apply_one(w, img):
+    """One window applied to one image through :func:`bank_apply`."""
+    return bank_apply(single(w), img[None])[0]
+
 
 class TestStencilTypes:
     def test_identity_applied_is_identity(self):
-        g = Grid2D(5, 4)
         rng = np.random.default_rng(0)
-        img = Image(g, rng.normal(size=g.shape))
-        out = conv_apply(Stencil.identity(3), img)
-        np.testing.assert_array_equal(out.values, img.values)
+        img = rng.normal(size=(4, 5))
+        np.testing.assert_array_equal(bank_apply(IDENTITY, img[None])[0], img)
 
     def test_shift_stencil_moves_delta(self):
         w = np.zeros((3, 3))
         w[1, 2] = 1.0  # offset (0, +1): reads the cell one to the right
-        g = Grid2D(4, 4)
         img = np.zeros((4, 4))
         img[2, 0] = 1.0
-        out = conv_apply(Stencil(w), Image(g, img))
         expect = np.zeros((4, 4))
         expect[2, 3] = 1.0  # wraps: output cell (2,3) reads input (2,0)
-        np.testing.assert_array_equal(out.values, expect)
+        np.testing.assert_array_equal(apply_one(w, img), expect)
 
     def test_reference_fine_stencil_matches_dense_oracle(self):
-        g = Grid2D(8, 8)
         rng = np.random.default_rng(1)
         img = rng.normal(size=(8, 8))
         dense = dense_circulant(REFERENCE_FINE, 8, 8)
         expect = (dense @ img.reshape(-1)).reshape(8, 8)
-        out = conv_apply(Stencil(REFERENCE_FINE), Image(g, img))
-        np.testing.assert_allclose(out.values, expect, atol=1e-12)
+        np.testing.assert_allclose(apply_one(REFERENCE_FINE, img), expect, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.zeros((2, 2)), np.zeros((3, 4)), np.zeros(3)])
     def test_bad_shapes_rejected(self, bad):
+        # an even window, a non-square one, and too few axes
         with pytest.raises(DimensionError):
-            Stencil(bad)
+            StencilBank(bad[None, None])
+
+    def test_nonfinite_rejected(self):
+        w = np.zeros((1, 1, 3, 3))
+        w[0, 0, 1, 1] = np.inf
+        with pytest.raises(ValueError):
+            StencilBank(w)
 
     def test_bank_shape_checks(self):
         with pytest.raises(DimensionError):
@@ -75,20 +85,15 @@ class TestStencilTypes:
         bank = StencilBank.replicate(3, 3)
         assert (bank.c_out, bank.c_in) == (3, 1)
         for co in range(3):
-            np.testing.assert_array_equal(
-                bank.stencil(co, 0).weights, Stencil.identity(3).weights
-            )
+            np.testing.assert_array_equal(bank.weights[co, 0], IDENTITY[0, 0])
 
     def test_bank_apply_matches_per_channel_composition(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(2, 2, 3, 3))
         y = rng.normal(size=(2, 6, 6))
-        g = Grid2D(6, 6)
         out = bank_apply(w, y)
         for co in range(2):
-            expect = sum(
-                conv_apply(Stencil(w[co, ci]), Image(g, y[ci])).values for ci in range(2)
-            )
+            expect = sum(apply_one(w[co, ci], y[ci]) for ci in range(2))
             np.testing.assert_allclose(out[co], expect, atol=1e-13)
 
 
@@ -147,24 +152,46 @@ class TestKernel:
         np.testing.assert_array_equal(tap_gradient(empty, empty, 3), 0.0)
 
 
+def coarsen_one(w, m):
+    """Coarse window of ``R K(w) P`` through :func:`coarsen_bank`."""
+    return coarsen_bank(StencilBank(single(w)), m).weights[0, 0]
+
+
+def refine_one(w, m):
+    """Fine window whose Galerkin coarsening is ``w``, through :func:`refine_bank`."""
+    return refine_bank(StencilBank(single(w)), m).weights[0, 0]
+
+
+def block_operator(weights, ny, nx):
+    """Dense ``c*n x c*n`` matrix of a ``(c, c, k, k)`` bank, channel-major."""
+    c, n = weights.shape[0], ny * nx
+    op = np.zeros((c * n, c * n))
+    for co in range(c):
+        for ci in range(c):
+            op[co * n : (co + 1) * n, ci * n : (ci + 1) * n] = dense_circulant(
+                weights[co, ci], ny, nx
+            )
+    return op
+
+
 class TestSymbol:
     def test_identity_symbol_all_ones(self):
-        sym = stencil_symbol(Stencil.identity(3), Grid2D(4, 4))
-        np.testing.assert_allclose(sym.values, 1.0, atol=1e-14)
+        sym = stencil_symbol(IDENTITY[0, 0], Grid2D(4, 4))
+        assert sym.shape == (4, 4)
+        np.testing.assert_allclose(sym, 1.0, atol=1e-14)
 
     def test_zero_symbol(self):
-        sym = stencil_symbol(Stencil.zeros(3), Grid2D(4, 4))
-        np.testing.assert_allclose(sym.values, 0.0)
+        np.testing.assert_allclose(stencil_symbol(ZERO[0, 0], Grid2D(4, 4)), 0.0)
 
     def test_matches_dense_eigendecomposition(self):
         rng = np.random.default_rng(3)
-        s = Stencil(rng.normal(size=(3, 3)))
-        sym = stencil_symbol(s, Grid2D(6, 6))
-        dense = dense_circulant(s.weights, 6, 6)
+        w = rng.normal(size=(3, 3))
+        sym = stencil_symbol(w, Grid2D(6, 6))
+        dense = dense_circulant(w, 6, 6)
         eig = list(np.linalg.eigvals(dense))
         # multiset comparison: greedily match each symbol value to the
         # nearest remaining dense eigenvalue
-        for v in sym.values.reshape(-1):
+        for v in sym.reshape(-1):
             dist = [abs(v - e) for e in eig]
             j = int(np.argmin(dist))
             assert dist[j] <= 1e-10
@@ -174,44 +201,67 @@ class TestSymbol:
         rng = np.random.default_rng(4)
         w = rng.normal(size=(3, 3))
         w = w + w[::-1, ::-1]  # even under index negation
-        sym = stencil_symbol(Stencil(w), Grid2D(8, 8))
-        assert np.abs(sym.values.imag).max() <= 1e-12
+        sym = stencil_symbol(w, Grid2D(8, 8))
+        assert np.abs(sym.imag).max() <= 1e-12
 
     def test_grid_too_small(self):
         with pytest.raises(DimensionError):
-            stencil_symbol(Stencil.identity(3), Grid2D(2, 2))
+            stencil_symbol(IDENTITY, Grid2D(2, 2))
+
+    def test_leading_axes_are_per_window(self):
+        rng = np.random.default_rng(15)
+        w = rng.normal(size=(2, 3, 3, 3))
+        sym = stencil_symbol(w, Grid2D(5, 6))
+        assert sym.shape == (2, 3, 6, 5)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(sym[idx], stencil_symbol(w[idx], Grid2D(5, 6)))
 
 
 class TestStabilityReport:
     def test_zero_stencil(self):
-        rep = stability_report(Stencil.zeros(3), Grid2D(4, 4), dt=0.3)
+        rep = stability_report(ZERO, Grid2D(4, 4), dt=0.3)
         assert rep.max_real == 0.0
         assert rep.spectral_radius_step == pytest.approx(1.0)
 
     def test_identity_stencil(self):
-        rep = stability_report(Stencil.identity(3), Grid2D(4, 4), dt=1.0)
+        rep = stability_report(IDENTITY, Grid2D(4, 4), dt=1.0)
         assert rep.max_real == pytest.approx(1.0)
         assert rep.spectral_radius_step == pytest.approx(2.0)
 
     def test_antisymmetric_purely_imaginary(self):
         w = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-        rep = stability_report(Stencil(w), Grid2D(8, 8), dt=0.1)
+        rep = stability_report(single(w), Grid2D(8, 8), dt=0.1)
         assert abs(rep.max_real) <= 1e-12
         # dense cross-check that the whole spectrum really is imaginary
         eig = np.linalg.eigvals(dense_circulant(w, 8, 8))
         assert np.abs(eig.real).max() <= 1e-12
 
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_channel_coupled_bank_matches_dense_block_operator(self, c):
+        rng = np.random.default_rng(16)
+        w = rng.normal(0.0, 0.4, size=(c, c, 3, 3))
+        dt = 0.5
+        rep = stability_report(w, Grid2D(6, 5), dt)
+        lam = np.linalg.eigvals(block_operator(w, 5, 6))
+        assert rep.max_real == pytest.approx(lam.real.max(), rel=1e-10)
+        assert rep.spectral_radius_step == pytest.approx(np.abs(1.0 + dt * lam).max(), rel=1e-10)
+        # the coupling matters: the per-window maximum misses it
+        per_window = max(stencil_symbol(w, Grid2D(6, 5)).real.max(axis=(-2, -1)).ravel())
+        assert abs(per_window - lam.real.max()) > 1e-3
+
+    def test_non_square_bank_rejected(self):
+        with pytest.raises(DimensionError):
+            stability_report(np.zeros((2, 1, 3, 3)), Grid2D(4, 4), dt=0.1)
+
 
 class TestCoarsenMap:
     def test_identity_fixed_point_constant_average(self):
         m = build_coarsen_map(3, CA)
-        out = coarsen_stencil(Stencil.identity(3), m)
-        np.testing.assert_allclose(out.weights, Stencil.identity(3).weights, atol=1e-13)
+        np.testing.assert_allclose(coarsen_one(IDENTITY[0, 0], m), IDENTITY[0, 0], atol=1e-13)
 
     def test_zero_maps_to_zero(self):
         m = build_coarsen_map(3, CA)
-        out = coarsen_stencil(Stencil.zeros(3), m)
-        np.testing.assert_allclose(out.weights, 0.0, atol=1e-15)
+        np.testing.assert_allclose(coarsen_one(ZERO[0, 0], m), 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("pair", [CA, FW], ids=["constant", "bilinear"])
     def test_matches_dense_galerkin_oracle(self, pair):
@@ -219,9 +269,8 @@ class TestCoarsenMap:
         rng = np.random.default_rng(5)
         for _ in range(5):
             w = rng.normal(size=(3, 3))
-            got = coarsen_stencil(Stencil(w), m).weights
             want = galerkin_coarse_stencil(w, 16, 16, pair.kind.value)
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            np.testing.assert_allclose(coarsen_one(w, m), want, atol=1e-12)
 
     def test_truncation_mass(self):
         assert build_coarsen_map(3, CA).truncation_mass <= 1e-14
@@ -243,44 +292,43 @@ class TestCoarsenMap:
         rng = np.random.default_rng(6)
         s1, s2 = rng.normal(size=(2, 3, 3))
         a, b = 0.3, -1.1
-        lhs = coarsen_stencil(Stencil(a * s1 + b * s2), m).weights
-        rhs = a * coarsen_stencil(Stencil(s1), m).weights + b * coarsen_stencil(Stencil(s2), m).weights
+        lhs = coarsen_one(a * s1 + b * s2, m)
+        rhs = a * coarsen_one(s1, m) + b * coarsen_one(s2, m)
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
 class TestRefine:
     def test_identity_refines_to_identity(self):
         m = build_coarsen_map(3, CA)
-        out = refine_stencil(Stencil.identity(3), m)
-        np.testing.assert_allclose(out.weights, Stencil.identity(3).weights, atol=1e-12)
+        np.testing.assert_allclose(refine_one(IDENTITY[0, 0], m), IDENTITY[0, 0], atol=1e-12)
 
     @pytest.mark.parametrize("pair", [CA, FW], ids=["constant", "bilinear"])
     def test_roundtrip_identity(self, pair):
         m = build_coarsen_map(3, pair)
         rng = np.random.default_rng(7)
         for _ in range(20):
-            s = Stencil(rng.normal(size=(3, 3)))
-            back = refine_stencil(coarsen_stencil(s, m), m)
-            np.testing.assert_allclose(back.weights, s.weights, atol=1e-10)
+            w = rng.normal(size=(3, 3))
+            np.testing.assert_allclose(refine_one(coarsen_one(w, m), m), w, atol=1e-10)
 
     def test_reference_coarse_roundtrip(self):
         m = build_coarsen_map(3, CA)
-        fine = refine_stencil(Stencil(REFERENCE_COARSE), m)
-        again = coarsen_stencil(fine, m)
-        np.testing.assert_allclose(again.weights, REFERENCE_COARSE, atol=1e-10)
+        again = coarsen_one(refine_one(REFERENCE_COARSE, m), m)
+        np.testing.assert_allclose(again, REFERENCE_COARSE, atol=1e-10)
 
-    def test_ill_conditioned_map_refuses_to_solve(self, monkeypatch):
+    def test_ill_conditioned_map_refuses_to_solve(self):
         m = build_coarsen_map(3, CA)
         bad = CoarsenMap(
             k=m.k, kind=m.kind, matrix=m.matrix, cond=1e13, truncation_mass=0.0
         )
         with pytest.raises(IllPosedError):
-            refine_stencil(Stencil.identity(3), bad)
+            refine_one(IDENTITY[0, 0], bad)
 
     def test_size_mismatch(self):
         m = build_coarsen_map(3, CA)
         with pytest.raises(DimensionError):
-            coarsen_stencil(Stencil.identity(5), m)
+            coarsen_bank(StencilBank.identity(1, 5), m)
+        with pytest.raises(DimensionError):
+            refine_bank(StencilBank.identity(1, 5), m)
 
     def test_bank_refuses_ill_posed_maps(self):
         m = build_coarsen_map(3, CA)
@@ -302,11 +350,12 @@ class TestBanks:
         np.testing.assert_allclose(out.weights, bank.weights, atol=1e-13)
 
     def test_single_entry_bank_equals_scalar_op(self):
+        # a one-window bank is the coarsening map applied to the flat window
         m = build_coarsen_map(3, FW)
         rng = np.random.default_rng(8)
         w = rng.normal(size=(1, 1, 3, 3))
         out = coarsen_bank(StencilBank(w), m)
-        want = coarsen_stencil(Stencil(w[0, 0]), m).weights
+        want = (m.matrix @ w.reshape(-1)).reshape(3, 3)
         np.testing.assert_array_equal(out.weights[0, 0], want)
 
     def test_bank_entries_match_scalar_path(self):
@@ -318,9 +367,7 @@ class TestBanks:
         for co in range(2):
             for ci in range(2):
                 np.testing.assert_allclose(
-                    coarse.weights[co, ci],
-                    coarsen_stencil(Stencil(w[co, ci]), m).weights,
-                    atol=1e-13,
+                    coarse.weights[co, ci], coarsen_one(w[co, ci], m), atol=1e-13
                 )
                 np.testing.assert_allclose(refined.weights[co, ci], w[co, ci], atol=1e-10)
 
@@ -328,15 +375,11 @@ class TestBanks:
 class TestGalerkinExactness:
     def test_operational_identity_on_random_stencils(self):
         # coarse operator applied to coarse data == restrict(fine op(prolonged data))
-        from mgcnn.grid import prolong_values, restrict_values
-
         m = build_coarsen_map(3, CA)
         rng = np.random.default_rng(10)
-        g_c = Grid2D(4, 4, 2.0)
         for _ in range(10):
-            s = Stencil(rng.normal(size=(3, 3)))
+            w = rng.normal(size=(3, 3))
             y = rng.normal(size=(4, 4))
-            lhs = conv_apply(coarsen_stencil(s, m), Image(g_c, y)).values
-            fine = conv_apply(Stencil(s.weights), Image(Grid2D(8, 8), prolong_values(y, CA.kind)))
-            rhs = restrict_values(fine.values, CA.kind)
+            lhs = apply_one(coarsen_one(w, m), y)
+            rhs = restrict_values(apply_one(w, prolong_values(y, CA.kind)), CA.kind)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)

@@ -187,6 +187,22 @@ class TestNewtonClassifierStep:
         gd_obj = classifier_objective(features, labels, gd_clf, reg)
         assert newton_obj <= gd_obj + 1e-12
 
+    @pytest.mark.parametrize("lam", [0.05, 0.0])
+    def test_class_means_stay_zero(self, lam):
+        # Softmax is shift invariant, so the class means of the weights and
+        # of the offsets get no gradient and no curvature: Newton steps from
+        # a zero classifier must leave them at zero, not at rounding noise
+        # divided by the Hessian jitter.
+        rng = np.random.default_rng(7)
+        g = Grid2D(6, 6, 1.0)
+        features = rng.normal(size=(40, 2, 6, 6))
+        labels = rng.integers(0, 3, 40)
+        res = newton_classifier_step(features, labels, zero_classifier(g, 2, 3),
+                                     RegConfig(lam, 0.0), steps=8)
+        assert np.abs(res.classifier.weights).max() > 1e-3  # the steps did move
+        assert abs(res.classifier.mu.mean()) <= 1e-14
+        assert np.abs(res.classifier.weights.mean(axis=0)).max() <= 1e-14
+
     def test_empty_batch_rejected(self):
         g = Grid2D(4, 4, 1.0)
         with pytest.raises(ValueError):
