@@ -144,6 +144,9 @@ class RunConfig:
             check(0.0 < getattr(self, name) < 1.0, name, "strictly between 0 and 1")
         check(self.activation.strip().lower() in {a.value for a in Activation},
               "activation", "tanh or identity")
+        check(self.dataset in ("bars", "blobs", "idx"), "dataset", "bars, blobs or idx")
+        check(self.transfer in ("constant", "bilinear"), "transfer", "constant or bilinear")
+        check(self.step_rule in ("armijo", "fixed"), "step_rule", "armijo or fixed")
         check(all(n >= 0 for n in self.level_iters), "level_iters", "a list of counts >= 0")
         check(all(d >= 1 for d in self.depths)
               and all(b > a and b % a == 0 for a, b in zip(self.depths, self.depths[1:])),
@@ -236,17 +239,13 @@ def config_hash(cfg: RunConfig) -> str:
 def _transfer_pair(cfg: RunConfig) -> TransferPair:
     if cfg.transfer == "constant":
         return TransferPair.constant_average()
-    if cfg.transfer == "bilinear":
-        return TransferPair.bilinear_full_weighting()
-    raise ConfigError(f"unknown transfer pair {cfg.transfer!r}")
+    return TransferPair.bilinear_full_weighting()
 
 
 def _step_rule(cfg: RunConfig):
     if cfg.step_rule == "fixed":
         return FixedStep(cfg.step_size)
-    if cfg.step_rule == "armijo":
-        return ArmijoBacktracking(cfg.step_size, cfg.armijo_beta, cfg.armijo_c)
-    raise ConfigError(f"unknown step rule {cfg.step_rule!r}")
+    return ArmijoBacktracking(cfg.step_size, cfg.armijo_beta, cfg.armijo_c)
 
 
 def _bcd_config(cfg: RunConfig) -> BcdConfig:
@@ -272,17 +271,15 @@ def _network_init(cfg: RunConfig) -> NetworkInit:
 
 
 def _load_dataset(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    if cfg.dataset in ("bars", "blobs"):
-        grid = Grid2D(cfg.grid_nx, cfg.grid_ny, cfg.grid_h)
-        full = make_synthetic(
-            SyntheticKind(cfg.dataset), cfg.num_examples, grid, seed=cfg.seed, noise=cfg.noise
-        )
-    elif cfg.dataset == "idx":
+    if cfg.dataset == "idx":
         if not cfg.idx_images or not cfg.idx_labels:
             raise ConfigError("dataset = idx requires idx_images and idx_labels paths")
         full = load_idx(cfg.idx_images, cfg.idx_labels, h=cfg.grid_h)
     else:
-        raise ConfigError(f"unknown dataset kind {cfg.dataset!r}")
+        grid = Grid2D(cfg.grid_nx, cfg.grid_ny, cfg.grid_h)
+        full = make_synthetic(
+            SyntheticKind(cfg.dataset), cfg.num_examples, grid, seed=cfg.seed, noise=cfg.noise
+        )
     if cfg.limit:
         full = full.subset(np.arange(min(cfg.limit, len(full))))
     return split(full, cfg.train_fraction, seed=cfg.seed)

@@ -19,14 +19,17 @@ deterministic synthetic families small enough for fast experiments:
 
 Models are saved in a small versioned binary container: magic, format
 version, then tagged blocks whose payloads are little-endian IEEE-754
-doubles (or UTF-8 JSON for the provenance record).  Writing is fully
-deterministic, so identical models produce identical bytes.
+doubles (or UTF-8 JSON for the provenance record), and last a checksum
+block holding the CRC-32 of every byte before it.  Writing is fully
+deterministic, so identical models produce identical bytes.  Reading
+refuses a wrong checksum and any unknown, repeated or trailing block.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,7 +63,8 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 MODEL_MAGIC = b"MGCN"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # version 1: the same blocks without the checksum block
+_MODEL_TAGS = ("GRID", "HYPR", "BANK", "BIAS", "EMBD", "CLSW", "CLSB", "PROV")
 
 
 @dataclass
@@ -207,7 +211,11 @@ def split(
 
 @dataclass
 class ModelFile:
-    """A trained model plus its provenance (config hash, seed, schedule)."""
+    """A trained model plus its provenance (config hash, seed, schedule).
+
+    ``version`` is the format a loaded file was written in; :func:`save_model`
+    always writes ``MODEL_VERSION``.
+    """
 
     params: NetworkParams
     classifier: Classifier
@@ -221,6 +229,10 @@ _ACT_FROM_CODE = {v: k for k, v in _ACT_CODES.items()}
 
 def _block(tag: bytes, payload: bytes) -> bytes:
     return tag + struct.pack("<Q", len(payload)) + payload
+
+
+def _crc(data: bytes) -> bytes:
+    return struct.pack("<I", zlib.crc32(data))
 
 
 def save_model(path: str, model: ModelFile) -> None:
@@ -258,10 +270,9 @@ def save_model(path: str, model: ModelFile) -> None:
             json.dumps(model.provenance, sort_keys=True, ensure_ascii=True).encode("ascii"),
         ),
     ]
+    body = MODEL_MAGIC + struct.pack("<I", MODEL_VERSION) + b"".join(blocks)
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC + struct.pack("<I", model.version))
-        for block in blocks:
-            fh.write(block)
+        fh.write(body + _block(b"CSUM", _crc(body)))
 
 
 def _doubles(payload: bytes, shape: tuple[int, ...], tag: str, path: str) -> np.ndarray:
@@ -281,20 +292,33 @@ def load_model(path: str) -> ModelFile:
     if header[:4] != MODEL_MAGIC:
         raise BadMagicError(f"{path}: not a model container (magic {header[:4]!r})")
     version = struct.unpack("<I", header[4:8])[0]
-    if version != MODEL_VERSION:
+    if version not in (1, MODEL_VERSION):
         raise VersionMismatchError(
-            f"{path}: format version {version}, this build reads {MODEL_VERSION}"
+            f"{path}: format version {version}, this build reads 1 and {MODEL_VERSION}"
         )
 
     blocks: dict[str, bytes] = {}
+    checked = False
     offset = 8
     while offset < len(data):
-        tag = _read_exact(data, offset, 4, path)
+        if checked:
+            raise DataFormatError(f"{path}: data follows the checksum block")
+        tag = _read_exact(data, offset, 4, path).decode("ascii", errors="replace")
         (length,) = struct.unpack("<Q", _read_exact(data, offset + 4, 8, path))
         payload = _read_exact(data, offset + 12, length, path)
-        blocks[tag.decode("ascii", errors="replace")] = payload
+        if tag == "CSUM" and version == MODEL_VERSION:
+            if payload != _crc(data[:offset]):
+                raise DataFormatError(f"{path}: checksum mismatch, the file was altered")
+            checked = True
+        elif tag not in _MODEL_TAGS:
+            raise DataFormatError(f"{path}: unknown block {tag!r}")
+        elif tag in blocks:
+            raise DataFormatError(f"{path}: duplicate block {tag}")
+        blocks[tag] = payload
         offset += 12 + length
-    for tag in ("GRID", "HYPR", "BANK", "BIAS", "EMBD", "CLSW", "CLSB", "PROV"):
+    if version == MODEL_VERSION and not checked:
+        raise DataFormatError(f"{path}: no checksum block")
+    for tag in _MODEL_TAGS:
         if tag not in blocks:
             raise DataFormatError(f"{path}: missing block {tag}")
 

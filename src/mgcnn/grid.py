@@ -89,15 +89,13 @@ class TransferKind(Enum):
 class TransferPair:
     """A matched restriction/prolongation pair.
 
-    ``gamma`` is the constant in ``R P = gamma * I`` on the subspace where
-    the identity holds (everywhere for CONSTANT_AVERAGE, constants for
-    BILINEAR_FULL_WEIGHTING).  Restrictions here are normalized to preserve
-    constants, so ``gamma`` is 1 for both built-in pairs and no extra
-    correction is needed when moving classifier weights between grids.
+    ``R P = I`` on the subspace where the identity holds (everywhere for
+    CONSTANT_AVERAGE, constants for BILINEAR_FULL_WEIGHTING): restrictions
+    here are normalized to preserve constants, so no correction is needed
+    when moving classifier weights between grids.
     """
 
     kind: TransferKind
-    gamma: float = 1.0
 
     @classmethod
     def constant_average(cls) -> "TransferPair":
@@ -160,10 +158,10 @@ def prolong_values(values: np.ndarray, kind: TransferKind) -> np.ndarray:
 
 
 def verify_rp_identity(pair: TransferPair, grid: Grid2D) -> float:
-    """Worst-case deviation of ``R P`` from ``gamma * I`` on ``grid``.
+    """Worst-case deviation of ``R P`` from ``I`` on ``grid``.
 
     Prolongs then restricts every basis image of the (coarse) ``grid`` and
-    returns ``max_i || R P e_i - gamma e_i ||_inf``.  Zero for
+    returns ``max_i || R P e_i - e_i ||_inf``.  Zero for
     CONSTANT_AVERAGE; a fixed positive constant for the bilinear pair, which
     only reproduces constants.
     """
@@ -173,7 +171,7 @@ def verify_rp_identity(pair: TransferPair, grid: Grid2D) -> float:
     for idx in range(grid.ncells):
         e.flat[idx] = 1.0
         rp = restrict_values(prolong_values(e, pair.kind), pair.kind)
-        rp.flat[idx] -= pair.gamma
+        rp.flat[idx] -= 1.0
         worst = max(worst, float(np.abs(rp).max()))
         e.flat[idx] = 0.0
     return worst

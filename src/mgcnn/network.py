@@ -27,11 +27,13 @@ cross-entropy plus two smoothness penalties (:func:`reg_value_and_grad`):
 :func:`loss_and_gradient` implements reverse-mode differentiation of the
 cross-entropy (plus optional regularization) with respect to every learnable
 block: layer banks, biases, classifier weights and offsets, and the
-embedding bank when it is marked learnable.  Its forward pass caches each
-chunk's states and pre-activations, and the reverse sweep reads them back
-rather than propagating again: per layer it applies the adjoint bank once
-and takes the stencil gradient from the same shifted-slice kernel as the
-forward pass (:func:`mgcnn.stencils.tap_gradient`).  Inputs are processed
+embedding bank when it is marked learnable.  Its forward pass keeps each
+chunk's states and nothing else, and the reverse sweep reads them back
+rather than propagating again: a layer's activation slope follows from its
+increment ``(y_{k+1} - y_k) / dt``, which is the activation's output; per
+layer the sweep applies the adjoint bank once and takes the stencil
+gradient from the same shifted-slice kernel as the forward pass
+(:func:`mgcnn.stencils.tap_gradient`).  Inputs are processed
 in fixed chunks of ``CHUNK`` examples so memory stays bounded and reductions
 happen in a fixed order whatever the worker count; with ``workers > 1`` the
 chunks of one call run on that many threads, next to BLAS's own threads.
@@ -96,11 +98,13 @@ def _act(z: np.ndarray, act: Activation, gain: float) -> np.ndarray:
     return gain * z
 
 
-def _act_deriv(z: np.ndarray, act: Activation, gain: float) -> np.ndarray:
-    if act is Activation.TANH:
-        t = np.tanh(gain * z)
-        return gain * (1.0 - t * t)
-    return np.full_like(z, gain)
+def _act_deriv(y: np.ndarray, y_next: np.ndarray, params: NetworkParams):
+    """Activation slope of the layer ``y -> y_next``, read off its output
+    ``t = (y_next - y) / dt``: ``gain * (1 - t^2)`` for tanh."""
+    if params.activation is Activation.TANH:
+        t = (y_next - y) / params.dt
+        return params.act_gain * (1.0 - t * t)
+    return params.act_gain
 
 
 @dataclass
@@ -282,15 +286,8 @@ def forward_step(
     gain: float = 1.0,
 ) -> np.ndarray:
     """One explicit Euler layer: ``y + dt * act(bank(y) + bias)``."""
-    return _layer(y, bank, bias, dt, act, gain)[0]
-
-
-def _layer(
-    y: np.ndarray, bank: StencilBank, bias: np.ndarray, dt: float, act: Activation, gain: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`forward_step` and its pre-activation ``z = bank(y) + bias``."""
     z = bank_apply(bank.weights, y) + np.asarray(bias, dtype=np.float64).reshape(-1, 1, 1)
-    return y + dt * _act(z, act, gain), z
+    return y + dt * _act(z, act, gain)
 
 
 def _check_finite(y: np.ndarray, where: str) -> None:
@@ -298,12 +295,14 @@ def _check_finite(y: np.ndarray, where: str) -> None:
         raise DivergenceError(f"state became non-finite at {where}")
 
 
-def _propagate(y0: np.ndarray, params: NetworkParams, keep: bool) -> list[np.ndarray]:
-    states = [y0]
+def _propagate(x: np.ndarray, params: NetworkParams, keep: bool) -> list[np.ndarray]:
+    """Embed images ``x`` and run every layer: all states ``y_0 .. y_N``
+    with ``keep``, else only ``[y_N]``."""
+    y = embed_input(x, params)
+    _check_finite(y, "embedding")
+    states = [y]
     for i, bank in enumerate(params.banks):
-        y = forward_step(
-            states[-1], bank, params.biases[i], params.dt, params.activation, params.act_gain
-        )
+        y = forward_step(y, bank, params.biases[i], params.dt, params.activation, params.act_gain)
         _check_finite(y, f"layer {i}")
         if keep:
             states.append(y)
@@ -315,9 +314,7 @@ def _propagate(y0: np.ndarray, params: NetworkParams, keep: bool) -> list[np.nda
 def forward_propagate(x: np.ndarray, params: NetworkParams) -> list[np.ndarray]:
     """Propagate input image(s) ``(..., ny, nx)`` through all layers and
     return every state ``y_0 .. y_N``."""
-    y0 = embed_input(x, params)
-    _check_finite(y0, "embedding")
-    return _propagate(y0, params, keep=True)
+    return _propagate(x, params, keep=True)
 
 
 def _chunks(n: int) -> list[slice]:
@@ -336,9 +333,7 @@ def propagate_final(images: np.ndarray, params: NetworkParams, workers: int = 1)
     images = np.asarray(images, dtype=np.float64)
 
     def run(s: slice) -> np.ndarray:
-        y0 = embed_input(images[s], params)
-        _check_finite(y0, "embedding")
-        return _propagate(y0, params, keep=False)[-1]
+        return _propagate(images[s], params, keep=False)[-1]
 
     outs = _map_chunks(run, _chunks(images.shape[0]), workers)
     return np.concatenate(outs, axis=0)
@@ -512,10 +507,12 @@ def loss_and_gradient(
 ) -> tuple[LossReport, Gradients]:
     """Reverse-mode gradient of :func:`loss` for every learnable block.
 
-    The forward pass keeps every state and pre-activation of the chunk; the
-    reverse sweep reads them back instead of applying the banks again, so
-    each layer costs one bank application forward and one adjoint
-    application plus one :func:`~mgcnn.stencils.tap_gradient` backward.
+    The forward pass keeps every state of the chunk and no pre-activation;
+    the reverse sweep reads the states back instead of applying the banks
+    again and takes each layer's activation slope from the layer's
+    increment (:func:`_act_deriv`).  So each layer costs one bank
+    application forward and one adjoint application plus one
+    :func:`~mgcnn.stencils.tap_gradient` backward.
     """
     images = np.asarray(images, dtype=np.float64)
     labels = _check_labels(labels, clf.num_classes)
@@ -525,16 +522,7 @@ def loss_and_gradient(
 
     def run(s: slice):
         x = images[s]
-        y0 = embed_input(x, params)
-        _check_finite(y0, "embedding")
-        states, pre = [y0], []
-        for i, bank in enumerate(params.banks):
-            y, z = _layer(
-                states[-1], bank, params.biases[i], params.dt, params.activation, params.act_gain
-            )
-            _check_finite(y, f"layer {i}")
-            states.append(y)
-            pre.append(z)
+        states = _propagate(x, params, keep=True)
         logits = _logits(states[-1], clf)
         ce_sum = float(_cross_entropy(logits, labels[s]).sum())
 
@@ -549,7 +537,8 @@ def loss_and_gradient(
         g_banks = np.zeros((n, c, c, k, k))
         g_biases = np.zeros((n, c))
         for i in range(n - 1, -1, -1):
-            u = params.dt * dy * _act_deriv(pre.pop(), params.activation, params.act_gain)
+            y_next = states.pop()
+            u = params.dt * dy * _act_deriv(states[i], y_next, params)
             g_biases[i] = u.sum(axis=(0, 2, 3))
             g_banks[i] = tap_gradient(u, states[i], k)
             dy = dy + bank_apply(_adjoint_weights(params.banks[i].weights), u)

@@ -27,12 +27,12 @@ and P are all translation equivariant (by one coarse cell), the composition
 is again a stencil operator, and the map from fine weights to coarse weights
 is linear.  :func:`build_coarsen_map` materializes that ``k^2 x k^2`` matrix
 once by probing with unit stencils on a small reference grid; refinement
-applies its inverse, computed once per map.
+applies its inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,20 +269,17 @@ class CoarsenMap:
     matrix: np.ndarray
     cond: float
     truncation_mass: float
-    _inverse: np.ndarray | None = field(default=None, repr=False)
 
     def inverse(self) -> np.ndarray:
-        """The inverse matrix, computed once; refused when ill-posed."""
+        """The inverse matrix; refused when ill-posed."""
         if self.cond > COND_LIMIT or not np.isfinite(self.cond):
             raise IllPosedError(
                 f"coarsening map is too ill-conditioned to invert (cond={self.cond:.3e})"
             )
-        if self._inverse is None:
-            try:
-                self._inverse = np.linalg.inv(self.matrix)
-            except np.linalg.LinAlgError as exc:
-                raise IllPosedError(f"coarsening map is singular: {exc}") from exc
-        return self._inverse
+        try:
+            return np.linalg.inv(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise IllPosedError(f"coarsening map is singular: {exc}") from exc
 
 
 def build_coarsen_map(k: int, pair: TransferPair) -> CoarsenMap:

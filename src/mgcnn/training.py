@@ -25,7 +25,6 @@ The smoothness penalties are those of :func:`mgcnn.network.loss`.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -127,29 +126,6 @@ class NewtonResult:
 
 def _laplacian_flat(v: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return _smooth_grad(v.reshape(shape)).reshape(v.shape)
-
-
-@functools.lru_cache(maxsize=16)
-def _laplacian_entries(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the matrix of :func:`_laplacian_flat`.
-
-    The periodic 5-point operator on fields of ``shape`` has at most 5
-    nonzeros per row; entries that coincide on grids with a side below 3 are
-    summed, so each position appears once.  Cached per shape, read-only.
-    """
-    size = math.prod(shape)
-    idx = np.arange(size).reshape(shape)
-    neighbours = [np.roll(idx, s, axis=a) for a in (-1, -2) for s in (1, -1)]
-    rows = np.tile(idx.reshape(-1), 5)
-    cols = np.concatenate([idx.reshape(-1)] + [n.reshape(-1) for n in neighbours])
-    vals = np.repeat([8.0, -2.0, -2.0, -2.0, -2.0], size)
-    keys, where = np.unique(rows * size + cols, return_inverse=True)
-    summed = np.zeros(keys.size)
-    np.add.at(summed, where, vals)
-    entries = (keys // size, keys % size, summed)
-    for a in entries:
-        a.setflags(write=False)
-    return entries
 
 
 def newton_classifier_step(
@@ -280,9 +256,16 @@ def _contrast_hessian(
                 np.matmul(A1.T, A1 * s[:, None], out=H[ra, rb])
                 H[rb, ra] = H[ra, rb].T
     if lam > 0.0:
-        rows, cols, vals = _laplacian_entries(w_shape[1:])
+        # The penalty's periodic 5-point operator: 8 on the diagonal, -2 per
+        # neighbour shift.  One statement per shift, so entries that coincide
+        # on grids narrower than 3 add up.
+        idx = np.arange(F).reshape(w_shape[1:])
+        neighbours = [np.roll(idx, s, axis=ax) for ax in (-1, -2) for s in (1, -1)]
         for a in range(L - 1):
-            H[a * n + rows, a * n + cols] += lam * vals
+            block = H[a * n : a * n + F, a * n : a * n + F]
+            block[idx, idx] += 8.0 * lam
+            for cols in neighbours:
+                block[idx, cols] -= 2.0 * lam
     H[np.diag_indices_from(H)] += NEWTON_JITTER
     return H
 

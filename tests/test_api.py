@@ -10,6 +10,7 @@ import pytest
 
 import mgcnn
 from mgcnn import network, training
+from mgcnn.grid import TransferPair
 from mgcnn.stencils import CoarsenMap, StencilBank
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -52,6 +53,11 @@ def test_removed_methods_are_gone():
     assert not hasattr(StencilBank, "stencil")
     assert not hasattr(CoarsenMap, "apply")
     assert not hasattr(CoarsenMap, "solve")
+    # state that is recomputed where it is used
+    assert "_inverse" not in CoarsenMap.__dataclass_fields__
+    assert not hasattr(TransferPair.constant_average(), "gamma")
+    assert not hasattr(network, "_layer")
+    assert not hasattr(training, "_laplacian_entries")
 
 
 def test_penalty_has_one_home():

@@ -138,6 +138,9 @@ class TestExitCodes:
         ("grid_nx", "0"),
         ("final_time", "0"),
         ("activation", "relu"),
+        ("dataset", "mnist"),
+        ("transfer", "bogus"),
+        ("step_rule", "newton"),
         ("act_gain", "nan"),
         ("init_scale", "-1"),
         ("noise", "-1"),

@@ -1,5 +1,8 @@
 """IDX ingestion, synthetic datasets, splitting, and the model container."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -194,6 +197,34 @@ def random_model(seed=0, num_layers=3):
     return ModelFile(params, clf, prov)
 
 
+def container_blocks(raw):
+    """``(tag, payload)`` of every block after the 8-byte header."""
+    blocks, offset = [], 8
+    while offset < len(raw):
+        (length,) = struct.unpack("<Q", raw[offset + 4 : offset + 12])
+        blocks.append((raw[offset : offset + 4], raw[offset + 12 : offset + 12 + length]))
+        offset += 12 + length
+    return blocks
+
+
+def build_container(version, blocks, checksum=True):
+    """A container of ``blocks``, ended by a checksum block when asked."""
+    raw = b"MGCN" + struct.pack("<I", version)
+    raw += b"".join(tag + struct.pack("<Q", len(payload)) + payload for tag, payload in blocks)
+    if checksum:
+        raw += b"CSUM" + struct.pack("<Q", 4) + struct.pack("<I", zlib.crc32(raw))
+    return raw
+
+
+def saved_blocks(tmp_path):
+    """The blocks of a freshly saved model, checksum block excluded."""
+    path = tmp_path / "saved.bin"
+    save_model(str(path), random_model())
+    blocks = container_blocks(path.read_bytes())
+    assert blocks[-1][0] == b"CSUM"
+    return blocks[:-1]
+
+
 class TestModelContainer:
     def test_round_trip_bit_identical(self, tmp_path):
         path = str(tmp_path / "m.bin")
@@ -269,3 +300,66 @@ class TestModelContainer:
         assert before.accuracy == after.accuracy
         assert before.mean_loss == after.mean_loss
         np.testing.assert_array_equal(before.confusion, after.confusion)
+
+    def test_saved_file_ends_with_its_checksum(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(str(path), random_model())
+        raw = path.read_bytes()
+        assert struct.unpack("<I", raw[4:8])[0] == MODEL_VERSION == 2
+        assert build_container(MODEL_VERSION, saved_blocks(tmp_path)) == raw
+
+    def test_flipped_bank_bit_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(str(path), random_model())
+        raw = bytearray(path.read_bytes())
+        offset = 8
+        for tag, payload in container_blocks(bytes(raw)):
+            if tag == b"BANK":
+                break
+            offset += 12 + len(payload)
+        raw[offset + 12] ^= 1  # lowest mantissa bit of the first weight
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="checksum mismatch"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("tag", [b"JUNK", b"PROV"])
+    def test_block_after_checksum_rejected(self, tmp_path, tag):
+        path = tmp_path / "m.bin"
+        save_model(str(path), random_model())
+        raw = path.read_bytes()
+        path.write_bytes(raw + tag + struct.pack("<Q", 4) + bytes(4))
+        with pytest.raises(DataFormatError, match="follows the checksum block"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_unknown_block_rejected(self, tmp_path, version):
+        path = tmp_path / "m.bin"
+        blocks = saved_blocks(tmp_path) + [(b"JUNK", bytes(4))]
+        path.write_bytes(build_container(version, blocks, checksum=version == 2))
+        with pytest.raises(DataFormatError, match="unknown block 'JUNK'"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_duplicate_block_rejected(self, tmp_path, version):
+        path = tmp_path / "m.bin"
+        blocks = saved_blocks(tmp_path)
+        bias = next(b for b in blocks if b[0] == b"BIAS")
+        path.write_bytes(build_container(version, blocks + [bias], checksum=version == 2))
+        with pytest.raises(DataFormatError, match="duplicate block BIAS"):
+            load_model(str(path))
+
+    def test_version_2_without_checksum_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(build_container(2, saved_blocks(tmp_path), checksum=False))
+        with pytest.raises(DataFormatError, match="no checksum block"):
+            load_model(str(path))
+
+    def test_version_1_file_loads(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(build_container(1, saved_blocks(tmp_path), checksum=False))
+        back, model = load_model(str(path)), random_model()
+        assert back.version == 1
+        assert back.provenance == model.provenance
+        for b0, b1 in zip(model.params.banks, back.params.banks):
+            np.testing.assert_array_equal(b0.weights, b1.weights)
+        np.testing.assert_array_equal(model.classifier.weights, back.classifier.weights)

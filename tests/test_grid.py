@@ -106,7 +106,7 @@ class TestTransferIdentities:
         pair = TransferPair.bilinear_full_weighting()
         c = np.full((4, 4), 2.0)
         rp = restrict_values(prolong_values(c, pair.kind), pair.kind)
-        np.testing.assert_allclose(rp, pair.gamma * c, atol=1e-14)
+        np.testing.assert_allclose(rp, c, atol=1e-14)
 
     def test_rp_deviation_bilinear_matches_dense(self):
         # worst-case RP deviation from the identity, recomputed densely
@@ -114,7 +114,7 @@ class TestTransferIdentities:
         g = Grid2D(8, 8)
         r = dense_restriction(16, 16, "bilinear_full_weighting")
         p = dense_prolongation(8, 8, "bilinear_full_weighting")
-        rp = r @ p - pair.gamma * np.eye(64)
+        rp = r @ p - np.eye(64)
         expect = float(np.abs(rp).max(axis=1).max())
         got = verify_rp_identity(pair, g)
         assert got == pytest.approx(expect, abs=1e-13)

@@ -8,6 +8,7 @@ network is compared against central differences at step 1e-5.
 import numpy as np
 import pytest
 
+from mgcnn import network as network_mod
 from mgcnn.errors import DimensionError, DivergenceError
 from mgcnn.grid import Grid2D
 from mgcnn.network import (
@@ -26,7 +27,7 @@ from mgcnn.network import (
     softmax,
     zero_classifier,
 )
-from mgcnn.stencils import StencilBank
+from mgcnn.stencils import StencilBank, bank_apply, tap_gradient
 
 from oracles import (
     fd_gradient,
@@ -415,6 +416,67 @@ class TestGradient:
               lambda buf: (p, Classifier(g, clf.weights, buf)),
               grads.mu, "mu")
         check(p.embed.weights.copy(), from_embed, grads.embed, "embed")
+
+    def test_deep_saturated_tanh_matches_pre_activation_sweep(self):
+        # The reverse sweep reads tanh's slope off each layer's increment.
+        # Compare it with the textbook sweep that keeps every pre-activation
+        # z_k and calls tanh again, on a deep network whose large weights
+        # saturate most units.
+        rng = np.random.default_rng(34)
+        g = Grid2D(6, 6, 1.0)
+        p = random_network_params(channels=2, num_layers=8, final_time=2.0, seed=35,
+                                  act_gain=1.7, embed_learnable=True)
+        for b in p.banks:
+            b.weights[:] = rng.normal(0.0, 3.0, b.weights.shape)
+        p.biases[:] = rng.normal(0.0, 1.0, p.biases.shape)
+        clf = Classifier(g, rng.normal(size=(3, 2, 6, 6)), rng.normal(size=3))
+        imgs = rng.random((5, 6, 6))
+        labels = np.array([0, 1, 2, 1, 0])
+        _, grads = loss_and_gradient(imgs, labels, p, clf)
+
+        gain, dt, k = p.act_gain, p.dt, p.kernel_size
+        y = embed_input(imgs, p)
+        states, pre = [y], []
+        for bank, bias in zip(p.banks, p.biases):
+            z = bank_apply(bank.weights, y) + bias[:, None, None]
+            y = y + dt * np.tanh(gain * z)
+            states.append(y)
+            pre.append(z)
+        assert np.mean(np.abs(np.tanh(gain * np.stack(pre))) > 0.999) > 0.5
+        d = softmax(np.einsum("lcyx,mcyx->ml", clf.weights, y) + clf.mu)
+        d[np.arange(5), labels] -= 1.0
+        d /= 5
+        want_w = np.einsum("ml,mcyx->lcyx", d, y)
+        dy = np.einsum("ml,lcyx->mcyx", d, clf.weights)
+        want_banks, want_biases = np.zeros_like(grads.banks), np.zeros_like(grads.biases)
+        for i in reversed(range(p.num_layers)):
+            u = dt * dy * gain * (1.0 - np.tanh(gain * pre[i]) ** 2)
+            want_biases[i] = u.sum(axis=(0, 2, 3))
+            want_banks[i] = tap_gradient(u, states[i], k)
+            dy = dy + bank_apply(p.banks[i].weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], u)
+        want_embed = tap_gradient(dy, imgs[:, None], k)
+        for got, want, name in ((grads.banks, want_banks, "banks"),
+                                (grads.biases, want_biases, "biases"),
+                                (grads.weights, want_w, "weights"),
+                                (grads.mu, d.sum(axis=0), "mu"),
+                                (grads.embed, want_embed, "embed")):
+            assert rel_err(got, want) <= 1e-12, name
+
+    def test_one_forward_step_per_layer_and_chunk(self, monkeypatch):
+        calls = []
+        step = network_mod.forward_step
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(network_mod, "forward_step", counted)
+        rng = np.random.default_rng(36)
+        p = scramble_in_time(small_params(num_layers=3), seed=37)
+        clf = Classifier(Grid2D(6, 6, 1.0), rng.normal(size=(2, 2, 6, 6)), rng.normal(size=2))
+        imgs = rng.random((300, 6, 6))  # two chunks: 256 and 44 examples
+        loss_and_gradient(imgs, (np.arange(300) % 2).astype(int), p, clf)
+        assert calls == [256] * 3 + [44] * 3
 
     def test_loss_report_matches_loss(self):
         rng = np.random.default_rng(28)

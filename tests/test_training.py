@@ -290,16 +290,6 @@ class TestNewtonAssembly:
             d = np.concatenate([d_w.reshape(-1), d_mu])
             assert np.linalg.norm(H @ d - rhs) <= 1e-6 * np.linalg.norm(rhs)
 
-    def test_cached_laplacian_is_read_only(self):
-        rows, cols, vals = training_mod._laplacian_entries((2, 4, 5))
-        for a in (rows, cols, vals):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 0
-        again = training_mod._laplacian_entries((2, 4, 5))
-        assert all(x is y for x, y in zip(again, (rows, cols, vals)))
-        assert vals.sum() == 0.0  # constants are in the kernel
-
 
 def blob_set(n=40, seed=0, noise=0.05):
     return make_synthetic(SyntheticKind.BLOBS, n, Grid2D(6, 6, 1.0), seed=seed,
