@@ -44,7 +44,6 @@ __all__ = [
     "gaussian_kernel_1d",
     "prolong_values",
     "restrict_values",
-    "verify_rp_identity",
 ]
 
 
@@ -155,26 +154,6 @@ def prolong_values(values: np.ndarray, kind: TransferKind) -> np.ndarray:
         return values.repeat(2, axis=-2).repeat(2, axis=-1)
     out = _prolong_linear_axis(values, -2)
     return _prolong_linear_axis(out, -1)
-
-
-def verify_rp_identity(pair: TransferPair, grid: Grid2D) -> float:
-    """Worst-case deviation of ``R P`` from ``I`` on ``grid``.
-
-    Prolongs then restricts every basis image of the (coarse) ``grid`` and
-    returns ``max_i || R P e_i - e_i ||_inf``.  Zero for
-    CONSTANT_AVERAGE; a fixed positive constant for the bilinear pair, which
-    only reproduces constants.
-    """
-    _require_even(grid.shape)
-    worst = 0.0
-    e = np.zeros(grid.shape)
-    for idx in range(grid.ncells):
-        e.flat[idx] = 1.0
-        rp = restrict_values(prolong_values(e, pair.kind), pair.kind)
-        rp.flat[idx] -= 1.0
-        worst = max(worst, float(np.abs(rp).max()))
-        e.flat[idx] = 0.0
-    return worst
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:

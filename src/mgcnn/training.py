@@ -7,17 +7,22 @@ frozen, the classifier subproblem is multinomial logistic regression with a
 quadratic smoothness penalty, so it is convex and Newton's method with step
 halving is both safe and fast.
 
-The Newton system uses the exact softmax Gauss-Newton Hessian.  For small
-problems it is solved directly in class coordinates.  Softmax logits are
-invariant to adding the same vector to every class, so the data term of the
-Hessian vanishes along class-constant directions, and the penalty and the
-jitter act on each class alike.  The class mean therefore decouples exactly:
-it sees only ``lambda * Laplacian + jitter``, which the FFT diagonalises on
-the periodic grid, and the ``L - 1`` class contrasts form one dense system of
-``(L-1)(F+1)`` unknowns instead of ``L(F+1)``.  Past a size threshold the full
-Hessian is applied matrix-free inside conjugate gradients.  Both paths are
-deterministic.  A singular or non-descent system falls back to a gradient
-step with Armijo search and flags the step report.
+The Newton system uses the exact softmax Gauss-Newton Hessian and has three
+solves.  Softmax logits are invariant to adding the same vector to every
+class, so the data term of the Hessian vanishes along class-constant
+directions, and the penalty and the jitter act on each class alike.  The
+class mean therefore decouples exactly: it sees only ``lambda * Laplacian +
+jitter``, which the FFT diagonalises on the periodic grid.  The ``L - 1``
+class contrasts form one system of ``(L-1)(F+1)`` unknowns for ``F``
+features per class, solved directly (the contrast path).  With ``m``
+examples and ``c`` channels that system also has an exact sample-space form
+of ``(L-1)(m+c+1)`` unknowns, because the data term has rank at most
+``m(L-1)`` and the penalty is diagonal under the FFT (the sample path).
+The smaller of the two is solved directly if it has at most
+``DENSE_NEWTON_LIMIT`` unknowns, the sample form only when ``lambda > 0``;
+otherwise the full Hessian is applied matrix-free inside conjugate gradients.
+All three are deterministic.  A singular or non-descent system falls back to
+a gradient step with Armijo search and flags the step report.
 
 The smoothness penalties are those of :func:`mgcnn.network.loss`.
 """
@@ -71,7 +76,8 @@ __all__ = [
     "reg_value_and_grad",
 ]
 
-# Direct Newton solve up to this many unknowns, counted as L(F+1); CG beyond.
+# Direct Newton solve up to this many unknowns in the system solved:
+# (L-1)(F+1) on the contrast path, (L-1)(m+c+1) on the sample path.  CG beyond.
 DENSE_NEWTON_LIMIT = 3000
 # Tikhonov jitter on the Hessian diagonal, which keeps the contrast system
 # and the CG operator definite where the data term is flat.  The class-mean
@@ -156,9 +162,9 @@ def newton_classifier_step(
     onehot[np.arange(m), labels] = 1.0
 
     def objective(w: np.ndarray, mu: np.ndarray) -> float:
-        logits = A @ w.T + mu
-        ce = float(_cross_entropy(logits, labels).mean())
-        return ce + lam * _smooth_sq(w.reshape((L,) + field_shape))
+        return classifier_objective(
+            features, labels, Classifier(clf.grid, w.reshape((L,) + field_shape), mu), reg
+        )
 
     def grad(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         probs = softmax(A @ w.T + mu)
@@ -166,6 +172,7 @@ def newton_classifier_step(
         g_w = d.T @ A + lam * _laplacian_flat(w, (L,) + field_shape)
         return g_w, d.sum(axis=0), probs
 
+    direction = _newton_solver(A, lam, (L,) + field_shape)
     w = clf.weights.reshape(L, F).copy()
     mu = clf.mu.copy()
     obj = objective(w, mu)
@@ -179,7 +186,7 @@ def newton_classifier_step(
             objectives.append(obj)
             continue
 
-        dir_w, dir_mu = _newton_direction(A, probs, g_w, g_mu, lam, (L,) + field_shape)
+        dir_w, dir_mu = direction(probs, g_w, g_mu)
         accepted = False
         if dir_w is not None and float((dir_w * g_w).sum() + (dir_mu * g_mu).sum()) < 0.0:
             t = 1.0
@@ -270,30 +277,107 @@ def _contrast_hessian(
     return H
 
 
-def _class_mean_solve(b: np.ndarray, lam: float, field_shape: tuple[int, ...]) -> np.ndarray:
-    """Solve the class-mean block ``(lam * Laplacian + jitter) x = b``.
+def _penalty_solve(v: np.ndarray, lam: float, field_shape: tuple[int, ...]) -> np.ndarray:
+    """Apply ``(lam * Laplacian + jitter)^-1`` to the fields in the rows of
+    ``v`` (shape ``(..., F)``), and zero on the penalty's null space.
 
-    ``b`` is one ``[w | mu]`` row.  The periodic 5-point Laplacian is
-    diagonal in Fourier space, with symbol ``2(4 - 2cos(2πk/nx) -
-    2cos(2πl/ny))`` on every channel's field.  On the null space of
-    ``lam * Laplacian`` (each channel's zero frequency, every frequency when
-    ``lam`` is 0, and the offset) the right-hand side is zero in exact
-    arithmetic, because the softmax residual sums to zero over classes;
-    dividing its rounding by the jitter would only add a random
-    class-constant shift, so the solution is 0 there.
+    The periodic 5-point Laplacian is diagonal in Fourier space, with symbol
+    ``2(4 - 2cos(2πk/nx) - 2cos(2πl/ny))`` on every channel's field.  Its
+    null space is each channel's zero frequency (every frequency when
+    ``lam`` is 0), where the result is 0: no solve divides by the jitter
+    alone.  This is the class-mean block of the Newton system, whose
+    right-hand side vanishes there in exact arithmetic because the softmax
+    residual sums to zero over classes, and the penalised part of the
+    sample-space solve, which treats that null space explicitly.
     """
     ny, nx = field_shape[-2:]
-    F = b.size - 1
     symbol = 2.0 * (
         4.0
         - 2.0 * np.cos(2.0 * np.pi * np.arange(nx // 2 + 1) / nx)
         - 2.0 * np.cos(2.0 * np.pi * np.arange(ny)[:, None] / ny)
     )
     curvature = lam * symbol
-    spectrum = np.fft.rfft2(b[:F].reshape(field_shape))
+    spectrum = np.fft.rfft2(v.reshape(v.shape[:-1] + tuple(field_shape)))
     spectrum = np.where(curvature > 0.0, spectrum / (curvature + NEWTON_JITTER), 0.0)
-    x_w = np.fft.irfft2(spectrum, s=(ny, nx))
-    return np.append(x_w.reshape(-1), 0.0)
+    return np.fft.irfft2(spectrum, s=(ny, nx)).reshape(v.shape)
+
+
+def _sample_kernel(A: np.ndarray, lam: float, field_shape: tuple[int, ...]):
+    """What the sample-space solve needs of the features alone.
+
+    Returns ``X``, whose rows are ``D^-1 a_i`` for the penalised part ``D``
+    of the contrast system (:func:`_penalty_solve`); the kernel
+    ``K = A D^-1 A^T`` (``m x m``); and ``C = [A, 1] U``, the samples seen
+    through the ``c + 1`` orthonormal null directions ``U`` of the penalty
+    (each channel's constant field, and the offset).
+    """
+    m, F = A.shape
+    c = field_shape[0]
+    X = _penalty_solve(A, lam, field_shape)
+    C = np.ones((m, c + 1))
+    C[:, :c] = A.reshape(m, c, -1).sum(axis=2) / math.sqrt(F // c)
+    return X, A @ X.T, C
+
+
+def _sample_solve(
+    A: np.ndarray,
+    kernel: tuple[np.ndarray, np.ndarray, np.ndarray],
+    probs: np.ndarray,
+    b: np.ndarray,
+    lam: float,
+    field_shape: tuple[int, ...],
+) -> np.ndarray:
+    """Solve the contrast system of :func:`_contrast_hessian` for the
+    ``(L-1, F+1)`` right-hand side ``b`` in sample space.
+
+    Per contrast, ``x = x_p + U z``: ``x_p`` is the part the penalty ``D``
+    acts on and ``z`` the ``k = c + 1`` null coordinates, where only the
+    jitter acts.  With ``S_i`` the ``(L-1) x (L-1)`` contrast covariance of
+    sample ``i`` and ``t = S^½ [A, 1] x``, eliminating ``x_p`` leaves the
+    symmetric bordered system of ``(L-1)(m + k)`` unknowns
+
+        [[I + S^½ (I ⊗ K) S^½, -S^½ C], [-C^T S^½, -jitter I]] [t; z]
+            = [S^½ (I ⊗ A D^-1) b_w; -U^T b],
+
+    after which ``x_p = D^-1 (b_w - A^T S^½ t)``.  The top-left block has
+    every eigenvalue at least 1, and ``z`` is never divided by the jitter
+    inside an inverse.
+    """
+    X, K, C = kernel
+    m, L = probs.shape
+    F = A.shape[1]
+    c = field_shape[0]
+    pixels = F // c
+    n = (L - 1) * m
+    Q = _contrast_basis(L)
+    dev = Q - (probs @ Q)[:, None, :]
+    cov = np.einsum("il,ila,ilb->iab", probs, dev, dev) / m
+    evals, vecs = np.linalg.eigh(cov)
+    root = (vecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :]) @ vecs.transpose(0, 2, 1)
+    rows = root.transpose(1, 0, 2).reshape(n, L - 1)  # row (a, i): S_i^½[a, :]
+
+    # entry ((a, i), (b, j)) of S^½ (I ⊗ K) S^½ is (S_i^½ S_j^½)[a, b] K[i, j]
+    top = rows @ rows.T
+    top.reshape(L - 1, m, L - 1, m)[...] *= K[:, None, :]
+    top[np.diag_indices(n)] += 1.0
+    border = -(rows[:, :, None] * np.tile(C, (L - 1, 1))[:, None, :]).reshape(n, -1)
+    system = np.block([[top, border], [border.T, -NEWTON_JITTER * np.eye(border.shape[1])]])
+
+    b_w = b[:, :F]
+    b_null = np.empty((L - 1, c + 1))  # U^T b
+    b_null[:, :c] = b_w.reshape(L - 1, c, pixels).sum(axis=2) / math.sqrt(pixels)
+    b_null[:, c] = b[:, F]
+    b_t = np.einsum("iab,bi->ai", root, b_w @ X.T)  # S^½ (I ⊗ A D^-1) b_w
+    sol = scipy.linalg.solve(
+        system, np.concatenate([b_t.reshape(-1), -b_null.reshape(-1)]), assume_a="sym"
+    )
+    t, z = sol[:n].reshape(L - 1, m), sol[n:].reshape(L - 1, c + 1)
+
+    x = np.empty_like(b)
+    x[:, :F] = _penalty_solve(b_w - np.einsum("iab,bi->ai", root, t) @ A, lam, field_shape)
+    x[:, :F] += np.repeat(z[:, :c] / math.sqrt(pixels), pixels, axis=1)
+    x[:, F] = z[:, c]
+    return x
 
 
 def _hessian_matvec(A: np.ndarray, probs: np.ndarray, lam: float, w_shape: tuple[int, ...]):
@@ -317,53 +401,93 @@ def _hessian_matvec(A: np.ndarray, probs: np.ndarray, lam: float, w_shape: tuple
     return hess_vec
 
 
-def _newton_direction(
-    A: np.ndarray,
-    probs: np.ndarray,
-    g_w: np.ndarray,
-    g_mu: np.ndarray,
-    lam: float,
-    w_shape: tuple[int, ...],
-):
-    """Solve ``H d = -g`` for the softmax Gauss-Newton Hessian.
+def _newton_route(m: int, w_shape: tuple[int, ...], lam: float) -> str:
+    """Which solve :func:`_newton_solver` uses: ``"sample"``, ``"contrast"`` or ``"cg"``.
 
-    Up to ``DENSE_NEWTON_LIMIT`` unknowns the system is split exactly in two.
-    The data term of ``H`` acts on each sample through ``diag p - p p^T``,
-    which annihilates the all-ones class vector, while the penalty and the
-    jitter act on every class alike.  In the orthonormal class basis
-    ``[1/sqrt(L), Q]`` the Hessian is therefore block diagonal: the class
-    mean sees only ``lam * Laplacian + jitter``, solved by FFT, and the
-    ``L - 1`` contrasts form one dense ``(L-1)(F+1)`` system
-    (:func:`_contrast_hessian`), solved directly.  The direction is
-    ``Q d_c + 1 ⊗ d_mean``.  Beyond the limit, conjugate gradients run on
-    the matrix-free product of the full Hessian.  Returns ``(None, None)``
-    when the solve fails so the caller can fall back.
+    The sample system has ``(L-1)(m+c+1)`` unknowns and the contrast system
+    ``(L-1)(F+1)``.  The smaller one is solved directly if it fits under
+    ``DENSE_NEWTON_LIMIT``, otherwise CG runs.  Without the penalty every
+    unknown's only curvature outside the data term is the jitter, so
+    ``lam = 0`` never takes the sample path.
     """
-    L = probs.shape[1]
-    F = A.shape[1]
-    size = L * (F + 1)
+    L, c = w_shape[0], w_shape[1]
+    contrast = (L - 1) * (math.prod(w_shape[1:]) + 1)
+    sample = (L - 1) * (m + c + 1)
+    if lam > 0.0 and sample < contrast and sample <= DENSE_NEWTON_LIMIT:
+        return "sample"
+    if contrast <= DENSE_NEWTON_LIMIT:
+        return "contrast"
+    return "cg"
 
-    if size <= DENSE_NEWTON_LIMIT:
+
+def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
+    """The map ``(probs, g_w, g_mu) -> (d_w, d_mu)`` solving ``H d = -g`` for
+    the softmax Gauss-Newton Hessian on the fixed features ``A``.
+
+    Three solves, routed by :func:`_newton_route` once per feature set:
+
+    - **Contrast** (direct).  The data term of ``H`` acts on each sample
+      through ``diag p - p p^T``, which annihilates the all-ones class
+      vector, while the penalty and the jitter act on every class alike.  In
+      the orthonormal class basis ``[1/sqrt(L), Q]`` the Hessian is
+      therefore block diagonal: the class mean sees only ``lam * Laplacian
+      + jitter``, solved by FFT (:func:`_penalty_solve`), and the ``L - 1``
+      contrasts form one dense ``(L-1)(F+1)`` system
+      (:func:`_contrast_hessian`).  The direction is ``Q d_c + 1 ⊗ d_mean``.
+    - **Sample** (direct).  The same split, with the contrast system solved
+      in ``(L-1)(m+c+1)`` sample-space unknowns (:func:`_sample_solve`);
+      its kernel depends on ``A`` alone and is built here, once.
+    - **CG**: conjugate gradients on the matrix-free product of the full
+      Hessian (:func:`_hessian_matvec`).
+
+    The map returns ``(None, None)`` when the solve fails so the caller can
+    fall back.
+    """
+    m, F = A.shape
+    L = w_shape[0]
+    field_shape = w_shape[1:]
+    route = _newton_route(m, w_shape, lam)
+
+    if route == "cg":
+        size = L * (F + 1)
+
+        def cg_direction(probs: np.ndarray, g_w: np.ndarray, g_mu: np.ndarray):
+            rhs = -np.concatenate([g_w.reshape(-1), g_mu])
+            op = scipy.sparse.linalg.LinearOperator(
+                (size, size), matvec=_hessian_matvec(A, probs, lam, w_shape)
+            )
+            d, info = scipy.sparse.linalg.cg(op, rhs, maxiter=200, atol=0.0, rtol=1e-8)
+            if info < 0 or not np.all(np.isfinite(d)):
+                return None, None
+            return d[: L * F].reshape(L, F), d[L * F :]
+
+        return cg_direction
+
+    if route == "sample":
+        kernel = _sample_kernel(A, lam, field_shape)
+
+        def contrast_solve(probs: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return _sample_solve(A, kernel, probs, b, lam, field_shape)
+
+    else:
+
+        def contrast_solve(probs: np.ndarray, b: np.ndarray) -> np.ndarray:
+            H = _contrast_hessian(A, probs, lam, w_shape)
+            return scipy.linalg.solve(H, b.reshape(-1), assume_a="sym").reshape(b.shape)
+
+    Q = _contrast_basis(L)
+
+    def direction(probs: np.ndarray, g_w: np.ndarray, g_mu: np.ndarray):
         rhs = -np.concatenate([g_w, g_mu[:, None]], axis=1)  # rows [w_j | mu_j]
-        Q = _contrast_basis(L)
-        H = _contrast_hessian(A, probs, lam, w_shape)
         try:
-            d_c = scipy.linalg.solve(H, (Q.T @ rhs).reshape(-1), assume_a="sym")
+            d_c = contrast_solve(probs, Q.T @ rhs)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
             return None, None
-        d = Q @ d_c.reshape(L - 1, F + 1) + _class_mean_solve(
-            rhs.mean(axis=0), lam, w_shape[1:]
-        )
+        d = Q @ d_c
+        d[:, :F] += _penalty_solve(rhs[:, :F].mean(axis=0), lam, field_shape)
         return d[:, :F], d[:, F]
 
-    rhs = -np.concatenate([g_w.reshape(-1), g_mu])
-    op = scipy.sparse.linalg.LinearOperator(
-        (size, size), matvec=_hessian_matvec(A, probs, lam, w_shape)
-    )
-    d, info = scipy.sparse.linalg.cg(op, rhs, maxiter=200, atol=0.0, rtol=1e-8)
-    if info < 0 or not np.all(np.isfinite(d)):
-        return None, None
-    return d[: L * F].reshape(L, F), d[L * F :]
+    return direction
 
 
 # --- outer loop ---------------------------------------------------------------

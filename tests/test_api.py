@@ -18,9 +18,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = ["mgcnn", "mgcnn.cli", "mgcnn.data", "mgcnn.grid", "mgcnn.multiscale",
            "mgcnn.network", "mgcnn.stencils", "mgcnn.training"]
 
-# Single-image and single-stencil wrappers replaced by the array-level API.
+# Single-image and single-stencil wrappers replaced by the array-level API,
+# and test-only helpers whose checks moved into the tests.
 REMOVED = {
-    "mgcnn.grid": ["Image", "restrict_image", "prolong_image", "gaussian_blur"],
+    "mgcnn.grid": ["Image", "restrict_image", "prolong_image", "gaussian_blur",
+                   "verify_rp_identity"],
     "mgcnn.stencils": ["Stencil", "Symbol", "conv_apply", "coarsen_stencil", "refine_stencil"],
     "mgcnn.network": ["Trajectory", "gradient"],
     "mgcnn": ["Image"],

@@ -227,6 +227,23 @@ def flat_unknowns(rows):
     return np.concatenate([rows[:, :-1].reshape(-1), rows[:, -1]])
 
 
+def newton_gradient(A, probs, w_shape, lam, seed):
+    """A classifier gradient at weights with a nonzero, rough class mean."""
+    rng = np.random.default_rng(seed)
+    L, m = w_shape[0], A.shape[0]
+    w = rng.normal(size=(L, A.shape[1])) + rng.normal(size=A.shape[1])
+    resid = (probs - np.eye(L)[rng.integers(0, L, m)]) / m
+    g_w = resid.T @ A + lam * training_mod._laplacian_flat(w, w_shape)
+    return g_w, resid.sum(axis=0)
+
+
+def routed_direction(monkeypatch, route, A, probs, g_w, g_mu, lam, w_shape):
+    """The Newton direction through one solve, as flat unknowns."""
+    monkeypatch.setattr(training_mod, "_newton_route", lambda *args: route)
+    d_w, d_mu = training_mod._newton_solver(A, lam, w_shape)(probs, g_w, g_mu)
+    return np.concatenate([d_w.reshape(-1), d_mu])
+
+
 class TestNewtonAssembly:
     # (2, 4, 5) has full 5-point rows; (1, 2, 3) has a side of 2, where the
     # periodic neighbours coincide and their entries add.
@@ -251,22 +268,16 @@ class TestNewtonAssembly:
 
     @pytest.mark.parametrize("L", [2, 3])
     @pytest.mark.parametrize("lam", [0.3, 0.0])
-    def test_dense_direction_solves_the_full_system(self, L, lam):
+    def test_dense_direction_solves_the_full_system(self, monkeypatch, L, lam):
         # Classifier weights with a nonzero, rough class mean put weight on
         # the FFT-solved mean block when lam > 0.
         A, probs, w_shape = newton_problem(43, (2, 4, 5), L=L)
-        rng = np.random.default_rng(44)
-        m = A.shape[0]
-        w = rng.normal(size=(L, A.shape[1])) + rng.normal(size=A.shape[1])
-        resid = (probs - np.eye(L)[rng.integers(0, L, m)]) / m
-        g_w = resid.T @ A + lam * training_mod._laplacian_flat(w, w_shape)
-        g_mu = resid.sum(axis=0)
+        g_w, g_mu = newton_gradient(A, probs, w_shape, lam, seed=44)
         rhs = -np.concatenate([g_w.reshape(-1), g_mu])
         if lam > 0.0:
             assert np.linalg.norm(g_w.mean(axis=0)) >= 0.1 * np.linalg.norm(g_w)
-        d_w, d_mu = training_mod._newton_direction(A, probs, g_w, g_mu, lam, w_shape)
+        d = routed_direction(monkeypatch, "contrast", A, probs, g_w, g_mu, lam, w_shape)
         hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
-        d = np.concatenate([d_w.reshape(-1), d_mu])
         assert np.linalg.norm(hess_vec(d) - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_cg_branch_solves_the_same_system(self, monkeypatch):
@@ -278,17 +289,96 @@ class TestNewtonAssembly:
         # a right-hand side in the range of the nearly shift-invariant H
         rhs = H @ np.random.default_rng(42).normal(size=H.shape[0])
         g_w, g_mu = -rhs[: -w_shape[0]].reshape(w_shape[0], -1), -rhs[-w_shape[0] :]
-        dense = training_mod._newton_direction(A, probs, g_w, g_mu, lam, w_shape)
+        dense = training_mod._newton_solver(A, lam, w_shape)(probs, g_w, g_mu)
 
         def no_dense(*args):
             raise AssertionError("dense assembly on the CG branch")
 
         monkeypatch.setattr(training_mod, "DENSE_NEWTON_LIMIT", 0)
         monkeypatch.setattr(training_mod, "_contrast_hessian", no_dense)
-        cg = training_mod._newton_direction(A, probs, g_w, g_mu, lam, w_shape)
+        cg = training_mod._newton_solver(A, lam, w_shape)(probs, g_w, g_mu)
         for d_w, d_mu in (dense, cg):
             d = np.concatenate([d_w.reshape(-1), d_mu])
             assert np.linalg.norm(H @ d - rhs) <= 1e-6 * np.linalg.norm(rhs)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this solve must not run")
+
+
+class TestSampleSpaceNewton:
+    # (1, 2, 3) has a side of 2, where the periodic neighbours coincide.
+    @pytest.mark.parametrize("field_shape", [(2, 4, 5), (1, 2, 3)])
+    @pytest.mark.parametrize("L", [2, 3, 10])
+    def test_matches_the_contrast_direction(self, monkeypatch, field_shape, L):
+        A, probs, w_shape = newton_problem(45, field_shape, L=L)
+        lam = 0.3
+        g_w, g_mu = newton_gradient(A, probs, w_shape, lam, seed=46)
+        assert np.linalg.norm(g_w.mean(axis=0)) >= 0.1 * np.linalg.norm(g_w)
+        sample = routed_direction(monkeypatch, "sample", A, probs, g_w, g_mu, lam, w_shape)
+        contrast = routed_direction(monkeypatch, "contrast", A, probs, g_w, g_mu, lam, w_shape)
+        assert np.linalg.norm(sample - contrast) <= 1e-9 * np.linalg.norm(contrast)
+
+    @pytest.mark.parametrize("field_shape", [(2, 4, 5), (1, 2, 3)])
+    @pytest.mark.parametrize("L", [2, 3, 10])
+    def test_solves_the_full_system(self, monkeypatch, field_shape, L):
+        A, probs, w_shape = newton_problem(47, field_shape, L=L)
+        lam = 0.3
+        g_w, g_mu = newton_gradient(A, probs, w_shape, lam, seed=48)
+        rhs = -np.concatenate([g_w.reshape(-1), g_mu])
+        d = routed_direction(monkeypatch, "sample", A, probs, g_w, g_mu, lam, w_shape)
+        hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
+        assert np.linalg.norm(hess_vec(d) - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    def test_many_features_take_the_sample_path(self, monkeypatch):
+        # 6 examples against 288 unknowns per class: the sample system has
+        # 2 * 9 unknowns, the contrast system 2 * 289.
+        A, probs, w_shape = newton_problem(49, (2, 12, 12), m=6)
+        lam = 0.3
+        assert training_mod._newton_route(6, w_shape, lam) == "sample"
+        g_w, g_mu = newton_gradient(A, probs, w_shape, lam, seed=50)
+        monkeypatch.setattr(training_mod, "_contrast_hessian", refuse)
+        monkeypatch.setattr(training_mod.scipy.sparse.linalg, "cg", refuse)
+        d_w, d_mu = training_mod._newton_solver(A, lam, w_shape)(probs, g_w, g_mu)
+        d = np.concatenate([d_w.reshape(-1), d_mu])
+        rhs = -np.concatenate([g_w.reshape(-1), g_mu])
+        hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
+        assert np.linalg.norm(hess_vec(d) - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    def test_no_penalty_never_takes_the_sample_path(self, monkeypatch):
+        A, probs, w_shape = newton_problem(49, (2, 12, 12), m=6)
+        assert training_mod._newton_route(6, w_shape, 0.0) == "contrast"
+        g_w, g_mu = newton_gradient(A, probs, w_shape, 0.0, seed=50)
+        monkeypatch.setattr(training_mod, "_sample_kernel", refuse)
+        monkeypatch.setattr(training_mod, "_sample_solve", refuse)
+        d_w, d_mu = training_mod._newton_solver(A, 0.0, w_shape)(probs, g_w, g_mu)
+        assert np.all(np.isfinite(d_w)) and np.all(np.isfinite(d_mu))
+
+    @staticmethod
+    def wide_problem():
+        # 30 examples against 1200 unknowns per class at h = 1/20, where the
+        # 200-iteration CG stops short of convergence.
+        rng = np.random.default_rng(9)
+        features = rng.normal(size=(30, 3, 20, 20))
+        labels = rng.integers(0, 10, 30)
+        clf = zero_classifier(Grid2D(20, 20, 1.0 / 20), 3, 10)
+        return features, labels, clf, RegConfig(1e-3, 0.0)
+
+    def test_newton_step_ends_no_higher_than_cg(self, monkeypatch):
+        features, labels, clf, reg = self.wide_problem()
+        sample = newton_classifier_step(features, labels, clf, reg, steps=5)
+        monkeypatch.setattr(training_mod, "_newton_route", lambda *args: "cg")
+        cg = newton_classifier_step(features, labels, clf, reg, steps=5)
+        assert not sample.used_fallback
+        assert sample.objectives[-1] <= cg.objectives[-1]
+
+    def test_bit_identical_replay(self, monkeypatch):
+        features, labels, clf, reg = self.wide_problem()
+        monkeypatch.setattr(training_mod.scipy.sparse.linalg, "cg", refuse)
+        first = newton_classifier_step(features, labels, clf, reg, steps=3)
+        again = newton_classifier_step(features, labels, clf, reg, steps=3)
+        np.testing.assert_array_equal(first.classifier.weights, again.classifier.weights)
+        np.testing.assert_array_equal(first.classifier.mu, again.classifier.mu)
 
 
 def blob_set(n=40, seed=0, noise=0.05):
