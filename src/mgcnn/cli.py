@@ -186,7 +186,9 @@ _HELP = {
     "outer_iters": "BCD outer iterations",
     "newton_steps": "Newton steps on the classifier per iteration",
     "step_rule": "propagation step rule: armijo or fixed",
-    "step_size": "step size (fixed) or initial step (armijo)",
+    "step_size": (
+        "step size (fixed), or the first iteration's trial step and the cap on later ones (armijo)"
+    ),
     "armijo_beta": "backtracking shrink factor",
     "armijo_c": "Armijo sufficient-decrease constant",
     "batch_size": "propagation-step batch size, 0 = full batch",

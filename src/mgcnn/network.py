@@ -61,7 +61,6 @@ __all__ = [
     "NetworkParams",
     "RegConfig",
     "RegGrads",
-    "classify",
     "embed_input",
     "forward_propagate",
     "forward_step",
@@ -349,16 +348,6 @@ def _logits(y_out: np.ndarray, clf: Classifier) -> np.ndarray:
     flat_w = clf.weights.reshape(clf.num_classes, -1)
     flat_y = y_out.reshape(y_out.shape[:-3] + (-1,))
     return clf.grid.h**2 * (flat_y @ flat_w.T) + clf.mu
-
-
-def classify(y_out: np.ndarray, clf: Classifier) -> np.ndarray:
-    """Class probabilities for final state(s) of shape ``(..., c, ny, nx)``."""
-    if y_out.shape[-3:] != (clf.channels,) + clf.grid.shape:
-        raise DimensionError(
-            f"state shape {y_out.shape[-3:]} does not match classifier "
-            f"({clf.channels}, {clf.grid.ny}, {clf.grid.nx})"
-        )
-    return softmax(_logits(y_out, clf))
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Block coordinate descent training.
 
 Each outer iteration takes one first-order step on the propagation
-parameters (fixed step size or Armijo backtracking) and then a handful of
-damped Newton steps on the classifier.  With the propagation parameters
-frozen, the classifier subproblem is multinomial logistic regression with a
-quadratic smoothness penalty, so it is convex and Newton's method with step
-halving is both safe and fast.
+parameters (a fixed step size, or Armijo backtracking that starts from the
+step accepted last) and then a handful of damped Newton steps on the
+classifier.  With the propagation parameters frozen, the classifier
+subproblem is multinomial logistic regression with a quadratic smoothness
+penalty, so it is convex and Newton's method with step halving is both safe
+and fast.
 
 The Newton system uses the exact softmax Gauss-Newton Hessian and has three
 solves.  Softmax logits are invariant to adding the same vector to every
@@ -93,6 +94,16 @@ class FixedStep:
 
 @dataclass(frozen=True)
 class ArmijoBacktracking:
+    """Backtracking line search with the sufficient-decrease test.
+
+    Each search tries ``t, beta * t, beta^2 * t, ...`` for at most
+    ``max_backtracks`` trials.  Within one :func:`bcd_train` call the first
+    search starts at ``step_size``; each later one warm-starts one expansion
+    above the step accepted last, ``min(step_size, t_last / beta)``, so
+    ``step_size`` also caps every step.  After a search that accepts no step,
+    the next one starts where that one started.
+    """
+
     step_size: float = 1.0
     beta: float = 0.5
     c: float = 1e-4
@@ -548,27 +559,34 @@ def _take_prop_step(
     clf: Classifier,
     reg: RegConfig,
     rule: StepRule,
+    t0: float,
     report: LossReport,
     grads: Gradients,
     workers: int,
     keep_states: bool,
-) -> tuple[NetworkParams, np.ndarray | None]:
-    """The next propagation parameters, and the final states of ``images``
-    under them when an accepted Armijo trial computed them and
-    ``keep_states`` is set."""
+) -> tuple[NetworkParams, np.ndarray | None, float | None]:
+    """One step on the propagation parameters.
+
+    Returns the next parameters; the final states of ``images`` under them
+    when an accepted Armijo trial computed them and ``keep_states`` is set;
+    and the step taken.  ``FixedStep`` always takes ``rule.step_size``.
+    Armijo backtracks from ``t0`` by ``rule.beta``; when no trial passes the
+    sufficient-decrease test (or the gradient is zero) it keeps the current
+    point and returns ``None`` as the step.
+    """
     if isinstance(rule, FixedStep):
-        return _prop_step(params, grads, rule.step_size), None
+        return _prop_step(params, grads, rule.step_size), None, rule.step_size
     sq = grads.prop_sq_norm(params.embed_learnable)
     if sq == 0.0:
-        return params, None
-    t = rule.step_size
+        return params, None, None
+    t = t0
     for _ in range(rule.max_backtracks):
         trial = _prop_step(params, grads, t)
         trial_report = loss(images, labels, trial, clf, reg, workers=workers)
         if trial_report.total <= report.total - rule.c * t * sq:
-            return trial, trial_report.features if keep_states else None
+            return trial, trial_report.features if keep_states else None, t
         t *= rule.beta
-    return params, None  # no acceptable step; keep the current point
+    return params, None, None
 
 
 def bcd_train(
@@ -587,6 +605,12 @@ def bcd_train(
     fixed config and seed.  In full-batch mode the accepted Armijo trial has
     already propagated the whole training set, and its final states serve as
     the Newton features; otherwise they come from a fresh pass.
+
+    The Armijo search of the first iteration starts at ``step_size``; every
+    later one starts at ``min(step_size, t_last / beta)`` from the step
+    accepted last (Nocedal and Wright, *Numerical Optimization*, section 3.5),
+    so an iteration whose accepted step is below ``step_size`` does not pay
+    again for the rejected trials above it.
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
@@ -598,15 +622,19 @@ def bcd_train(
 
     rng = np.random.default_rng(cfg.seed)
     batcher = _Batcher(len(train), cfg.batch_size, rng)
+    rule = cfg.prop_step_rule
+    t0 = rule.step_size
 
     for it in range(1, cfg.outer_iters + 1):
         idx = batcher.next()
         images, labels = train.images[idx], train.labels[idx]
         report, grads = loss_and_gradient(images, labels, params, clf, reg, workers=workers)
-        params, features = _take_prop_step(
-            images, labels, params, clf, reg, cfg.prop_step_rule, report, grads, workers,
+        params, features, t = _take_prop_step(
+            images, labels, params, clf, reg, rule, t0, report, grads, workers,
             keep_states=len(idx) == len(train),
         )
+        if t is not None and isinstance(rule, ArmijoBacktracking):
+            t0 = min(rule.step_size, t / rule.beta)
         if features is None:
             features = propagate_final(train.images, params, workers=workers)
         if cfg.newton_steps > 0:

@@ -24,7 +24,7 @@ REMOVED = {
     "mgcnn.grid": ["Image", "restrict_image", "prolong_image", "gaussian_blur",
                    "verify_rp_identity"],
     "mgcnn.stencils": ["Stencil", "Symbol", "conv_apply", "coarsen_stencil", "refine_stencil"],
-    "mgcnn.network": ["Trajectory", "gradient"],
+    "mgcnn.network": ["Trajectory", "gradient", "classify"],
     "mgcnn": ["Image"],
 }
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgcnn.cli import RunConfig, config_hash, main, parse_config
+from mgcnn.cli import _HELP, RunConfig, config_hash, main, parse_config
 from mgcnn.data import ModelFile, load_model, save_model
 from mgcnn.errors import ConfigError
 from mgcnn.grid import Grid2D
@@ -13,7 +13,8 @@ from mgcnn.network import Classifier, random_network_params, zero_classifier
 
 from oracles import dense_circulant, rel_err
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 FAST_TRAIN = """
 dataset = bars
@@ -106,6 +107,25 @@ class TestParseConfig:
         text = capsys.readouterr().out
         for key in RunConfig.__dataclass_fields__:
             assert key in text
+
+    def test_help_matches_the_readme_config_table(self):
+        lines = (ROOT / "README.md").read_text().splitlines()
+        start = lines.index("| key | default | meaning |") + 2
+        rows = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            keys, _, meaning = (cell.strip().replace("`", "") for cell in line.strip("|").split("|"))
+            rows[tuple(keys.split(", "))] = meaning
+        assert sorted(k for keys in rows for k in keys) == sorted(_HELP)
+        assert set(_HELP) == set(RunConfig.__dataclass_fields__)
+        for keys, meaning in rows.items():
+            for key in keys:
+                # a row shared by several keys gives their common meaning
+                if len(keys) == 1:
+                    assert _HELP[key] == meaning, key
+                else:
+                    assert _HELP[key].startswith(meaning + " "), key
 
 
 class TestExitCodes:

@@ -1,5 +1,8 @@
 """Regularizer, classifier Newton subproblem, BCD loop, and evaluation."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from mgcnn.network import (
     Classifier,
     _cross_entropy,
     _logits,
+    loss_and_gradient,
     propagate_final,
     random_network_params,
     zero_classifier,
@@ -501,6 +505,120 @@ class TestBcdTrain:
         with pytest.raises(ValueError):
             bcd_train(ds, params, zero_classifier(ds.grid, 2, 2),
                       RegConfig(), BcdConfig(outer_iters=1))
+
+
+class SearchSpy:
+    """Records every BCD iteration of ``bcd_train``: the point and loss report
+    it starts from, and each propagation step tried with the trial's total
+    (``None`` when no trial loss was computed).  Trial losses of the
+    iterations in ``reject`` are replaced by infinity, so their searches
+    accept nothing."""
+
+    def __init__(self, monkeypatch, reject=()):
+        self.iters = []
+        loss_grad, trial_loss, prop_step = (
+            training_mod.loss_and_gradient, training_mod.loss, training_mod._prop_step)
+
+        def spy_loss_grad(images, labels, params, *args, **kwargs):
+            report, grads = loss_grad(images, labels, params, *args, **kwargs)
+            self.iters.append(dict(params=params.copy(), total=report.total,
+                                   sq=grads.prop_sq_norm(params.embed_learnable), trials=[]))
+            return report, grads
+
+        def spy_prop_step(params, grads, t):
+            self.iters[-1]["trials"].append([t, None])
+            return prop_step(params, grads, t)
+
+        def spy_loss(*args, **kwargs):
+            report = trial_loss(*args, **kwargs)
+            if len(self.iters) in reject:
+                report = dataclasses.replace(report, total=math.inf)
+            self.iters[-1]["trials"][-1][1] = report.total
+            return report
+
+        monkeypatch.setattr(training_mod, "loss_and_gradient", spy_loss_grad)
+        monkeypatch.setattr(training_mod, "_prop_step", spy_prop_step)
+        monkeypatch.setattr(training_mod, "loss", spy_loss)
+
+    def accepted(self, it, rule):
+        """The step iteration ``it`` accepted, or None; checks that it is
+        the first trial that passes the sufficient-decrease test."""
+        passes = [total <= it["total"] - rule.c * t * it["sq"] for t, total in it["trials"]]
+        if not any(passes):
+            return None
+        assert passes.index(True) == len(passes) - 1
+        return it["trials"][-1][0]
+
+
+class TestArmijoWarmStart:
+    @pytest.mark.parametrize("beta", [0.5, 0.3])
+    def test_each_search_starts_above_the_last_accepted_step(self, monkeypatch, beta):
+        rule = ArmijoBacktracking(step_size=1.0, beta=beta)
+        spy = SearchSpy(monkeypatch)
+        ds = blob_set(n=30, seed=3)
+        bcd_train(ds, varied_params(10, num_layers=2), zero_classifier(ds.grid, 2, 2),
+                  RegConfig(0.02, 0.05),
+                  BcdConfig(outer_iters=8, newton_steps=2, prop_step_rule=rule))
+        assert len(spy.iters) == 8
+        start = rule.step_size
+        accepted = []
+        for it in spy.iters:
+            steps = [t for t, _ in it["trials"]]
+            assert steps[0] == start
+            for a, b in zip(steps, steps[1:]):
+                assert b == a * rule.beta
+            t = spy.accepted(it, rule)
+            assert t is not None and t <= rule.step_size
+            accepted.append(t)
+            start = min(rule.step_size, t / rule.beta)
+        # both branches of the start were taken: the cap, and a warm start
+        # below step_size
+        assert max(accepted) / rule.beta > rule.step_size
+        assert min(it["trials"][0][0] for it in spy.iters) < rule.step_size
+
+    def test_search_without_accepted_step_keeps_point_and_start(self, monkeypatch):
+        rule = ArmijoBacktracking(step_size=1.0, max_backtracks=10)
+        spy = SearchSpy(monkeypatch, reject={3})
+        ds = blob_set(n=30, seed=3)
+        bcd_train(ds, varied_params(10, num_layers=2), zero_classifier(ds.grid, 2, 2),
+                  RegConfig(0.02, 0.05),
+                  BcdConfig(outer_iters=4, newton_steps=2, prop_step_rule=rule))
+        before, rejected, after = spy.iters[1:]
+        t = spy.accepted(before, rule)
+        assert t is not None
+        start = min(rule.step_size, t / rule.beta)
+        assert start < rule.step_size
+        assert rejected["trials"][0][0] == start
+        assert len(rejected["trials"]) == rule.max_backtracks
+        assert spy.accepted(rejected, rule) is None
+        for b0, b1 in zip(rejected["params"].banks, after["params"].banks):
+            np.testing.assert_array_equal(b0.weights, b1.weights)
+        np.testing.assert_array_equal(rejected["params"].biases, after["params"].biases)
+        assert after["trials"][0][0] == start
+
+    def test_fixed_step_matches_the_plain_loop(self, monkeypatch):
+        # FixedStep takes step_size every iteration, computes no trial loss,
+        # and gives the history of the loop written out by hand
+        ds = blob_set(n=20, seed=4)
+        params = random_network_params(channels=2, num_layers=2, final_time=0.5, seed=4)
+        reg = RegConfig(0.01, 0.01)
+        spy = SearchSpy(monkeypatch)
+        res = bcd_train(ds, params, zero_classifier(ds.grid, 2, 2), reg,
+                        BcdConfig(outer_iters=3, newton_steps=2,
+                                  prop_step_rule=FixedStep(0.05)))
+        assert [it["trials"] for it in spy.iters] == [[[0.05, None]]] * 3
+        monkeypatch.undo()
+        p, clf = params.copy(), zero_classifier(ds.grid, 2, 2)
+        for row in res.history:
+            _, grads = loss_and_gradient(ds.images, ds.labels, p, clf, reg)
+            p = training_mod._prop_step(p, grads, 0.05)
+            features = propagate_final(ds.images, p)
+            clf = newton_classifier_step(features, ds.labels, clf, reg, 2).classifier
+            reg_term, _ = reg_value_and_grad(p, clf, reg)
+            data_term = float(_cross_entropy(_logits(features, clf), ds.labels).mean())
+            assert (row.data_term, row.reg_term) == (data_term, reg_term)
+        np.testing.assert_array_equal(res.params.biases, p.biases)
+        np.testing.assert_array_equal(res.classifier.weights, clf.weights)
 
 
 class TestEvaluate:
