@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mgcnn import network as network_mod
+from mgcnn import stencils as stencils_mod
 from mgcnn.errors import DimensionError, DivergenceError
 from mgcnn.grid import Grid2D
 from mgcnn.network import (
@@ -103,6 +104,15 @@ class TestEmbed:
         y0 = embed_input(x, p)
         for c in range(3):
             np.testing.assert_array_equal(y0[c], x)
+
+    def test_replication_default_batched_across_blocks(self):
+        x = np.random.default_rng(20).normal(size=(100, 12, 12))
+        # 100 frames of 14 x 14 columns: the kernel takes three column blocks
+        assert 2 * stencils_mod._BLOCK < x.shape[0] * 14 * 14 <= 3 * stencils_mod._BLOCK
+        y0 = embed_input(x, small_params(channels=3))
+        assert y0.shape == (100, 3, 12, 12)
+        for c in range(3):
+            np.testing.assert_array_equal(y0[:, c], x)
 
     def test_matches_naive_composition(self):
         rng = np.random.default_rng(3)

@@ -98,7 +98,9 @@ class TestStencilTypes:
 
 
 # (weights shape, input shape): a non-square grid, a grid equal to the
-# stencil, no batch axis, two leading axes, and the 1 -> 3 embedding.
+# stencil, no batch axis, two leading axes, the 1 -> 3 embedding, and two
+# single-input-channel banks whose frames span two column blocks (40 * 18^2
+# and 36 * 16^2 columns, against _BLOCK = 8192).
 KERNEL_CASES = [
     ((2, 2, 3, 3), (4, 2, 5, 7)),
     ((2, 2, 3, 3), (3, 2, 3, 3)),
@@ -106,6 +108,8 @@ KERNEL_CASES = [
     ((2, 2, 3, 3), (2, 3, 2, 6, 5)),
     ((3, 1, 3, 3), (4, 1, 6, 6)),
     ((2, 3, 5, 5), (2, 3, 5, 6)),
+    ((3, 1, 3, 3), (40, 1, 16, 16)),
+    ((2, 1, 5, 5), (4, 9, 1, 12, 12)),
 ]
 
 
@@ -122,7 +126,10 @@ class TestKernel:
         w, y = rng.normal(size=w_shape), rng.normal(size=y_shape)
         got = bank_apply(w, y)
         assert got.shape == y_shape[:-3] + (w_shape[0],) + y_shape[-2:]
-        np.testing.assert_allclose(got, naive_batched(w, y), rtol=0, atol=1e-12)
+        # with one input channel each tap is one rounded product, summed in
+        # the scalar loop's tap order: the values are exactly the loop's
+        atol = 0.0 if w_shape[1] == 1 else 1e-12
+        np.testing.assert_allclose(got, naive_batched(w, y), rtol=0, atol=atol)
 
     @pytest.mark.parametrize("w_shape,y_shape", KERNEL_CASES)
     def test_tap_gradient_is_the_adjoint(self, w_shape, y_shape):
@@ -145,11 +152,55 @@ class TestKernel:
             basis[idx] = 0.0
             assert abs(g[idx] - want) <= 1e-12 * max(1.0, abs(want))
 
+    def test_single_input_channel_takes_no_matrix_product(self, monkeypatch):
+        calls = []
+        matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        rng = np.random.default_rng(17)
+        bank_apply(rng.normal(size=(3, 1, 3, 3)), rng.normal(size=(2, 1, 6, 6)))
+        assert calls == []
+        bank_apply(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=(2, 2, 6, 6)))
+        assert calls and all(shape == (3, 2) for shape in calls)
+
     def test_empty_batch(self):
-        w = np.ones((2, 2, 3, 3))
-        assert bank_apply(w, np.zeros((0, 2, 4, 4))).shape == (0, 2, 4, 4)
-        empty = np.zeros((0, 2, 4, 4))
-        np.testing.assert_array_equal(tap_gradient(empty, empty, 3), 0.0)
+        for c_in in (2, 1):
+            w = np.ones((2, c_in, 3, 3))
+            assert bank_apply(w, np.zeros((0, c_in, 4, 4))).shape == (0, 2, 4, 4)
+            u, y = np.zeros((0, 2, 4, 4)), np.zeros((0, c_in, 4, 4))
+            g = tap_gradient(u, y, 3)
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, 0.0)
+
+    @pytest.mark.parametrize(
+        "w_shape,y_shape",
+        [
+            ((1, 3, 3), (1, 1, 6, 6)),  # weights with three axes
+            ((1, 1, 1, 3, 3), (1, 1, 6, 6)),  # weights with five axes
+            ((1, 1, 3, 5), (1, 1, 6, 6)),  # non-square windows
+            ((2, 1, 3, 3), (6, 6)),  # no channel axis
+        ],
+    )
+    def test_bank_apply_rejects_bad_shapes(self, w_shape, y_shape):
+        with pytest.raises(DimensionError):
+            bank_apply(np.zeros(w_shape), np.zeros(y_shape))
+
+    @pytest.mark.parametrize(
+        "u_shape,y_shape",
+        [
+            ((2, 3, 5, 5), (3, 2, 5, 5)),  # different batch sizes
+            ((2, 3, 3, 5, 5), (6, 2, 5, 5)),  # same batch size, different axes
+            ((2, 3, 5, 5), (2, 2, 5, 6)),  # different grids
+            ((3, 5, 5), (5, 5)),  # y without a channel axis
+        ],
+    )
+    def test_tap_gradient_rejects_mismatched_shapes(self, u_shape, y_shape):
+        with pytest.raises(DimensionError):
+            tap_gradient(np.zeros(u_shape), np.zeros(y_shape), 3)
 
 
 def coarsen_one(w, m):
