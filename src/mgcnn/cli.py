@@ -341,7 +341,7 @@ def _provenance(cfg: RunConfig, schedule: list) -> dict:
     return {"config_sha256": config_hash(cfg), "seed": cfg.seed, "schedule": schedule}
 
 
-def cmd_adapt(model_path: str, direction: Direction, cfg: RunConfig, out: Path, workers: int) -> int:
+def cmd_adapt(model_path: str, direction: Direction, cfg: RunConfig, out: Path) -> int:
     model = load_model(model_path)
     pair = _transfer_pair(cfg)
     cmap = build_coarsen_map(model.params.kernel_size, pair)
@@ -525,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train":
             return cmd_train(cfg, out, workers)
         if args.command == "adapt":
-            return cmd_adapt(args.model, Direction(args.direction), cfg, out, workers)
+            return cmd_adapt(args.model, Direction(args.direction), cfg, out)
         if args.command == "multilevel":
             return cmd_multilevel(cfg, out, workers)
         if args.command == "deepen":

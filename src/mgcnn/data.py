@@ -22,7 +22,8 @@ version, then tagged blocks whose payloads are little-endian IEEE-754
 doubles (or UTF-8 JSON for the provenance record), and last a checksum
 block holding the CRC-32 of every byte before it.  Writing is fully
 deterministic, so identical models produce identical bytes.  Reading
-refuses a wrong checksum and any unknown, repeated or trailing block.
+refuses any other format version, a missing or wrong checksum, and any
+unknown, repeated or trailing block.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 MODEL_MAGIC = b"MGCN"
-MODEL_VERSION = 2  # version 1: the same blocks without the checksum block
+MODEL_VERSION = 2
 _MODEL_TAGS = ("GRID", "HYPR", "BANK", "BIAS", "EMBD", "CLSW", "CLSB", "PROV")
 
 
@@ -211,16 +212,11 @@ def split(
 
 @dataclass
 class ModelFile:
-    """A trained model plus its provenance (config hash, seed, schedule).
-
-    ``version`` is the format a loaded file was written in; :func:`save_model`
-    always writes ``MODEL_VERSION``.
-    """
+    """A trained model plus its provenance (config hash, seed, schedule)."""
 
     params: NetworkParams
     classifier: Classifier
     provenance: dict = field(default_factory=dict)
-    version: int = MODEL_VERSION
 
 
 _ACT_CODES = {Activation.TANH: 0, Activation.IDENTITY: 1}
@@ -285,16 +281,19 @@ def _doubles(payload: bytes, shape: tuple[int, ...], tag: str, path: str) -> np.
 
 
 def load_model(path: str) -> ModelFile:
-    """Read a container written by :func:`save_model`; round-trips bit-exactly."""
+    """Read a container written by :func:`save_model`; round-trips bit-exactly.
+
+    A file it cannot parse or decode raises :class:`~mgcnn.errors.DataFormatError`.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     header = _read_exact(data, 0, 8, path)
     if header[:4] != MODEL_MAGIC:
         raise BadMagicError(f"{path}: not a model container (magic {header[:4]!r})")
     version = struct.unpack("<I", header[4:8])[0]
-    if version not in (1, MODEL_VERSION):
+    if version != MODEL_VERSION:
         raise VersionMismatchError(
-            f"{path}: format version {version}, this build reads 1 and {MODEL_VERSION}"
+            f"{path}: format version {version}, this build reads {MODEL_VERSION}"
         )
 
     blocks: dict[str, bytes] = {}
@@ -306,7 +305,7 @@ def load_model(path: str) -> ModelFile:
         tag = _read_exact(data, offset, 4, path).decode("ascii", errors="replace")
         (length,) = struct.unpack("<Q", _read_exact(data, offset + 4, 8, path))
         payload = _read_exact(data, offset + 12, length, path)
-        if tag == "CSUM" and version == MODEL_VERSION:
+        if tag == "CSUM":
             if payload != _crc(data[:offset]):
                 raise DataFormatError(f"{path}: checksum mismatch, the file was altered")
             checked = True
@@ -316,12 +315,20 @@ def load_model(path: str) -> ModelFile:
             raise DataFormatError(f"{path}: duplicate block {tag}")
         blocks[tag] = payload
         offset += 12 + length
-    if version == MODEL_VERSION and not checked:
+    if not checked:
         raise DataFormatError(f"{path}: no checksum block")
     for tag in _MODEL_TAGS:
         if tag not in blocks:
             raise DataFormatError(f"{path}: missing block {tag}")
+    try:
+        return _decode_model(blocks, path)
+    except DataFormatError:
+        raise
+    except (struct.error, ValueError) as exc:  # also bad JSON or ASCII in PROV
+        raise DataFormatError(f"{path}: malformed model: {exc}") from exc
 
+
+def _decode_model(blocks: dict[str, bytes], path: str) -> ModelFile:
     nx, ny, h = struct.unpack("<IId", blocks["GRID"])
     n, c, k, dt, final_time, act_code, act_gain, embed_learnable = struct.unpack(
         "<IIIddBdB", blocks["HYPR"]
@@ -346,8 +353,7 @@ def load_model(path: str) -> ModelFile:
         _doubles(blocks["CLSW"][4:], (num_classes, c, ny, nx), "CLSW", path),
         _doubles(blocks["CLSB"], (num_classes,), "CLSB", path),
     )
-    try:
-        provenance = json.loads(blocks["PROV"].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{path}: provenance block is corrupt: {exc}") from exc
-    return ModelFile(params=params, classifier=classifier, provenance=provenance, version=version)
+    provenance = json.loads(blocks["PROV"].decode("ascii"))
+    if not isinstance(provenance, dict):
+        raise DataFormatError(f"{path}: provenance block is not a JSON object")
+    return ModelFile(params=params, classifier=classifier, provenance=provenance)

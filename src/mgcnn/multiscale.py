@@ -82,7 +82,6 @@ class ResolutionPyramid:
     """Per-level datasets, finest first; level i+1 is blur + restrict of level i."""
 
     pair: TransferPair
-    blur_sigma: float
     datasets: list[LabeledDataset]
 
     @classmethod
@@ -106,7 +105,7 @@ class ResolutionPyramid:
             datasets.append(
                 LabeledDataset(prev.grid.coarsened(), images, prev.labels, prev.num_classes)
             )
-        return cls(pair=pair, blur_sigma=blur_sigma, datasets=datasets)
+        return cls(pair=pair, datasets=datasets)
 
     @property
     def levels(self) -> int:

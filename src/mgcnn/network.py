@@ -25,7 +25,7 @@ cross-entropy plus two smoothness penalties (:func:`reg_value_and_grad`):
                                                   layer stencils and biases
 
 :func:`loss_and_gradient` implements reverse-mode differentiation of the
-cross-entropy (plus optional regularization) with respect to every learnable
+cross-entropy plus both penalties with respect to every learnable
 block: layer banks, biases, classifier weights and offsets, and the
 embedding bank when it is marked learnable.  Its forward pass keeps each
 chunk's states and nothing else, and the reverse sweep reads them back
@@ -62,7 +62,6 @@ __all__ = [
     "RegConfig",
     "RegGrads",
     "embed_input",
-    "forward_propagate",
     "forward_step",
     "loss",
     "loss_and_gradient",
@@ -310,12 +309,6 @@ def _propagate(x: np.ndarray, params: NetworkParams, keep: bool) -> list[np.ndar
     return states
 
 
-def forward_propagate(x: np.ndarray, params: NetworkParams) -> list[np.ndarray]:
-    """Propagate input image(s) ``(..., ny, nx)`` through all layers and
-    return every state ``y_0 .. y_N``."""
-    return _propagate(x, params, keep=True)
-
-
 def _chunks(n: int) -> list[slice]:
     return [slice(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
 
@@ -459,18 +452,12 @@ def reg_value_and_grad(
     return value, RegGrads(banks=g_banks, biases=g_biases, weights=g_w)
 
 
-def _reg_parts(params: NetworkParams, clf: Classifier, reg: RegConfig | None):
-    if reg is None:
-        return 0.0, None
-    return reg_value_and_grad(params, clf, reg)
-
-
 def loss(
     images: np.ndarray,
     labels: np.ndarray,
     params: NetworkParams,
     clf: Classifier,
-    reg: RegConfig | None = None,
+    reg: RegConfig = RegConfig(),
     workers: int = 1,
 ) -> LossReport:
     """Mean cross-entropy over the batch plus the regularization value."""
@@ -478,7 +465,7 @@ def loss(
     y_out = propagate_final(images, params, workers=workers)
     ce = _cross_entropy(_logits(y_out, clf), labels)
     data = float(ce.mean()) if labels.size else 0.0
-    reg_value, _ = _reg_parts(params, clf, reg)
+    reg_value, _ = reg_value_and_grad(params, clf, reg)
     return LossReport(total=data + reg_value, data_term=data, reg_term=reg_value, features=y_out)
 
 
@@ -491,7 +478,7 @@ def loss_and_gradient(
     labels: np.ndarray,
     params: NetworkParams,
     clf: Classifier,
-    reg: RegConfig | None = None,
+    reg: RegConfig = RegConfig(),
     workers: int = 1,
 ) -> tuple[LossReport, Gradients]:
     """Reverse-mode gradient of :func:`loss` for every learnable block.
@@ -553,11 +540,10 @@ def loss_and_gradient(
         grads.embed += g_embed
     data = data / m if m else 0.0
 
-    reg_value, reg_grads = _reg_parts(params, clf, reg)
-    if reg_grads is not None:
-        grads.banks += reg_grads.banks
-        grads.biases += reg_grads.biases
-        grads.weights += reg_grads.weights
+    reg_value, reg_grads = reg_value_and_grad(params, clf, reg)
+    grads.banks += reg_grads.banks
+    grads.biases += reg_grads.biases
+    grads.weights += reg_grads.weights
 
     for name, g in (("banks", grads.banks), ("biases", grads.biases),
                     ("classifier weights", grads.weights), ("mu", grads.mu),

@@ -102,22 +102,11 @@ class StencilBank:
         return StencilBank(self.weights.copy())
 
     @classmethod
-    def identity(cls, channels: int, k: int = 3) -> "StencilBank":
-        """Channel-wise identity: out = in."""
-        w = np.zeros((channels, channels, k, k))
-        w[np.arange(channels), np.arange(channels), k // 2, k // 2] = 1.0
-        return cls(w)
-
-    @classmethod
     def replicate(cls, c_out: int, k: int = 3) -> "StencilBank":
         """Copy a single input channel into ``c_out`` output channels."""
         w = np.zeros((c_out, 1, k, k))
         w[:, 0, k // 2, k // 2] = 1.0
         return cls(w)
-
-    @classmethod
-    def zeros(cls, c_out: int, c_in: int, k: int = 3) -> "StencilBank":
-        return cls(np.zeros((c_out, c_in, k, k)))
 
 
 def _frame(a: np.ndarray, k: int, wrap: bool) -> np.ndarray:

@@ -617,9 +617,6 @@ def bcd_train(
     params = params.copy()
     clf = clf.copy()
     history: list[HistoryRow] = []
-    if cfg.outer_iters == 0:
-        return TrainResult(params, clf, history)
-
     rng = np.random.default_rng(cfg.seed)
     batcher = _Batcher(len(train), cfg.batch_size, rng)
     rule = cfg.prop_step_rule

@@ -27,9 +27,9 @@ from mgcnn.network import (
     Activation,
     Classifier,
     NetworkInit,
-    forward_propagate,
     loss,
     loss_and_gradient,
+    propagate_final,
     random_network_params,
     zero_classifier,
 )
@@ -181,7 +181,7 @@ def test_criterion_4_gradients_match_finite_differences():
 
 def test_criterion_5_step_halving_first_order():
     t0 = time.perf_counter()
-    grid_x = np.random.default_rng(13).random((8, 8))
+    grid_x = np.random.default_rng(13).random((1, 8, 8))
     rng = np.random.default_rng(14)
     shared = rng.normal(0.0, 0.4, (2, 2, 3, 3))
     bias = rng.normal(0.0, 0.3, 2)
@@ -192,7 +192,7 @@ def test_criterion_5_step_halving_first_order():
         for b in p.banks:
             b.weights[:] = shared
         p.biases[:] = bias
-        return forward_propagate(grid_x, p)[-1]
+        return propagate_final(grid_x, p)
 
     outs = [run(n) for n in (4, 8, 16, 32, 64)]
     diffs = [np.linalg.norm(a - b) for a, b in zip(outs, outs[1:])]

@@ -10,7 +10,9 @@ import pytest
 
 import mgcnn
 from mgcnn import network, training
+from mgcnn.data import ModelFile
 from mgcnn.grid import TransferPair
+from mgcnn.multiscale import ResolutionPyramid
 from mgcnn.stencils import CoarsenMap, StencilBank
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -24,7 +26,8 @@ REMOVED = {
     "mgcnn.grid": ["Image", "restrict_image", "prolong_image", "gaussian_blur",
                    "verify_rp_identity"],
     "mgcnn.stencils": ["Stencil", "Symbol", "conv_apply", "coarsen_stencil", "refine_stencil"],
-    "mgcnn.network": ["Trajectory", "gradient", "classify"],
+    "mgcnn.network": ["Trajectory", "gradient", "classify", "forward_propagate",
+                      "_reg_parts"],
     "mgcnn": ["Image"],
 }
 
@@ -53,6 +56,11 @@ def test_removed_names_are_gone(name):
 
 def test_removed_methods_are_gone():
     assert not hasattr(StencilBank, "stencil")
+    # test-only constructors and fields that nothing reads
+    assert not hasattr(StencilBank, "identity")
+    assert not hasattr(StencilBank, "zeros")
+    assert "version" not in ModelFile.__dataclass_fields__
+    assert "blur_sigma" not in ResolutionPyramid.__dataclass_fields__
     assert not hasattr(CoarsenMap, "apply")
     assert not hasattr(CoarsenMap, "solve")
     # state that is recomputed where it is used

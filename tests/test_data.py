@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from mgcnn.cli import main
 from mgcnn.data import (
     MODEL_VERSION,
     LabeledDataset,
@@ -231,7 +232,6 @@ class TestModelContainer:
         model = random_model(11)
         save_model(path, model)
         back = load_model(path)
-        assert back.version == MODEL_VERSION
         assert back.provenance == model.provenance
         p0, p1 = model.params, back.params
         assert (p1.dt, p1.final_time, p1.activation, p1.act_gain) == (
@@ -331,20 +331,18 @@ class TestModelContainer:
         with pytest.raises(DataFormatError, match="follows the checksum block"):
             load_model(str(path))
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_unknown_block_rejected(self, tmp_path, version):
+    def test_unknown_block_rejected(self, tmp_path):
         path = tmp_path / "m.bin"
         blocks = saved_blocks(tmp_path) + [(b"JUNK", bytes(4))]
-        path.write_bytes(build_container(version, blocks, checksum=version == 2))
+        path.write_bytes(build_container(MODEL_VERSION, blocks))
         with pytest.raises(DataFormatError, match="unknown block 'JUNK'"):
             load_model(str(path))
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_duplicate_block_rejected(self, tmp_path, version):
+    def test_duplicate_block_rejected(self, tmp_path):
         path = tmp_path / "m.bin"
         blocks = saved_blocks(tmp_path)
         bias = next(b for b in blocks if b[0] == b"BIAS")
-        path.write_bytes(build_container(version, blocks + [bias], checksum=version == 2))
+        path.write_bytes(build_container(MODEL_VERSION, blocks + [bias]))
         with pytest.raises(DataFormatError, match="duplicate block BIAS"):
             load_model(str(path))
 
@@ -354,12 +352,39 @@ class TestModelContainer:
         with pytest.raises(DataFormatError, match="no checksum block"):
             load_model(str(path))
 
-    def test_version_1_file_loads(self, tmp_path):
+    def test_version_1_file_refused(self, tmp_path):
+        # version 1 was this container without the checksum block
         path = tmp_path / "m.bin"
         path.write_bytes(build_container(1, saved_blocks(tmp_path), checksum=False))
-        back, model = load_model(str(path)), random_model()
-        assert back.version == 1
-        assert back.provenance == model.provenance
-        for b0, b1 in zip(model.params.banks, back.params.banks):
-            np.testing.assert_array_equal(b0.weights, b1.weights)
-        np.testing.assert_array_equal(model.classifier.weights, back.classifier.weights)
+        with pytest.raises(VersionMismatchError, match="format version 1"):
+            load_model(str(path))
+
+    def test_downgrade_edit_refused(self, tmp_path):
+        # altered weights must not load by posing as a file without checksum
+        path = tmp_path / "m.bin"
+        blocks = saved_blocks(tmp_path)
+        i = next(i for i, (tag, _) in enumerate(blocks) if tag == b"BANK")
+        bank = bytearray(blocks[i][1])
+        bank[0] ^= 1
+        blocks[i] = (b"BANK", bytes(bank))
+        path.write_bytes(build_container(1, blocks, checksum=False))
+        with pytest.raises(DataFormatError):
+            load_model(str(path))
+        assert main(["inspect", "--model", str(path)]) == 3
+
+    @pytest.mark.parametrize("tag, edit", [
+        (b"GRID", lambda p: p[:-1]),
+        (b"HYPR", lambda p: p[:-1]),
+        (b"CLSW", lambda p: b""),
+        (b"GRID", lambda p: struct.pack("<I", 0) + p[4:]),  # nx = 0
+        (b"HYPR", lambda p: p[:20] + struct.pack("<d", 9.0) + p[28:]),  # T = 9 != N * dt
+        (b"PROV", lambda p: b"[1]"),
+    ], ids=["short-GRID", "short-HYPR", "empty-CLSW", "zero-cell-grid", "N-dt-not-T",
+            "PROV-not-object"])
+    def test_malformed_block_with_valid_checksum(self, tmp_path, tag, edit):
+        path = tmp_path / "m.bin"
+        blocks = [(t, edit(p) if t == tag else p) for t, p in saved_blocks(tmp_path)]
+        path.write_bytes(build_container(MODEL_VERSION, blocks))
+        with pytest.raises(DataFormatError):
+            load_model(str(path))
+        assert main(["inspect", "--model", str(path)]) == 3

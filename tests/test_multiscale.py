@@ -27,7 +27,7 @@ from mgcnn.network import (
     Activation,
     Classifier,
     NetworkInit,
-    forward_propagate,
+    propagate_final,
     random_network_params,
     zero_classifier,
 )
@@ -311,11 +311,11 @@ class TestProlongDepth:
         # Iterating the prolongation samples one fixed parameter path at
         # ever finer steps, so successive outputs contract like O(dt).
         p = varied_params(14, num_layers=4)
-        x = np.random.default_rng(15).random((8, 8))
+        x = np.random.default_rng(15).random((1, 8, 8))
         chain = [p]
         for _ in range(3):
             chain.append(prolong_depth(chain[-1], 2))
-        outs = [forward_propagate(x, q)[-1] for q in chain]
+        outs = [propagate_final(x, q) for q in chain]
         diffs = [np.linalg.norm(a - b) for a, b in zip(outs, outs[1:])]
         ratios = [d0 / d1 for d0, d1 in zip(diffs, diffs[1:])]
         assert all(r >= 1.5 for r in ratios), ratios

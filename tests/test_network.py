@@ -18,7 +18,6 @@ from mgcnn.network import (
     NetworkParams,
     RegConfig,
     embed_input,
-    forward_propagate,
     forward_step,
     loss,
     loss_and_gradient,
@@ -157,7 +156,7 @@ class TestForwardPropagate:
     def test_zero_depth_trajectory(self):
         p = random_network_params(channels=2, num_layers=0, final_time=1.0)
         x = np.random.default_rng(7).random((4, 4))
-        states = forward_propagate(x, p)
+        states = network_mod._propagate(x, p, keep=True)
         assert len(states) == 1
         np.testing.assert_array_equal(states[-1], embed_input(x, p))
 
@@ -166,7 +165,7 @@ class TestForwardPropagate:
         for b in p.banks:
             b.weights[:] = 0.0
         x = np.random.default_rng(8).random((4, 4))
-        states = forward_propagate(x, p)
+        states = network_mod._propagate(x, p, keep=True)
         assert len(states) == 4
         for s in states[1:]:
             np.testing.assert_array_equal(s, states[0])
@@ -174,7 +173,7 @@ class TestForwardPropagate:
     def test_matches_manual_two_step_composition(self):
         p = scramble_in_time(small_params(num_layers=2), seed=9)
         x = np.random.default_rng(9).random((6, 6))
-        states = forward_propagate(x, p)
+        states = network_mod._propagate(x, p, keep=True)
         y = embed_input(x, p)
         y1 = forward_step(y, p.banks[0], p.biases[0], p.dt, p.activation)
         y2 = forward_step(y1, p.banks[1], p.biases[1], p.dt, p.activation)
@@ -184,7 +183,7 @@ class TestForwardPropagate:
     def test_matches_naive_oracle_all_states(self):
         p = scramble_in_time(small_params(num_layers=3), seed=10)
         x = np.random.default_rng(10).random((6, 6))
-        states = forward_propagate(x, p)
+        states = network_mod._propagate(x, p, keep=True)
         want = naive_forward(x, p.embed.weights, [b.weights for b in p.banks],
                              p.biases, p.dt, "tanh", p.act_gain)
         assert len(states) == len(want)
@@ -196,30 +195,29 @@ class TestForwardPropagate:
         p = small_params(num_layers=6, act=Activation.IDENTITY)
         for b in p.banks:
             b.weights[:] *= 1e80
-        x = np.full((4, 4), 1.0)
+        x = np.full((1, 4, 4), 1.0)
         with pytest.raises(DivergenceError, match="layer"):
-            forward_propagate(x, p)
+            propagate_final(x, p)
 
     def test_batch_final_state_matches_trajectory(self):
         p = scramble_in_time(small_params(), seed=11)
         imgs = np.random.default_rng(11).random((5, 6, 6))
         batch = propagate_final(imgs, p)
         for i in range(5):
-            single = forward_propagate(imgs[i], p)[-1]
+            single = network_mod._propagate(imgs[i], p, keep=True)[-1]
             np.testing.assert_array_equal(batch[i], single)
-        # a batch through forward_propagate keeps every state of every image
-        states = forward_propagate(imgs, p)
+        # a batch trajectory keeps every state of every image
+        states = network_mod._propagate(imgs, p, keep=True)
         assert len(states) == p.num_layers + 1
         np.testing.assert_array_equal(states[-1], batch)
 
     def test_identity_activation_superposition(self):
         p = small_params(act=Activation.IDENTITY)  # zero biases at init
         rng = np.random.default_rng(12)
-        x1, x2 = rng.random((2, 6, 6))
+        x1, x2 = rng.random((2, 1, 6, 6))
         a, b = 1.7, -0.4
-        lhs = forward_propagate(a * x1 + b * x2, p)[-1]
-        rhs = (a * forward_propagate(x1, p)[-1]
-               + b * forward_propagate(x2, p)[-1])
+        lhs = propagate_final(a * x1 + b * x2, p)
+        rhs = a * propagate_final(x1, p) + b * propagate_final(x2, p)
         assert rel_err(lhs, rhs) <= 1e-12
 
 
@@ -239,7 +237,7 @@ class TestEulerRefinement:
             for b in p.banks:
                 b.weights[:] = shared
             p.biases[:] = bias
-            return forward_propagate(grid_x, p)[-1]
+            return propagate_final(grid_x[None], p)[0]
 
         outs = [run(n) for n in (4, 8, 16, 32, 64)]
         diffs = [np.linalg.norm(a - b) for a, b in zip(outs, outs[1:])]
