@@ -277,7 +277,10 @@ def _doubles(payload: bytes, shape: tuple[int, ...], tag: str, path: str) -> np.
         raise DataFormatError(
             f"{path}: block {tag} holds {len(payload)} bytes, expected {expect}"
         )
-    return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+    values = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise DataFormatError(f"{path}: block {tag} holds a non-finite value")
+    return values
 
 
 def load_model(path: str) -> ModelFile:
@@ -335,6 +338,8 @@ def _decode_model(blocks: dict[str, bytes], path: str) -> ModelFile:
     )
     if act_code not in _ACT_FROM_CODE:
         raise DataFormatError(f"{path}: unknown activation code {act_code}")
+    if not np.all(np.isfinite([dt, final_time, act_gain])):
+        raise DataFormatError(f"{path}: block HYPR holds a non-finite value")
     grid = Grid2D(nx=nx, ny=ny, h=h)
     banks_arr = _doubles(blocks["BANK"], (n, c, c, k, k), "BANK", path)
     num_classes = struct.unpack("<I", blocks["CLSW"][:4])[0]

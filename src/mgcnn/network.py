@@ -37,6 +37,14 @@ gradient from the same shifted-slice kernel as the forward pass
 in fixed chunks of ``CHUNK`` examples so memory stays bounded and reductions
 happen in a fixed order whatever the worker count; with ``workers > 1`` the
 chunks of one call run on that many threads, next to BLAS's own threads.
+
+Training propagates each full-batch iterate once.  ``loss(..., keep=True)``
+keeps every chunk's trajectory ``y_1 .. y_N`` on its report, and
+``loss_and_gradient(..., states=...)`` runs its reverse sweep on those
+instead of a forward pass of its own, forming only ``y_0 = L x`` again; with
+``embed_grad=False`` it also leaves out the embedding's gradient and the
+adjoint application that only that gradient needs.  Either way the result
+is the same to the bit.
 """
 
 from __future__ import annotations
@@ -313,22 +321,39 @@ def _chunks(n: int) -> list[slice]:
     return [slice(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
 
 
-def _map_chunks(fn, slices: Sequence[slice], workers: int) -> list:
-    if workers <= 1 or len(slices) <= 1:
-        return [fn(s) for s in slices]
+def _map_chunks(fn, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]``, on ``workers`` threads if more than
+    one; results come back in the order of ``items`` either way."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, slices))
+        return list(pool.map(fn, items))
+
+
+def _propagate_batch(
+    images: np.ndarray, params: NetworkParams, workers: int, keep: bool
+) -> tuple[np.ndarray, list[list[np.ndarray]] | None]:
+    """Final states ``y_N`` of a batch ``(m, ny, nx)``, written chunk by chunk
+    into one array; with ``keep`` also each chunk's trajectory ``y_1 .. y_N``
+    (no ``y_0``), whose last entry is a view of that array."""
+    images = np.asarray(images, dtype=np.float64)
+    features = np.empty((images.shape[0], params.channels) + images.shape[1:])
+
+    def run(s: slice) -> list[np.ndarray] | None:
+        states = _propagate(images[s], params, keep)
+        features[s] = states[-1]
+        if not keep:
+            return None
+        states[-1] = features[s]
+        return states[1:]
+
+    trajectories = _map_chunks(run, _chunks(images.shape[0]), workers)
+    return features, trajectories if keep else None
 
 
 def propagate_final(images: np.ndarray, params: NetworkParams, workers: int = 1) -> np.ndarray:
     """Final states ``y_N`` for a batch ``(m, ny, nx)``, no trajectory kept."""
-    images = np.asarray(images, dtype=np.float64)
-
-    def run(s: slice) -> np.ndarray:
-        return _propagate(images[s], params, keep=False)[-1]
-
-    outs = _map_chunks(run, _chunks(images.shape[0]), workers)
-    return np.concatenate(outs, axis=0)
+    return _propagate_batch(images, params, workers, keep=False)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -364,29 +389,34 @@ class LossReport:
     """Loss value and its two parts.
 
     ``features`` holds the batch's final states ``y_N`` when :func:`loss`
-    computed them, so a caller that accepts this point can reuse them; it
-    takes no part in comparison.
+    computed them, so a caller that accepts this point can reuse them.
+    ``states`` holds, when :func:`loss` was asked to keep them, each chunk's
+    trajectory ``y_1 .. y_N``, which :func:`loss_and_gradient` takes in place
+    of its forward pass.  Neither takes part in comparison.
     """
 
     total: float
     data_term: float
     reg_term: float
     features: np.ndarray | None = field(default=None, compare=False, repr=False)
+    states: list[list[np.ndarray]] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class Gradients:
     """Gradients of the total loss for every learnable block.
 
-    ``banks`` is stacked ``(N, c, c, k, k)``; ``embed`` is always filled but
-    only consumed by the optimizer when the embedding is learnable.
+    ``banks`` is stacked ``(N, c, c, k, k)``.  ``embed`` is ``None`` when
+    :func:`loss_and_gradient` was told to skip it (``embed_grad=False``, as
+    training does for a frozen embedding), and filled otherwise; the
+    optimizer reads it only when the embedding is learnable.
     """
 
     banks: np.ndarray
     biases: np.ndarray
     weights: np.ndarray
     mu: np.ndarray
-    embed: np.ndarray
+    embed: np.ndarray | None
 
     def prop_sq_norm(self, embed_learnable: bool) -> float:
         total = float((self.banks**2).sum() + (self.biases**2).sum())
@@ -459,14 +489,20 @@ def loss(
     clf: Classifier,
     reg: RegConfig = RegConfig(),
     workers: int = 1,
+    keep: bool = False,
 ) -> LossReport:
-    """Mean cross-entropy over the batch plus the regularization value."""
+    """Mean cross-entropy over the batch plus the regularization value.
+
+    With ``keep`` the report also holds every chunk's trajectory
+    (``LossReport.states``) for a gradient pass at the same point.
+    """
     labels = _check_labels(labels, clf.num_classes)
-    y_out = propagate_final(images, params, workers=workers)
+    y_out, states = _propagate_batch(images, params, workers, keep)
     ce = _cross_entropy(_logits(y_out, clf), labels)
     data = float(ce.mean()) if labels.size else 0.0
     reg_value, _ = reg_value_and_grad(params, clf, reg)
-    return LossReport(total=data + reg_value, data_term=data, reg_term=reg_value, features=y_out)
+    return LossReport(total=data + reg_value, data_term=data, reg_term=reg_value,
+                      features=y_out, states=states)
 
 
 def _adjoint_weights(weights: np.ndarray) -> np.ndarray:
@@ -480,6 +516,8 @@ def loss_and_gradient(
     clf: Classifier,
     reg: RegConfig = RegConfig(),
     workers: int = 1,
+    states: list[list[np.ndarray]] | None = None,
+    embed_grad: bool = True,
 ) -> tuple[LossReport, Gradients]:
     """Reverse-mode gradient of :func:`loss` for every learnable block.
 
@@ -489,17 +527,35 @@ def loss_and_gradient(
     increment (:func:`_act_deriv`).  So each layer costs one bank
     application forward and one adjoint application plus one
     :func:`~mgcnn.stencils.tap_gradient` backward.
+
+    ``states``, the ``LossReport.states`` of ``loss(images, labels, params,
+    ..., keep=True)`` on these same images and parameters, replaces the
+    forward pass: only ``y_0 = L x`` is formed again.  The lists are read,
+    not changed.  With ``embed_grad=False`` the sweep stops at layer 0's
+    stencil gradient, without layer 0's adjoint application and the
+    embedding's tap gradient, and ``grads.embed`` is ``None``.
     """
     images = np.asarray(images, dtype=np.float64)
     labels = _check_labels(labels, clf.num_classes)
     m = images.shape[0]
     n, c, k = params.num_layers, params.channels, params.kernel_size
     h2 = clf.grid.h**2
+    slices = _chunks(m)
+    if states is None:
+        chunks = [(s, None) for s in slices]
+    elif len(states) != len(slices) or any(len(kept) != n for kept in states):
+        raise ValueError(f"states must hold {n} states for each of {len(slices)} chunks")
+    else:
+        chunks = list(zip(slices, states))
 
-    def run(s: slice):
+    def run(chunk: tuple[slice, list[np.ndarray] | None]):
+        s, kept = chunk
         x = images[s]
-        states = _propagate(x, params, keep=True)
-        logits = _logits(states[-1], clf)
+        if kept is None:
+            trajectory = _propagate(x, params, keep=True)
+        else:
+            trajectory = [embed_input(x, params)] + kept
+        logits = _logits(trajectory[-1], clf)
         ce_sum = float(_cross_entropy(logits, labels[s]).sum())
 
         d_logit = softmax(logits)
@@ -507,18 +563,19 @@ def loss_and_gradient(
         d_logit /= m
 
         g_mu = d_logit.sum(axis=0)
-        g_w = h2 * np.einsum("ml,mcyx->lcyx", d_logit, states[-1], optimize=True)
+        g_w = h2 * np.einsum("ml,mcyx->lcyx", d_logit, trajectory[-1], optimize=True)
         dy = h2 * np.einsum("ml,lcyx->mcyx", d_logit, clf.weights, optimize=True)
 
         g_banks = np.zeros((n, c, c, k, k))
         g_biases = np.zeros((n, c))
         for i in range(n - 1, -1, -1):
-            y_next = states.pop()
-            u = params.dt * dy * _act_deriv(states[i], y_next, params)
+            y_next = trajectory.pop()
+            u = params.dt * dy * _act_deriv(trajectory[i], y_next, params)
             g_biases[i] = u.sum(axis=(0, 2, 3))
-            g_banks[i] = tap_gradient(u, states[i], k)
-            dy = dy + bank_apply(_adjoint_weights(params.banks[i].weights), u)
-        g_embed = tap_gradient(dy, x[:, None, :, :], k)
+            g_banks[i] = tap_gradient(u, trajectory[i], k)
+            if i > 0 or embed_grad:
+                dy = dy + bank_apply(_adjoint_weights(params.banks[i].weights), u)
+        g_embed = tap_gradient(dy, x[:, None, :, :], k) if embed_grad else None
         return ce_sum, g_banks, g_biases, g_w, g_mu, g_embed
 
     grads = Gradients(
@@ -526,18 +583,17 @@ def loss_and_gradient(
         biases=np.zeros((n, c)),
         weights=np.zeros_like(clf.weights),
         mu=np.zeros_like(clf.mu),
-        embed=np.zeros((c, 1, k, k)),
+        embed=np.zeros((c, 1, k, k)) if embed_grad else None,
     )
     data = 0.0
-    for ce_sum, g_banks, g_biases, g_w, g_mu, g_embed in _map_chunks(
-        run, _chunks(m), workers
-    ):
+    for ce_sum, g_banks, g_biases, g_w, g_mu, g_embed in _map_chunks(run, chunks, workers):
         data += ce_sum
         grads.banks += g_banks
         grads.biases += g_biases
         grads.weights += g_w
         grads.mu += g_mu
-        grads.embed += g_embed
+        if embed_grad:
+            grads.embed += g_embed
     data = data / m if m else 0.0
 
     reg_value, reg_grads = reg_value_and_grad(params, clf, reg)
@@ -548,8 +604,7 @@ def loss_and_gradient(
     for name, g in (("banks", grads.banks), ("biases", grads.biases),
                     ("classifier weights", grads.weights), ("mu", grads.mu),
                     ("embedding", grads.embed)):
-        if not np.all(np.isfinite(g)):
+        if g is not None and not np.all(np.isfinite(g)):
             raise DivergenceError(f"gradient became non-finite in {name}")
     report = LossReport(total=data + reg_value, data_term=data, reg_term=reg_value)
     return report, grads
-

@@ -522,18 +522,16 @@ class TrainResult:
 
 
 class _Batcher:
-    """Without-replacement minibatches from a seeded shuffle, reshuffled per epoch."""
+    """Without-replacement minibatches from a seeded shuffle, reshuffled per
+    epoch; ``size == m`` means full batch, where no batch is drawn."""
 
     def __init__(self, m: int, batch_size: int | None, rng: np.random.Generator):
         self.m = m
         self.size = m if not batch_size or batch_size >= m else batch_size
         self.rng = rng
-        self.order = np.arange(m)
         self.pos = m  # force shuffle on first draw
 
     def next(self) -> np.ndarray:
-        if self.size == self.m:
-            return self.order
         if self.pos + self.size > self.m:
             self.order = self.rng.permutation(self.m)
             self.pos = 0
@@ -563,16 +561,17 @@ def _take_prop_step(
     report: LossReport,
     grads: Gradients,
     workers: int,
-    keep_states: bool,
-) -> tuple[NetworkParams, np.ndarray | None, float | None]:
+    keep: bool,
+) -> tuple[NetworkParams, LossReport | None, float | None]:
     """One step on the propagation parameters.
 
-    Returns the next parameters; the final states of ``images`` under them
-    when an accepted Armijo trial computed them and ``keep_states`` is set;
-    and the step taken.  ``FixedStep`` always takes ``rule.step_size``.
-    Armijo backtracks from ``t0`` by ``rule.beta``; when no trial passes the
-    sufficient-decrease test (or the gradient is zero) it keeps the current
-    point and returns ``None`` as the step.
+    Returns the next parameters; with ``keep``, the loss report of the
+    accepted Armijo trial, holding the final states and the trajectories of
+    ``images`` under those parameters (else ``None``); and the step taken.
+    ``FixedStep`` always takes ``rule.step_size``.  Armijo backtracks from
+    ``t0`` by ``rule.beta``; when no trial passes the sufficient-decrease
+    test (or the gradient is zero) it keeps the current point and returns
+    ``None`` as the step.
     """
     if isinstance(rule, FixedStep):
         return _prop_step(params, grads, rule.step_size), None, rule.step_size
@@ -582,9 +581,10 @@ def _take_prop_step(
     t = t0
     for _ in range(rule.max_backtracks):
         trial = _prop_step(params, grads, t)
-        trial_report = loss(images, labels, trial, clf, reg, workers=workers)
+        trial_report = loss(images, labels, trial, clf, reg, workers=workers, keep=keep)
         if trial_report.total <= report.total - rule.c * t * sq:
-            return trial, trial_report.features if keep_states else None, t
+            return trial, trial_report if keep else None, t
+        del trial_report  # a rejected trajectory goes before the next trial runs
         t *= rule.beta
     return params, None, None
 
@@ -602,9 +602,16 @@ def bcd_train(
 
     Each history row reflects the full training set after that iteration's
     propagation and classifier updates.  Replays are bit-identical for a
-    fixed config and seed.  In full-batch mode the accepted Armijo trial has
-    already propagated the whole training set, and its final states serve as
-    the Newton features; otherwise they come from a fresh pass.
+    fixed config and seed.
+
+    In full-batch mode each Armijo iterate is propagated once.  The
+    accepted trial has already run the whole training set through the new
+    parameters: its final states serve as the Newton features, and its
+    trajectory, which the classifier update leaves valid, replaces the
+    forward pass of the next iteration's gradient.  A frozen embedding gets
+    no gradient.  With minibatches, with ``FixedStep``, and after a search
+    that accepts no step, the features come from a fresh pass and the next
+    gradient runs its own forward pass.
 
     The Armijo search of the first iteration starts at ``step_size``; every
     later one starts at ``min(step_size, t_last / beta)`` from the step
@@ -619,27 +626,39 @@ def bcd_train(
     history: list[HistoryRow] = []
     rng = np.random.default_rng(cfg.seed)
     batcher = _Batcher(len(train), cfg.batch_size, rng)
+    full_batch = batcher.size == len(train)
     rule = cfg.prop_step_rule
     t0 = rule.step_size
+    states = None  # the trajectory of train.images at params, when known
 
     for it in range(1, cfg.outer_iters + 1):
-        idx = batcher.next()
-        images, labels = train.images[idx], train.labels[idx]
-        report, grads = loss_and_gradient(images, labels, params, clf, reg, workers=workers)
-        params, features, t = _take_prop_step(
-            images, labels, params, clf, reg, rule, t0, report, grads, workers,
-            keep_states=len(idx) == len(train),
+        if full_batch:
+            images, labels = train.images, train.labels
+        else:
+            idx = batcher.next()
+            images, labels = train.images[idx], train.labels[idx]
+        report, grads = loss_and_gradient(
+            images, labels, params, clf, reg, workers=workers, states=states,
+            embed_grad=params.embed_learnable,
+        )
+        states = None
+        params, accepted, t = _take_prop_step(
+            images, labels, params, clf, reg, rule, t0, report, grads, workers, keep=full_batch
         )
         if t is not None and isinstance(rule, ArmijoBacktracking):
             t0 = min(rule.step_size, t / rule.beta)
-        if features is None:
+        if accepted is None:
             features = propagate_final(train.images, params, workers=workers)
+        else:
+            features, states = accepted.features, accepted.states
+            del accepted  # only `states` carries the trajectory to the next gradient pass
         if cfg.newton_steps > 0:
             clf = newton_classifier_step(
                 features, train.labels, clf, reg, cfg.newton_steps
             ).classifier
 
         logits = _logits(features, clf)
+        del features  # freed with `states` after the next gradient pass, before the search
         data_term = float(_cross_entropy(logits, train.labels).mean())
         reg_term, _ = reg_value_and_grad(params, clf, reg)
         train_acc = float((logits.argmax(axis=1) == train.labels).mean())

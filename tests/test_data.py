@@ -388,3 +388,20 @@ class TestModelContainer:
         with pytest.raises(DataFormatError):
             load_model(str(path))
         assert main(["inspect", "--model", str(path)]) == 3
+
+    # HYPR is "<IIIddBdB": T at bytes 20..28, act_gain at 29..37; CLSW starts
+    # with the class count, then its doubles
+    @pytest.mark.parametrize("tag, edit", [
+        (b"BIAS", lambda p: struct.pack("<d", np.nan) + p[8:]),
+        (b"CLSW", lambda p: p[:4] + struct.pack("<d", np.nan) + p[12:]),
+        (b"CLSB", lambda p: struct.pack("<d", np.nan) + p[8:]),
+        (b"HYPR", lambda p: p[:29] + struct.pack("<d", np.inf) + p[37:]),
+        (b"HYPR", lambda p: p[:20] + struct.pack("<d", np.nan) + p[28:]),
+    ], ids=["nan-BIAS", "nan-CLSW", "nan-CLSB", "inf-act_gain", "nan-T"])
+    def test_non_finite_value_with_valid_checksum(self, tmp_path, tag, edit):
+        path = tmp_path / "m.bin"
+        blocks = [(t, edit(p) if t == tag else p) for t, p in saved_blocks(tmp_path)]
+        path.write_bytes(build_container(MODEL_VERSION, blocks))
+        with pytest.raises(DataFormatError, match="non-finite"):
+            load_model(str(path))
+        assert main(["inspect", "--model", str(path)]) == 3

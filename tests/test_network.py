@@ -5,6 +5,8 @@ for the reverse-mode code: every learnable block on a small but non-trivial
 network is compared against central differences at step 1e-5.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -522,3 +524,74 @@ class TestBatchReduction:
         assert abs(r1.total - r2.total) <= 1e-12
         assert rel_err(g1.banks, g2.banks) <= 1e-12
         assert rel_err(g1.mu, g2.mu) <= 1e-12
+
+    def test_threaded_chunks_land_in_their_rows(self):
+        # more workers than cores and frequent thread switches: each chunk
+        # writes its own rows of one shared array
+        rng = np.random.default_rng(34)
+        p = scramble_in_time(small_params(num_layers=1), seed=35)
+        imgs = rng.random((5 * network_mod.CHUNK + 1, 4, 4))
+        want = propagate_final(imgs, p, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = propagate_final(imgs, p, workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(got, want)
+
+
+def assert_same_gradients(got, want, blocks=("banks", "biases", "weights", "mu", "embed")):
+    for name in blocks:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+class TestTrajectoryReuse:
+    @staticmethod
+    def problem(act, seed=40):
+        rng = np.random.default_rng(seed)
+        p = scramble_in_time(small_params(num_layers=3, act=act), seed=seed + 1)
+        clf = Classifier(Grid2D(6, 6, 1.0), rng.normal(size=(3, 2, 6, 6)), rng.normal(size=3))
+        imgs = rng.random((300, 6, 6))  # two chunks: 256 and 44 examples
+        return imgs, np.arange(300) % 3, p, clf, RegConfig(lambda_w=0.05, lambda_theta=0.02)
+
+    @pytest.mark.parametrize("act", [Activation.TANH, Activation.IDENTITY])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_kept_states_give_the_fresh_gradient(self, act, workers):
+        imgs, labels, p, clf, reg = self.problem(act)
+        kept = loss(imgs, labels, p, clf, reg, workers=workers, keep=True)
+        # per chunk y_1 .. y_N, the last one a view of the features
+        assert [len(states) for states in kept.states] == [3, 3]
+        assert [states[-1].shape[0] for states in kept.states] == [256, 44]
+        for states, s in zip(kept.states, (slice(0, 256), slice(256, 300))):
+            assert np.shares_memory(states[-1], kept.features)
+            np.testing.assert_array_equal(states[-1], kept.features[s])
+        fresh_report, fresh = loss_and_gradient(imgs, labels, p, clf, reg, workers=workers)
+        report, grads = loss_and_gradient(imgs, labels, p, clf, reg, workers=workers,
+                                          states=kept.states)
+        assert report == fresh_report
+        assert_same_gradients(grads, fresh)
+        assert [len(states) for states in kept.states] == [3, 3]  # read, not consumed
+
+    def test_states_of_another_batch_refused(self):
+        imgs, labels, p, clf, reg = self.problem(Activation.TANH)
+        kept = loss(imgs[:100], labels[:100], p, clf, reg, keep=True)
+        with pytest.raises(ValueError, match="states"):
+            loss_and_gradient(imgs, labels, p, clf, reg, states=kept.states)
+
+    def test_frozen_embedding_skip_keeps_every_other_block(self, monkeypatch):
+        imgs, labels, p, clf, reg = self.problem(Activation.TANH)
+        full_report, full = loss_and_gradient(imgs, labels, p, clf, reg)
+        calls = {"bank_apply": 0, "tap_gradient": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(network_mod, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(network_mod, name, counted)
+        report, grads = loss_and_gradient(imgs, labels, p, clf, reg, embed_grad=False)
+        assert report == full_report
+        assert grads.embed is None
+        assert_same_gradients(grads, full, ("banks", "biases", "weights", "mu"))
+        # per chunk: embedding and 3 layers forward, 2 adjoint applications
+        # back instead of 3; 3 tap gradients instead of 4
+        assert calls == {"bank_apply": 2 * (4 + 2), "tap_gradient": 2 * 3}

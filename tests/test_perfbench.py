@@ -1,16 +1,19 @@
-"""The benchmark's checks on one seed-1 ``accept-bars12`` round, in process.
+"""The benchmark's checks on one seed-1 round of a workload, in process.
 
 The round runs through ``perfbench/workloads.py`` with ``perfbench/tracer.py``
 installed, as ``perfbench/run.py --trace 1`` runs it, so a change that breaks
-one of the workload's checks (finite-difference gradient, Newton
-monotonicity, warm start below cold) or a name the tracer wraps fails here
-and not only in the benchmark.
+one of the workload's checks or a name the tracer wraps fails here and not
+only in the benchmark.  ``accept-bars12`` checks the finite-difference
+gradient, Newton monotonicity and warm start below cold; ``cli-bundled``
+the logits oracle, monotone histories, Newton monotonicity and the Galerkin
+round trip.
 """
 
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-WORKLOAD = "accept-bars12"
 
 
 class StubClock:
@@ -22,24 +25,27 @@ class StubClock:
         return 1.0
 
 
-def test_accept_bars12_round_passes_its_checks_and_every_layer_metric_moves(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", ["accept-bars12", "cli-bundled"])
+def test_round_passes_its_checks_and_every_layer_metric_moves(tmp_path, monkeypatch, workload):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.chdir(tmp_path)
     import check_trace
     import tracer as tracing
     import workloads
 
-    setup, run_round = workloads.WORKLOADS[WORKLOAD]
-    state = setup(1, tmp_path)
-    out = tmp_path / "round"
-    out.mkdir()
+    setup, run_round = workloads.WORKLOADS[workload]
     tracer = tracing.Tracer()
     probes = workloads.Probes(StubClock(), tracer)
     try:
+        # the set-up runs traced too, as in run.py's traced round, so that
+        # input generation shows in the spans
         tracer.install()
+        tracer.enabled = True
+        state = setup(1, tmp_path)
+        out = tmp_path / "round"
+        out.mkdir()
         probes.install()
         rnd = workloads.Round(probes, 1)
-        tracer.enabled = True
         run_round(state, rnd, out)
         tracer.enabled = False
     finally:
@@ -49,5 +55,5 @@ def test_accept_bars12_round_passes_its_checks_and_every_layer_metric_moves(tmp_
     assert rnd.failures == []
     metrics = tracing.layer_metrics(tracer, 0.0, 0.0, 1.0)
     zero = [name for name, where in check_trace.LAYER_MAP.items()
-            if WORKLOAD in where and not metrics[name][0]]
+            if workload in where and not metrics[name][0]]
     assert zero == []

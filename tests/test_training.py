@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import mgcnn.network as network_mod
 import mgcnn.training as training_mod
 from mgcnn.data import LabeledDataset, SyntheticKind, make_synthetic
 from mgcnn.grid import Grid2D
@@ -619,6 +620,84 @@ class TestArmijoWarmStart:
             assert (row.data_term, row.reg_term) == (data_term, reg_term)
         np.testing.assert_array_equal(res.params.biases, p.biases)
         np.testing.assert_array_equal(res.classifier.weights, clf.weights)
+
+
+def assert_same_run(a, b):
+    assert a.history == b.history
+    for b0, b1 in zip(a.params.banks, b.params.banks):
+        np.testing.assert_array_equal(b0.weights, b1.weights)
+    np.testing.assert_array_equal(a.params.biases, b.params.biases)
+    np.testing.assert_array_equal(a.params.embed.weights, b.params.embed.weights)
+    np.testing.assert_array_equal(a.classifier.weights, b.classifier.weights)
+    np.testing.assert_array_equal(a.classifier.mu, b.classifier.mu)
+
+
+class TestTrajectoryReuse:
+    """Full-batch Armijo feeds the accepted trial's trajectory to the next
+    gradient pass and skips a frozen embedding's gradient; same bits."""
+
+    @staticmethod
+    def start(ds, embed_learnable=False, seed=16):
+        # a nonzero classifier, so the first search already has a gradient
+        rng = np.random.default_rng(seed)
+        params = varied_params(seed, num_layers=2)
+        params.embed_learnable = embed_learnable
+        clf = Classifier(ds.grid, rng.normal(size=(2, 2) + ds.grid.shape), rng.normal(size=2))
+        return params, clf
+
+    @pytest.mark.parametrize("embed_learnable", [False, True])
+    def test_matches_fresh_gradient_passes(self, monkeypatch, embed_learnable):
+        ds = blob_set(n=30, seed=17)
+        params, clf = self.start(ds, embed_learnable)
+        cfg = BcdConfig(outer_iters=4, newton_steps=2)
+        res = bcd_train(ds, params, clf, RegConfig(0.02, 0.05), cfg)
+        assert np.array_equal(res.params.embed.weights, params.embed.weights) != embed_learnable
+
+        loss_grad = training_mod.loss_and_gradient
+
+        def fresh(*args, states=None, embed_grad=True, **kwargs):
+            return loss_grad(*args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "loss_and_gradient", fresh)
+        assert_same_run(res, bcd_train(ds, params, clf, RegConfig(0.02, 0.05), cfg))
+
+    @pytest.mark.parametrize("rule, batch_size, layers_per_pass", [
+        (ArmijoBacktracking(), None, [2, 0, 0, 0]),
+        (ArmijoBacktracking(), 10, [2, 2, 2, 2]),
+        (FixedStep(0.05), None, [2, 2, 2, 2]),
+    ])
+    def test_layers_run_by_each_gradient_pass(self, monkeypatch, rule, batch_size,
+                                              layers_per_pass):
+        steps, per_pass = [], []
+        step, loss_grad = network_mod.forward_step, training_mod.loss_and_gradient
+
+        def counted_step(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        def counted_pass(*args, **kwargs):
+            before = len(steps)
+            out = loss_grad(*args, **kwargs)
+            per_pass.append(len(steps) - before)
+            return out
+
+        monkeypatch.setattr(network_mod, "forward_step", counted_step)
+        monkeypatch.setattr(training_mod, "loss_and_gradient", counted_pass)
+        ds = blob_set(n=30, seed=14)
+        params, clf = self.start(ds)
+        res = bcd_train(ds, params, clf, RegConfig(0.02, 0.05),
+                        BcdConfig(outer_iters=4, newton_steps=2, prop_step_rule=rule,
+                                  batch_size=batch_size))
+        assert len(res.history) == 4
+        assert per_pass == layers_per_pass
+
+    def test_two_chunks_on_two_workers_match_one(self):
+        ds = blob_set(n=300, seed=18)  # two chunks: 256 and 44 examples
+        params, clf = self.start(ds)
+        cfg = BcdConfig(outer_iters=3, newton_steps=2)
+        runs = [bcd_train(ds, params, clf, RegConfig(0.02, 0.05), cfg, workers=w)
+                for w in (1, 2)]
+        assert_same_run(*runs)
 
 
 class TestEvaluate:
