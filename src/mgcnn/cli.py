@@ -303,13 +303,29 @@ def _check_grid(cfg: RunConfig, grid: Grid2D, levels: int) -> None:
         raise ConfigError(f"{cause} {nx}x{ny} grid, narrower than kernel = {cfg.kernel}")
 
 
-def _write_summary(path: Path, label: str, rows: list[tuple]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            (label, "init_loss_warm", "init_loss_cold", "final_acc", "iterations", "wall_seconds")
-        )
-        writer.writerows(rows)
+def _save(out: Path, params, clf, provenance: dict) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    save_model(str(out / "model.bin"), ModelFile(params=params, classifier=clf, provenance=provenance))
+
+
+def _write_stages(out: Path, cfg: RunConfig, label: str, result, stages) -> None:
+    """Per ``(index, stage, cold history or None)`` triple write
+    ``history_{label}{index}.csv`` and its ``_cold`` twin; then ``summary.csv``
+    and ``model.bin``, whose provenance schedule lists each stage's iterations."""
+    out.mkdir(parents=True, exist_ok=True)
+    rows = [(label, "init_loss_warm", "init_loss_cold", "final_acc", "iterations", "wall_seconds")]
+    schedule = []
+    for index, stage, cold_history in stages:
+        history_to_csv(stage.history, str(out / f"history_{label}{index}.csv"))
+        if cold_history is not None:
+            history_to_csv(cold_history, str(out / f"history_{label}{index}_cold.csv"))
+        iterations = len(stage.history)
+        rows.append((index, stage.init_loss_warm, stage.init_loss_cold, stage.final_acc,
+                     iterations, stage.wall_seconds))
+        schedule.append({label: index, "iterations": iterations})
+    with open(out / "summary.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    _save(out, result.params, result.classifier, _provenance(cfg, schedule))
 
 
 def cmd_train(cfg: RunConfig, out: Path, workers: int) -> int:
@@ -318,18 +334,10 @@ def cmd_train(cfg: RunConfig, out: Path, workers: int) -> int:
     init = _network_init(cfg)
     params = init.network_params(cfg.layers, cfg.seed)
     clf = zero_classifier(train.grid, cfg.channels, train.num_classes)
-    reg = _reg(cfg)
-    result = bcd_train(train, params, clf, reg, _bcd_config(cfg), val=val, workers=workers)
-    out.mkdir(parents=True, exist_ok=True)
+    result = bcd_train(train, params, clf, _reg(cfg), _bcd_config(cfg), val=val, workers=workers)
+    schedule = [{"level": 0, "iterations": cfg.outer_iters}]
+    _save(out, result.params, result.classifier, _provenance(cfg, schedule))
     history_to_csv(result.history, str(out / "history.csv"))
-    save_model(
-        str(out / "model.bin"),
-        ModelFile(
-            params=result.params,
-            classifier=result.classifier,
-            provenance=_provenance(cfg, [{"level": 0, "iterations": cfg.outer_iters}]),
-        ),
-    )
     return 0
 
 
@@ -346,10 +354,9 @@ def cmd_adapt(model_path: str, direction: Direction, cfg: RunConfig, out: Path) 
     pair = _transfer_pair(cfg)
     cmap = build_coarsen_map(model.params.kernel_size, pair)
     params, clf = adapt_model_resolution(model.params, model.classifier, direction, cmap, pair)
-    out.mkdir(parents=True, exist_ok=True)
     provenance = dict(model.provenance)
     provenance["adapted"] = {"direction": direction.value, "transfer": cfg.transfer}
-    save_model(str(out / "model.bin"), ModelFile(params=params, classifier=clf, provenance=provenance))
+    _save(out, params, clf, provenance)
     return 0
 
 
@@ -370,11 +377,6 @@ def cmd_multilevel(cfg: RunConfig, out: Path, workers: int) -> int:
         schedule = LevelSchedule.uniform(base, pyr.levels)
 
     init = _network_init(cfg)
-    coarse_grid = pyr.datasets[-1].grid
-    start = (
-        init.network_params(cfg.layers, cfg.seed),
-        zero_classifier(coarse_grid, cfg.channels, train.num_classes),
-    )
 
     def cold(level: int):
         return (
@@ -383,27 +385,10 @@ def cmd_multilevel(cfg: RunConfig, out: Path, workers: int) -> int:
         )
 
     result = multilevel_train(
-        pyr, schedule, start, _reg(cfg), val_pyramid=val_pyr, cold_init=cold, workers=workers
+        pyr, schedule, cold(pyr.levels - 1), _reg(cfg), val_pyramid=val_pyr, cold_init=cold,
+        workers=workers,
     )
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    schedule_record = []
-    for lev in result.levels:
-        history_to_csv(lev.history, str(out / f"history_level{lev.level}.csv"))
-        rows.append(
-            (lev.level, lev.init_loss_warm, lev.init_loss_cold, lev.final_acc,
-             len(lev.history), lev.wall_seconds)
-        )
-        schedule_record.append({"level": lev.level, "iterations": len(lev.history)})
-    _write_summary(out / "summary.csv", "level", rows)
-    save_model(
-        str(out / "model.bin"),
-        ModelFile(
-            params=result.params,
-            classifier=result.classifier,
-            provenance=_provenance(cfg, schedule_record),
-        ),
-    )
+    _write_stages(out, cfg, "level", result, [(lev.level, lev, None) for lev in result.levels])
     return 0
 
 
@@ -423,27 +408,8 @@ def cmd_deepen(cfg: RunConfig, out: Path, workers: int) -> int:
     result = shallow_to_deep_train(
         train, list(cfg.depths), _bcd_config(cfg), _reg(cfg), make_model, val=val, workers=workers
     )
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    schedule_record = []
-    for dep in result.depths:
-        history_to_csv(dep.history, str(out / f"history_depth{dep.depth}.csv"))
-        if dep.cold_history is not None:
-            history_to_csv(dep.cold_history, str(out / f"history_depth{dep.depth}_cold.csv"))
-        rows.append(
-            (dep.depth, dep.init_loss_warm, dep.init_loss_cold, dep.final_acc,
-             len(dep.history), dep.wall_seconds)
-        )
-        schedule_record.append({"depth": dep.depth, "iterations": len(dep.history)})
-    _write_summary(out / "summary.csv", "depth", rows)
-    save_model(
-        str(out / "model.bin"),
-        ModelFile(
-            params=result.params,
-            classifier=result.classifier,
-            provenance=_provenance(cfg, schedule_record),
-        ),
-    )
+    stages = [(dep.depth, dep, dep.cold_history) for dep in result.depths]
+    _write_stages(out, cfg, "depth", result, stages)
     return 0
 
 

@@ -31,7 +31,7 @@ from .errors import DimensionError
 from .grid import TransferPair, gaussian_blur_values, prolong_values, restrict_values
 from .network import Classifier, NetworkParams, loss
 from .stencils import CoarsenMap, StencilBank, build_coarsen_map, coarsen_bank, refine_bank
-from .training import BcdConfig, HistoryRow, RegConfig, bcd_train, evaluate
+from .training import BcdConfig, HistoryRow, RegConfig, TrainResult, bcd_train, evaluate
 
 __all__ = [
     "Direction",
@@ -123,6 +123,24 @@ class LevelSchedule:
         return cls([cfg] * levels)
 
 
+def _train_stage(
+    ds: LabeledDataset,
+    params: NetworkParams,
+    clf: Classifier,
+    reg: RegConfig,
+    cfg: BcdConfig,
+    val: LabeledDataset | None,
+    workers: int,
+) -> tuple[TrainResult, float, float]:
+    """One stage of a warm-started chain: the trained result, its accuracy
+    on ``val`` (on ``ds`` without one) and the seconds :func:`bcd_train` took."""
+    start = time.perf_counter()
+    res = bcd_train(ds, params, clf, reg, cfg, val=val, workers=workers)
+    wall = time.perf_counter() - start
+    acc = evaluate(val if val is not None else ds, res.params, res.classifier, workers=workers)
+    return res, acc.accuracy, wall
+
+
 @dataclass
 class LevelResult:
     level: int
@@ -177,21 +195,9 @@ def multilevel_train(
             cold_p, cold_c = cold_init(level)
             init_cold = loss(ds.images, ds.labels, cold_p, cold_c, reg, workers=workers).total
 
-        start = time.perf_counter()
-        res = bcd_train(ds, params, clf, reg, cfg, val=val, workers=workers)
-        wall = time.perf_counter() - start
+        res, final_acc, wall = _train_stage(ds, params, clf, reg, cfg, val, workers)
         params, clf = res.params, res.classifier
-        final_acc = evaluate(val if val is not None else ds, params, clf, workers=workers).accuracy
-        results.append(
-            LevelResult(
-                level=level,
-                history=res.history,
-                init_loss_warm=init_warm,
-                init_loss_cold=init_cold,
-                final_acc=final_acc,
-                wall_seconds=wall,
-            )
-        )
+        results.append(LevelResult(level, res.history, init_warm, init_cold, final_acc, wall))
         if level > 0:
             params, clf = adapt_model_resolution(
                 params, clf, Direction.REFINE, cmap, pyramid.pair
@@ -291,20 +297,9 @@ def shallow_to_deep_train(
             init_warm = loss(train.images, train.labels, params, clf, reg, workers=workers).total
             cold_history = bcd_train(train, cold_p, cold_c, reg, cfg, val=val, workers=workers).history
 
-        start = time.perf_counter()
-        res = bcd_train(train, params, clf, reg, cfg, val=val, workers=workers)
-        wall = time.perf_counter() - start
+        res, final_acc, wall = _train_stage(train, params, clf, reg, cfg, val, workers)
         params, clf = res.params, res.classifier
-        final_acc = evaluate(val if val is not None else train, params, clf, workers=workers).accuracy
         results.append(
-            DepthResult(
-                depth=depth,
-                history=res.history,
-                init_loss_warm=init_warm,
-                init_loss_cold=init_cold,
-                cold_history=cold_history,
-                final_acc=final_acc,
-                wall_seconds=wall,
-            )
+            DepthResult(depth, res.history, init_warm, init_cold, cold_history, final_acc, wall)
         )
     return ShallowToDeepResult(depths=results, params=params, classifier=clf)

@@ -200,10 +200,6 @@ class Classifier:
     def num_classes(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def channels(self) -> int:
-        return self.weights.shape[1]
-
     def copy(self) -> "Classifier":
         return Classifier(self.grid, self.weights.copy(), self.mu.copy())
 
@@ -493,13 +489,20 @@ def loss(
 ) -> LossReport:
     """Mean cross-entropy over the batch plus the regularization value.
 
+    The cross-entropy is summed per ``CHUNK``, the chunk sums are added in
+    chunk order and divided by the batch size, as in :func:`loss_and_gradient`,
+    so both report the same ``data_term`` and ``total`` to the bit.
+
     With ``keep`` the report also holds every chunk's trajectory
     (``LossReport.states``) for a gradient pass at the same point.
     """
     labels = _check_labels(labels, clf.num_classes)
     y_out, states = _propagate_batch(images, params, workers, keep)
-    ce = _cross_entropy(_logits(y_out, clf), labels)
-    data = float(ce.mean()) if labels.size else 0.0
+    m = labels.size
+    data = 0.0
+    for s in _chunks(m):
+        data += float(_cross_entropy(_logits(y_out[s], clf), labels[s]).sum())
+    data = data / m if m else 0.0
     reg_value, _ = reg_value_and_grad(params, clf, reg)
     return LossReport(total=data + reg_value, data_term=data, reg_term=reg_value,
                       features=y_out, states=states)

@@ -68,6 +68,8 @@ def test_removed_methods_are_gone():
     assert not hasattr(TransferPair.constant_average(), "gamma")
     assert not hasattr(network, "_layer")
     assert not hasattr(training, "_laplacian_entries")
+    # read nowhere
+    assert not hasattr(network.Classifier, "channels")
 
 
 def test_penalty_has_one_home():

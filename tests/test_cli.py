@@ -1,5 +1,6 @@
 """Config parsing, subcommands, exit codes, and end-to-end determinism."""
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +368,43 @@ class TestDeepenCommand:
         assert len(lines) == 3
         final = load_model(str(out / "model.bin"))
         assert final.params.num_layers == 4
+
+
+# per chain command: stage label, extra config, and the expected schedule
+STAGE_RUNS = {
+    "multilevel": ("level", "levels = 1\nlevel_iters = 2,3\n", [(1, 3), (0, 2)]),
+    "deepen": ("depth", "depths = 2,4\nouter_iters = 3\n", [(2, 3), (4, 3)]),
+}
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestStageOutputs:
+    """The files a chain writes per stage agree with each other."""
+
+    @pytest.mark.parametrize("command", sorted(STAGE_RUNS))
+    def test_summary_schedule_and_histories_agree(self, tmp_path, command):
+        label, extra, stages = STAGE_RUNS[command]
+        cfg = write_cfg(tmp_path, FAST_TRAIN + extra)
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--sequential", "--out", str(out)]) == 0
+        summary = read_csv(out / "summary.csv")
+        assert [(int(r[label]), int(r["iterations"])) for r in summary] == stages
+        schedule = load_model(str(out / "model.bin")).provenance["schedule"]
+        assert schedule == [{label: i, "iterations": n} for i, n in stages]
+        for row in summary:
+            history = read_csv(out / f"history_{label}{row[label]}.csv")
+            assert len(history) == int(row["iterations"])
+            assert float(row["final_acc"]) == float(history[-1]["val_acc"])
+        # a cold control trains beside every depth after the first
+        cold = sorted(p.name for p in out.glob("*_cold.csv"))
+        want = [f"history_depth{i}_cold.csv" for i, _ in stages[1:]] if command == "deepen" else []
+        assert cold == want
+        for name in cold:
+            assert len(read_csv(out / name)) == 3
 
 
 class TestInspectCommand:

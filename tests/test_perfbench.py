@@ -3,10 +3,12 @@
 The round runs through ``perfbench/workloads.py`` with ``perfbench/tracer.py``
 installed, as ``perfbench/run.py --trace 1`` runs it, so a change that breaks
 one of the workload's checks or a name the tracer wraps fails here and not
-only in the benchmark.  ``accept-bars12`` checks the finite-difference
-gradient, Newton monotonicity and warm start below cold; ``cli-bundled``
-the logits oracle, monotone histories, Newton monotonicity and the Galerkin
-round trip.
+only in the benchmark.  Every workload of ``BENCHMARK.json`` runs:
+``accept-bars12`` checks the finite-difference gradient, Newton
+monotonicity and warm start below cold; ``cli-bundled`` the logits oracle,
+monotone histories, Newton monotonicity and the Galerkin round trip;
+``mnist28-standin`` IDX loading, the accuracy gate and the logits oracles
+on the CG Newton and minibatch paths.
 """
 
 from pathlib import Path
@@ -25,7 +27,7 @@ class StubClock:
         return 1.0
 
 
-@pytest.mark.parametrize("workload", ["accept-bars12", "cli-bundled"])
+@pytest.mark.parametrize("workload", ["accept-bars12", "cli-bundled", "mnist28-standin"])
 def test_round_passes_its_checks_and_every_layer_metric_moves(tmp_path, monkeypatch, workload):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.chdir(tmp_path)
