@@ -314,23 +314,17 @@ def build_coarsen_map(k: int, pair: TransferPair) -> CoarsenMap:
     delta[mid, mid] = 1.0
     fine_delta = prolong_values(delta, pair.kind)
 
-    matrix = np.empty((k * k, k * k))
+    # Output channel j of one bank is the unit stencil e_j: all probes in one pass.
+    probes = np.eye(k * k).reshape(k * k, 1, k, k)
+    coarse_ops = restrict_values(bank_apply(probes, fine_delta[None]), pair.kind)
+    # (R K P) delta_m has entry a_d at position m - d: gather the window.
+    window = (mid + c - np.arange(k)) % n_coarse
+    kept = np.zeros((n_coarse, n_coarse), dtype=bool)
+    kept[window[:, None], window] = True
+    matrix = np.ascontiguousarray(coarse_ops[:, window[:, None], window].reshape(k * k, -1).T)
     truncation = 0.0
-    probe = np.zeros((1, 1, k, k))
-    for j in range(k * k):
-        probe[0, 0].flat[j] = 1.0
-        coarse_op = restrict_values(bank_apply(probe, fine_delta[None])[0], pair.kind)
-        probe[0, 0].flat[j] = 0.0
-        # (R K P) delta_m has entry a_d at position m - d: gather the window.
-        col = np.empty((k, k))
-        kept = np.zeros_like(coarse_op, dtype=bool)
-        for p in range(k):
-            for q in range(k):
-                r, s_ = (mid - (p - c)) % n_coarse, (mid - (q - c)) % n_coarse
-                col[p, q] = coarse_op[r, s_]
-                kept[r, s_] = True
-        truncation += float(np.abs(coarse_op[~kept]).sum())
-        matrix[:, j] = col.reshape(-1)
+    for mass in np.abs(coarse_ops[:, ~kept]).sum(axis=1):
+        truncation += float(mass)
 
     cond = float(np.linalg.cond(matrix))
     if cond > COND_LIMIT or not np.isfinite(cond):

@@ -8,22 +8,23 @@ subproblem is multinomial logistic regression with a quadratic smoothness
 penalty, so it is convex and Newton's method with step halving is both safe
 and fast.
 
-The Newton system uses the exact softmax Gauss-Newton Hessian and has three
-solves.  Softmax logits are invariant to adding the same vector to every
-class, so the data term of the Hessian vanishes along class-constant
-directions, and the penalty and the jitter act on each class alike.  The
-class mean therefore decouples exactly: it sees only ``lambda * Laplacian +
-jitter``, which the FFT diagonalises on the periodic grid.  The ``L - 1``
-class contrasts form one system of ``(L-1)(F+1)`` unknowns for ``F``
-features per class, solved directly (the contrast path).  With ``m``
-examples and ``c`` channels that system also has an exact sample-space form
-of ``(L-1)(m+c+1)`` unknowns, because the data term has rank at most
-``m(L-1)`` and the penalty is diagonal under the FFT (the sample path).
-The smaller of the two is solved directly if it has at most
-``DENSE_NEWTON_LIMIT`` unknowns, the sample form only when ``lambda > 0``;
-otherwise the full Hessian is applied matrix-free inside conjugate gradients.
-All three are deterministic.  A singular or non-descent system falls back to
-a gradient step with Armijo search and flags the step report.
+The Newton system uses the exact softmax Gauss-Newton Hessian, on one
+``(L, F+1)`` array of rows ``[w_j | mu_j]`` for ``L`` classes and ``F``
+features per class.  Softmax logits are invariant to adding the same vector
+to every class, so the data term of the Hessian vanishes along
+class-constant directions, and the penalty and the jitter act on each class
+alike.  The class mean therefore decouples exactly: it sees only ``lambda *
+Laplacian + jitter``, which the FFT diagonalises on the periodic grid.  The
+``L - 1`` class contrasts form one system of ``(L-1)(F+1)`` unknowns, solved
+directly (the contrast path).  With ``m`` examples and ``c`` channels that
+system also has an exact sample-space form of ``(L-1)(m+c+1)`` unknowns,
+because the data term has rank at most ``m(L-1)`` and the penalty is
+diagonal under the FFT (the sample path).  The smaller of the two is solved
+directly if it has at most ``DENSE_NEWTON_LIMIT`` unknowns, the sample form
+only when ``lambda > 0``; otherwise conjugate gradients solve the contrast
+system matrix-free.  All three are deterministic.  A singular or non-descent
+system falls back to a gradient step with Armijo search and flags the step
+report.
 
 The smoothness penalties are those of :func:`mgcnn.network.loss`.
 """
@@ -165,46 +166,42 @@ def newton_classifier_step(
         raise ValueError("cannot fit a classifier to an empty batch")
     L = clf.num_classes
     h2 = clf.grid.h**2
-    field_shape = clf.weights.shape[1:]
+    w_shape = clf.weights.shape
     A = h2 * features.reshape(m, -1)  # logits = A @ W_flat.T + mu
     F = A.shape[1]
     lam = reg.lambda_w * h2
     onehot = np.zeros((m, L))
     onehot[np.arange(m), labels] = 1.0
 
-    def objective(w: np.ndarray, mu: np.ndarray) -> float:
-        return classifier_objective(
-            features, labels, Classifier(clf.grid, w.reshape((L,) + field_shape), mu), reg
-        )
+    def unpack(x: np.ndarray) -> Classifier:
+        return Classifier(clf.grid, x[:, :F].reshape(w_shape), x[:, F].copy())
 
-    def grad(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        probs = softmax(A @ w.T + mu)
+    def grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        probs = softmax(A @ x[:, :F].T + x[:, F])
         d = (probs - onehot) / m
-        g_w = d.T @ A + lam * _laplacian_flat(w, (L,) + field_shape)
-        return g_w, d.sum(axis=0), probs
+        g_w = d.T @ A + lam * _laplacian_flat(x[:, :F], w_shape)
+        return np.concatenate([g_w, d.sum(axis=0)[:, None]], axis=1), probs
 
-    direction = _newton_solver(A, lam, (L,) + field_shape)
-    w = clf.weights.reshape(L, F).copy()
-    mu = clf.mu.copy()
-    obj = objective(w, mu)
+    direction = _newton_solver(A, lam, w_shape)
+    x = np.concatenate([clf.weights.reshape(L, F), clf.mu[:, None]], axis=1)  # rows [w_j | mu_j]
+    obj = classifier_objective(features, labels, unpack(x), reg)
     objectives: list[float] = []
     used_fallback = False
 
     for _ in range(steps):
-        g_w, g_mu, probs = grad(w, mu)
-        g_norm = max(float(np.abs(g_w).max()), float(np.abs(g_mu).max()))
-        if g_norm < 1e-13:
+        g, probs = grad(x)
+        if float(np.abs(g).max()) < 1e-13:
             objectives.append(obj)
             continue
 
-        dir_w, dir_mu = direction(probs, g_w, g_mu)
+        d = direction(probs, g)
         accepted = False
-        if dir_w is not None and float((dir_w * g_w).sum() + (dir_mu * g_mu).sum()) < 0.0:
+        if d is not None and float((d * g).sum()) < 0.0:
             t = 1.0
             for _ in range(MAX_HALVINGS):
-                new_obj = objective(w + t * dir_w, mu + t * dir_mu)
+                new_obj = classifier_objective(features, labels, unpack(x + t * d), reg)
                 if new_obj < obj:
-                    w, mu, obj = w + t * dir_w, mu + t * dir_mu, new_obj
+                    x, obj = x + t * d, new_obj
                     accepted = True
                     break
                 t *= 0.5
@@ -213,15 +210,14 @@ def newton_classifier_step(
             used_fallback = True
             t = 1.0
             for _ in range(MAX_HALVINGS):
-                new_obj = objective(w - t * g_w, mu - t * g_mu)
-                if new_obj <= obj - 1e-4 * t * (float((g_w**2).sum()) + float((g_mu**2).sum())):
-                    w, mu, obj = w - t * g_w, mu - t * g_mu, new_obj
+                new_obj = classifier_objective(features, labels, unpack(x - t * g), reg)
+                if new_obj <= obj - 1e-4 * t * float((g**2).sum()):
+                    x, obj = x - t * g, new_obj
                     break
                 t *= 0.5
         objectives.append(obj)
 
-    out = Classifier(clf.grid, w.reshape((L,) + field_shape), mu)
-    return NewtonResult(classifier=out, objectives=objectives, used_fallback=used_fallback)
+    return NewtonResult(classifier=unpack(x), objectives=objectives, used_fallback=used_fallback)
 
 
 def _contrast_basis(L: int) -> np.ndarray:
@@ -395,19 +391,17 @@ def _hessian_matvec(A: np.ndarray, probs: np.ndarray, lam: float, w_shape: tuple
     """The product with the softmax Gauss-Newton Hessian plus penalty and
     jitter, without forming it.
 
-    Unknown layout: per-class weight rows, then the offsets.
+    Unknown layout: ``(L, F+1)`` rows ``[w_j | mu_j]``, one per class, for
+    both the argument and the result.
     """
     m, L = probs.shape
     F = A.shape[1]
 
     def hess_vec(v: np.ndarray) -> np.ndarray:
-        vw = v[: L * F].reshape(L, F)
-        vmu = v[L * F :]
-        scores = A @ vw.T + vmu  # (m, L)
+        scores = A @ v[:, :F].T + v[:, F]  # (m, L)
         t = probs * scores - probs * (probs * scores).sum(axis=1, keepdims=True)
-        hw = (t.T @ A) / m + lam * _laplacian_flat(vw, w_shape)
-        hmu = t.sum(axis=0) / m
-        return np.concatenate([hw.reshape(-1), hmu]) + NEWTON_JITTER * v
+        h_w = (t.T @ A) / m + lam * _laplacian_flat(v[:, :F], w_shape)
+        return np.concatenate([h_w, t.sum(axis=0)[:, None] / m], axis=1) + NEWTON_JITTER * v
 
     return hess_vec
 
@@ -432,47 +426,35 @@ def _newton_route(m: int, w_shape: tuple[int, ...], lam: float) -> str:
 
 
 def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
-    """The map ``(probs, g_w, g_mu) -> (d_w, d_mu)`` solving ``H d = -g`` for
-    the softmax Gauss-Newton Hessian on the fixed features ``A``.
+    """The map ``(probs, g) -> d`` solving ``H d = -g`` for the softmax
+    Gauss-Newton Hessian on the fixed features ``A``; ``g`` and ``d`` are
+    ``(L, F+1)`` rows ``[w_j | mu_j]``.
 
-    Three solves, routed by :func:`_newton_route` once per feature set:
+    The data term of ``H`` acts on each sample through ``diag p - p p^T``,
+    which annihilates the all-ones class vector, while the penalty and the
+    jitter act on every class alike.  In the orthonormal class basis
+    ``[1/sqrt(L), Q]`` the Hessian is therefore block diagonal: the class
+    mean sees only ``lam * Laplacian + jitter``, solved by FFT
+    (:func:`_penalty_solve`), and the ``L - 1`` contrasts form one system of
+    ``(L-1)(F+1)`` unknowns.  The direction is ``Q d_c + 1 ⊗ d_mean``.  The
+    contrast system takes one of three solves, routed by
+    :func:`_newton_route` once per feature set:
 
-    - **Contrast** (direct).  The data term of ``H`` acts on each sample
-      through ``diag p - p p^T``, which annihilates the all-ones class
-      vector, while the penalty and the jitter act on every class alike.  In
-      the orthonormal class basis ``[1/sqrt(L), Q]`` the Hessian is
-      therefore block diagonal: the class mean sees only ``lam * Laplacian
-      + jitter``, solved by FFT (:func:`_penalty_solve`), and the ``L - 1``
-      contrasts form one dense ``(L-1)(F+1)`` system
-      (:func:`_contrast_hessian`).  The direction is ``Q d_c + 1 ⊗ d_mean``.
-    - **Sample** (direct).  The same split, with the contrast system solved
-      in ``(L-1)(m+c+1)`` sample-space unknowns (:func:`_sample_solve`);
-      its kernel depends on ``A`` alone and is built here, once.
-    - **CG**: conjugate gradients on the matrix-free product of the full
-      Hessian (:func:`_hessian_matvec`).
+    - **Contrast** (direct): the dense matrix of :func:`_contrast_hessian`.
+    - **Sample** (direct): the same system in ``(L-1)(m+c+1)`` sample-space
+      unknowns (:func:`_sample_solve`); its kernel depends on ``A`` alone
+      and is built here, once.
+    - **CG**: conjugate gradients on the matrix-free operator ``v -> Q^T
+      H (Q v)`` (:func:`_hessian_matvec`).
 
-    The map returns ``(None, None)`` when the solve fails so the caller can
-    fall back.
+    The map returns ``None`` when the solve fails so the caller can fall
+    back.
     """
     m, F = A.shape
     L = w_shape[0]
     field_shape = w_shape[1:]
     route = _newton_route(m, w_shape, lam)
-
-    if route == "cg":
-        size = L * (F + 1)
-
-        def cg_direction(probs: np.ndarray, g_w: np.ndarray, g_mu: np.ndarray):
-            rhs = -np.concatenate([g_w.reshape(-1), g_mu])
-            op = scipy.sparse.linalg.LinearOperator(
-                (size, size), matvec=_hessian_matvec(A, probs, lam, w_shape)
-            )
-            d, info = scipy.sparse.linalg.cg(op, rhs, maxiter=200, atol=0.0, rtol=1e-8)
-            if info < 0 or not np.all(np.isfinite(d)):
-                return None, None
-            return d[: L * F].reshape(L, F), d[L * F :]
-
-        return cg_direction
+    Q = _contrast_basis(L)
 
     if route == "sample":
         kernel = _sample_kernel(A, lam, field_shape)
@@ -480,23 +462,32 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
         def contrast_solve(probs: np.ndarray, b: np.ndarray) -> np.ndarray:
             return _sample_solve(A, kernel, probs, b, lam, field_shape)
 
-    else:
+    elif route == "contrast":
 
         def contrast_solve(probs: np.ndarray, b: np.ndarray) -> np.ndarray:
             H = _contrast_hessian(A, probs, lam, w_shape)
             return scipy.linalg.solve(H, b.reshape(-1), assume_a="sym").reshape(b.shape)
 
-    Q = _contrast_basis(L)
+    else:
 
-    def direction(probs: np.ndarray, g_w: np.ndarray, g_mu: np.ndarray):
-        rhs = -np.concatenate([g_w, g_mu[:, None]], axis=1)  # rows [w_j | mu_j]
+        def contrast_solve(probs: np.ndarray, b: np.ndarray) -> np.ndarray:
+            hess_vec = _hessian_matvec(A, probs, lam, w_shape)
+            op = scipy.sparse.linalg.LinearOperator(
+                (b.size, b.size), matvec=lambda v: Q.T @ hess_vec(Q @ v.reshape(b.shape))
+            )
+            d, info = scipy.sparse.linalg.cg(op, b.reshape(-1), maxiter=200, atol=0.0, rtol=1e-8)
+            if info < 0 or not np.all(np.isfinite(d)):
+                raise np.linalg.LinAlgError(f"CG failed (info={info})")
+            return d.reshape(b.shape)
+
+    def direction(probs: np.ndarray, g: np.ndarray) -> np.ndarray | None:
         try:
-            d_c = contrast_solve(probs, Q.T @ rhs)
+            d_c = contrast_solve(probs, Q.T @ -g)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-            return None, None
+            return None
         d = Q @ d_c
-        d[:, :F] += _penalty_solve(rhs[:, :F].mean(axis=0), lam, field_shape)
-        return d[:, :F], d[:, F]
+        d[:, :F] += _penalty_solve(-g[:, :F].mean(axis=0), lam, field_shape)
+        return d
 
     return direction
 
@@ -570,14 +561,13 @@ def _take_prop_step(
     ``images`` under those parameters (else ``None``); and the step taken.
     ``FixedStep`` always takes ``rule.step_size``.  Armijo backtracks from
     ``t0`` by ``rule.beta``; when no trial passes the sufficient-decrease
-    test (or the gradient is zero) it keeps the current point and returns
-    ``None`` as the step.
+    test it keeps the current point and returns ``None`` as the step.  A
+    zero gradient's first trial is the current point, whose loss equals
+    ``report.total`` to the bit, so it is accepted at ``t0`` like any other.
     """
     if isinstance(rule, FixedStep):
         return _prop_step(params, grads, rule.step_size), None, rule.step_size
     sq = grads.prop_sq_norm(params.embed_learnable)
-    if sq == 0.0:
-        return params, None, None
     t = t0
     for _ in range(rule.max_backtracks):
         trial = _prop_step(params, grads, t)

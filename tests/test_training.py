@@ -192,12 +192,17 @@ class TestNewtonClassifierStep:
         gd_obj = classifier_objective(features, labels, gd_clf, reg)
         assert newton_obj <= gd_obj + 1e-12
 
-    @pytest.mark.parametrize("lam", [0.05, 0.0])
-    def test_class_means_stay_zero(self, lam):
+    # 40 examples against 72 features per class: without monkeypatching,
+    # lam = 0.05 routes to the sample solve and lam = 0 to the contrast one.
+    @pytest.mark.parametrize("route, lam", [
+        ("sample", 0.05), ("contrast", 0.05), ("contrast", 0.0), ("cg", 0.05), ("cg", 0.0),
+    ])
+    def test_class_means_stay_zero(self, monkeypatch, route, lam):
         # Softmax is shift invariant, so the class means of the weights and
         # of the offsets get no gradient and no curvature: Newton steps from
         # a zero classifier must leave them at zero, not at rounding noise
-        # divided by the Hessian jitter.
+        # divided by the Hessian jitter, whichever solve takes the contrasts.
+        monkeypatch.setattr(training_mod, "_newton_route", lambda *args: route)
         rng = np.random.default_rng(7)
         g = Grid2D(6, 6, 1.0)
         features = rng.normal(size=(40, 2, 6, 6))
@@ -223,30 +228,21 @@ def newton_problem(seed, field_shape, m=7, L=3):
     return A, probs, (L,) + field_shape
 
 
-def class_rows(v, L):
-    """Flat ``[w_1..w_L | mu]`` unknowns as L rows ``[w_j | mu_j]``."""
-    return np.concatenate([v[:-L].reshape(L, -1), v[-L:, None]], axis=1)
-
-
-def flat_unknowns(rows):
-    return np.concatenate([rows[:, :-1].reshape(-1), rows[:, -1]])
-
-
 def newton_gradient(A, probs, w_shape, lam, seed):
-    """A classifier gradient at weights with a nonzero, rough class mean."""
+    """A classifier gradient at weights with a nonzero, rough class mean, as
+    ``(L, F+1)`` rows ``[g_w_j | g_mu_j]``."""
     rng = np.random.default_rng(seed)
     L, m = w_shape[0], A.shape[0]
     w = rng.normal(size=(L, A.shape[1])) + rng.normal(size=A.shape[1])
     resid = (probs - np.eye(L)[rng.integers(0, L, m)]) / m
     g_w = resid.T @ A + lam * training_mod._laplacian_flat(w, w_shape)
-    return g_w, resid.sum(axis=0)
+    return np.concatenate([g_w, resid.sum(axis=0)[:, None]], axis=1)
 
 
-def routed_direction(monkeypatch, route, A, probs, g_w, g_mu, lam, w_shape):
-    """The Newton direction through one solve, as flat unknowns."""
+def routed_direction(monkeypatch, route, A, probs, g, lam, w_shape):
+    """The Newton direction through one solve."""
     monkeypatch.setattr(training_mod, "_newton_route", lambda *args: route)
-    d_w, d_mu = training_mod._newton_solver(A, lam, w_shape)(probs, g_w, g_mu)
-    return np.concatenate([d_w.reshape(-1), d_mu])
+    return training_mod._newton_solver(A, lam, w_shape)(probs, g)
 
 
 class TestNewtonAssembly:
@@ -266,8 +262,7 @@ class TestNewtonAssembly:
             hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
             columns = []
             for e in np.eye(H.shape[0]):
-                h = hess_vec(flat_unknowns(Q @ e.reshape(L - 1, -1)))
-                columns.append((Q.T @ class_rows(h, L)).reshape(-1))
+                columns.append((Q.T @ hess_vec(Q @ e.reshape(L - 1, -1))).reshape(-1))
             columns = np.stack(columns, axis=1)
             assert np.abs(H - columns).max() <= 1e-12 * max(1.0, np.abs(H).max())
 
@@ -277,34 +272,37 @@ class TestNewtonAssembly:
         # Classifier weights with a nonzero, rough class mean put weight on
         # the FFT-solved mean block when lam > 0.
         A, probs, w_shape = newton_problem(43, (2, 4, 5), L=L)
-        g_w, g_mu = newton_gradient(A, probs, w_shape, lam, seed=44)
-        rhs = -np.concatenate([g_w.reshape(-1), g_mu])
+        g = newton_gradient(A, probs, w_shape, lam, seed=44)
         if lam > 0.0:
+            g_w = g[:, :-1]
             assert np.linalg.norm(g_w.mean(axis=0)) >= 0.1 * np.linalg.norm(g_w)
-        d = routed_direction(monkeypatch, "contrast", A, probs, g_w, g_mu, lam, w_shape)
+        d = routed_direction(monkeypatch, "contrast", A, probs, g, lam, w_shape)
         hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
-        assert np.linalg.norm(hess_vec(d) - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        assert np.linalg.norm(hess_vec(d) + g) <= 1e-9 * np.linalg.norm(g)
 
     def test_cg_branch_solves_the_same_system(self, monkeypatch):
         A, probs, w_shape = newton_problem(41, (2, 4, 5))
         lam = 0.3
         hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
-        size = w_shape[0] * (A.shape[1] + 1)
-        H = np.stack([hess_vec(e) for e in np.eye(size)], axis=1)
-        # a right-hand side in the range of the nearly shift-invariant H
-        rhs = H @ np.random.default_rng(42).normal(size=H.shape[0])
-        g_w, g_mu = -rhs[: -w_shape[0]].reshape(w_shape[0], -1), -rhs[-w_shape[0] :]
-        dense = training_mod._newton_solver(A, lam, w_shape)(probs, g_w, g_mu)
+        L = w_shape[0]
+        size = L * (A.shape[1] + 1)
+        H = np.stack([hess_vec(e.reshape(L, -1)).reshape(-1) for e in np.eye(size)], axis=1)
+        # a right-hand side in the range of the nearly shift-invariant H, from
+        # flat [w_1..w_L | mu] draws
+        z = np.random.default_rng(42).normal(size=size)
+        z = np.concatenate([z[:-L].reshape(L, -1), z[-L:, None]], axis=1)
+        rhs = H @ z.reshape(-1)
+        g = -rhs.reshape(L, -1)
+        dense = training_mod._newton_solver(A, lam, w_shape)(probs, g)
 
         def no_dense(*args):
             raise AssertionError("dense assembly on the CG branch")
 
         monkeypatch.setattr(training_mod, "DENSE_NEWTON_LIMIT", 0)
         monkeypatch.setattr(training_mod, "_contrast_hessian", no_dense)
-        cg = training_mod._newton_solver(A, lam, w_shape)(probs, g_w, g_mu)
-        for d_w, d_mu in (dense, cg):
-            d = np.concatenate([d_w.reshape(-1), d_mu])
-            assert np.linalg.norm(H @ d - rhs) <= 1e-6 * np.linalg.norm(rhs)
+        cg = training_mod._newton_solver(A, lam, w_shape)(probs, g)
+        for d in (dense, cg):
+            assert np.linalg.norm(H @ d.reshape(-1) - rhs) <= 1e-6 * np.linalg.norm(rhs)
 
 
 def refuse(*args, **kwargs):
@@ -318,10 +316,11 @@ class TestSampleSpaceNewton:
     def test_matches_the_contrast_direction(self, monkeypatch, field_shape, L):
         A, probs, w_shape = newton_problem(45, field_shape, L=L)
         lam = 0.3
-        g_w, g_mu = newton_gradient(A, probs, w_shape, lam, seed=46)
+        g = newton_gradient(A, probs, w_shape, lam, seed=46)
+        g_w = g[:, :-1]
         assert np.linalg.norm(g_w.mean(axis=0)) >= 0.1 * np.linalg.norm(g_w)
-        sample = routed_direction(monkeypatch, "sample", A, probs, g_w, g_mu, lam, w_shape)
-        contrast = routed_direction(monkeypatch, "contrast", A, probs, g_w, g_mu, lam, w_shape)
+        sample = routed_direction(monkeypatch, "sample", A, probs, g, lam, w_shape)
+        contrast = routed_direction(monkeypatch, "contrast", A, probs, g, lam, w_shape)
         assert np.linalg.norm(sample - contrast) <= 1e-9 * np.linalg.norm(contrast)
 
     @pytest.mark.parametrize("field_shape", [(2, 4, 5), (1, 2, 3)])
@@ -329,11 +328,10 @@ class TestSampleSpaceNewton:
     def test_solves_the_full_system(self, monkeypatch, field_shape, L):
         A, probs, w_shape = newton_problem(47, field_shape, L=L)
         lam = 0.3
-        g_w, g_mu = newton_gradient(A, probs, w_shape, lam, seed=48)
-        rhs = -np.concatenate([g_w.reshape(-1), g_mu])
-        d = routed_direction(monkeypatch, "sample", A, probs, g_w, g_mu, lam, w_shape)
+        g = newton_gradient(A, probs, w_shape, lam, seed=48)
+        d = routed_direction(monkeypatch, "sample", A, probs, g, lam, w_shape)
         hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
-        assert np.linalg.norm(hess_vec(d) - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        assert np.linalg.norm(hess_vec(d) + g) <= 1e-9 * np.linalg.norm(g)
 
     def test_many_features_take_the_sample_path(self, monkeypatch):
         # 6 examples against 288 unknowns per class: the sample system has
@@ -341,23 +339,21 @@ class TestSampleSpaceNewton:
         A, probs, w_shape = newton_problem(49, (2, 12, 12), m=6)
         lam = 0.3
         assert training_mod._newton_route(6, w_shape, lam) == "sample"
-        g_w, g_mu = newton_gradient(A, probs, w_shape, lam, seed=50)
+        g = newton_gradient(A, probs, w_shape, lam, seed=50)
         monkeypatch.setattr(training_mod, "_contrast_hessian", refuse)
         monkeypatch.setattr(training_mod.scipy.sparse.linalg, "cg", refuse)
-        d_w, d_mu = training_mod._newton_solver(A, lam, w_shape)(probs, g_w, g_mu)
-        d = np.concatenate([d_w.reshape(-1), d_mu])
-        rhs = -np.concatenate([g_w.reshape(-1), g_mu])
+        d = training_mod._newton_solver(A, lam, w_shape)(probs, g)
         hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
-        assert np.linalg.norm(hess_vec(d) - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        assert np.linalg.norm(hess_vec(d) + g) <= 1e-9 * np.linalg.norm(g)
 
     def test_no_penalty_never_takes_the_sample_path(self, monkeypatch):
         A, probs, w_shape = newton_problem(49, (2, 12, 12), m=6)
         assert training_mod._newton_route(6, w_shape, 0.0) == "contrast"
-        g_w, g_mu = newton_gradient(A, probs, w_shape, 0.0, seed=50)
+        g = newton_gradient(A, probs, w_shape, 0.0, seed=50)
         monkeypatch.setattr(training_mod, "_sample_kernel", refuse)
         monkeypatch.setattr(training_mod, "_sample_solve", refuse)
-        d_w, d_mu = training_mod._newton_solver(A, 0.0, w_shape)(probs, g_w, g_mu)
-        assert np.all(np.isfinite(d_w)) and np.all(np.isfinite(d_mu))
+        d = training_mod._newton_solver(A, 0.0, w_shape)(probs, g)
+        assert np.all(np.isfinite(d))
 
     @staticmethod
     def wide_problem():
@@ -661,15 +657,21 @@ class TestTrajectoryReuse:
         monkeypatch.setattr(training_mod, "loss_and_gradient", fresh)
         assert_same_run(res, bcd_train(ds, params, clf, RegConfig(0.02, 0.05), cfg))
 
-    @pytest.mark.parametrize("rule, batch_size, layers_per_pass", [
-        (ArmijoBacktracking(), None, [2, 0, 0, 0]),
-        (ArmijoBacktracking(), 10, [2, 2, 2, 2]),
-        (FixedStep(0.05), None, [2, 2, 2, 2]),
+    # ``cold`` starts from a zero classifier without the path penalty, so the
+    # first propagation gradient is exactly zero: the first search accepts
+    # its trial at the unchanged point, and that trial's features and
+    # trajectory are used like any other's.
+    @pytest.mark.parametrize("rule, batch_size, layers_per_pass, cold, fresh_passes", [
+        (ArmijoBacktracking(), None, [2, 0, 0, 0], False, 0),
+        (ArmijoBacktracking(), 10, [2, 2, 2, 2], False, 4),
+        (FixedStep(0.05), None, [2, 2, 2, 2], False, 4),
+        (ArmijoBacktracking(), None, [2, 0, 0, 0], True, 0),
     ])
     def test_layers_run_by_each_gradient_pass(self, monkeypatch, rule, batch_size,
-                                              layers_per_pass):
-        steps, per_pass = [], []
+                                              layers_per_pass, cold, fresh_passes):
+        steps, per_pass, finals = [], [], []
         step, loss_grad = network_mod.forward_step, training_mod.loss_and_gradient
+        final = training_mod.propagate_final
 
         def counted_step(*args, **kwargs):
             steps.append(1)
@@ -681,15 +683,24 @@ class TestTrajectoryReuse:
             per_pass.append(len(steps) - before)
             return out
 
+        def counted_final(*args, **kwargs):
+            finals.append(1)
+            return final(*args, **kwargs)
+
         monkeypatch.setattr(network_mod, "forward_step", counted_step)
         monkeypatch.setattr(training_mod, "loss_and_gradient", counted_pass)
+        monkeypatch.setattr(training_mod, "propagate_final", counted_final)
         ds = blob_set(n=30, seed=14)
         params, clf = self.start(ds)
-        res = bcd_train(ds, params, clf, RegConfig(0.02, 0.05),
+        reg = RegConfig(0.02, 0.05)
+        if cold:
+            clf, reg = zero_classifier(ds.grid, 2, 2), RegConfig(0.02, 0.0)
+        res = bcd_train(ds, params, clf, reg,
                         BcdConfig(outer_iters=4, newton_steps=2, prop_step_rule=rule,
                                   batch_size=batch_size))
         assert len(res.history) == 4
         assert per_pass == layers_per_pass
+        assert len(finals) == fresh_passes
 
     def test_two_chunks_on_two_workers_match_one(self):
         ds = blob_set(n=300, seed=18)  # two chunks: 256 and 44 examples
