@@ -27,7 +27,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +81,11 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+def _key(default, help: str):
+    """A config key's field: its default and its ``--help`` text."""
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Effective settings of one run; field defaults are the documented ones.
@@ -88,39 +93,40 @@ class RunConfig:
     Out-of-range values raise ``ConfigError`` on construction.
     """
 
-    dataset: str = "bars"  # bars | blobs | idx
-    idx_images: str = ""
-    idx_labels: str = ""
-    limit: int = 0  # cap on loaded examples, 0 = all
-    num_examples: int = 400
-    grid_nx: int = 12
-    grid_ny: int = 12
-    grid_h: float = 1.0
-    noise: float = 0.05
-    train_fraction: float = 0.8
-    layers: int = 2
-    final_time: float = 1.0
-    channels: int = 2
-    kernel: int = 3
-    activation: str = "tanh"  # tanh | identity
-    act_gain: float = 1.0
-    init_scale: float = 0.3
-    embed_learnable: bool = False
-    lambda_w: float = 1e-3
-    lambda_theta: float = 1e-3
-    outer_iters: int = 20
-    newton_steps: int = 5
-    step_rule: str = "armijo"  # armijo | fixed
-    step_size: float = 1.0
-    armijo_beta: float = 0.5
-    armijo_c: float = 1e-4
-    batch_size: int = 0  # 0 = full batch
-    levels: int = 1  # coarsenings below the finest grid (multilevel)
-    blur_sigma: float = 1.0
-    transfer: str = "constant"  # constant | bilinear
-    level_iters: tuple[int, ...] = ()  # per-level outer_iters, finest first
-    depths: tuple[int, ...] = (2, 4)  # depth sequence (deepen)
-    seed: int = 0
+    dataset: str = _key("bars", "data source: bars, blobs, or idx")
+    idx_images: str = _key("", "path to IDX image file (dataset = idx)")
+    idx_labels: str = _key("", "path to IDX label file (dataset = idx)")
+    limit: int = _key(0, "keep only the first N loaded examples, 0 = all")
+    num_examples: int = _key(400, "synthetic dataset size")
+    grid_nx: int = _key(12, "synthetic grid cells in x")
+    grid_ny: int = _key(12, "synthetic grid cells in y")
+    grid_h: float = _key(1.0, "pixel size")
+    noise: float = _key(0.05, "synthetic additive noise level")
+    train_fraction: float = _key(0.8, "train share of the seeded split")
+    layers: int = _key(2, "network depth N")
+    final_time: float = _key(1.0, "total integration time T (dt = T / N)")
+    channels: int = _key(2, "feature channels")
+    kernel: int = _key(3, "stencil window size (odd)")
+    activation: str = _key("tanh", "tanh or identity")
+    act_gain: float = _key(1.0, "scalar gain inside the activation")
+    init_scale: float = _key(0.3, "std of the random initial stencils")
+    embed_learnable: bool = _key(False, "train the embedding bank too")
+    lambda_w: float = _key(1e-3, "spatial smoothness weight (classifier fields)")
+    lambda_theta: float = _key(1e-3, "temporal smoothness weight (layer parameters)")
+    outer_iters: int = _key(20, "BCD outer iterations")
+    newton_steps: int = _key(5, "Newton steps on the classifier per iteration")
+    step_rule: str = _key("armijo", "propagation step rule: armijo or fixed")
+    step_size: float = _key(1.0, "step size (fixed), or the first iteration's trial step "
+                                 "and the cap on later ones (armijo)")
+    armijo_beta: float = _key(0.5, "backtracking shrink factor")
+    armijo_c: float = _key(1e-4, "Armijo sufficient-decrease constant")
+    batch_size: int = _key(0, "propagation-step batch size, 0 = full batch")
+    levels: int = _key(1, "resolution coarsenings below the finest grid")
+    blur_sigma: float = _key(1.0, "Gaussian blur width before each restriction")
+    transfer: str = _key("constant", "transfer pair: constant or bilinear")
+    level_iters: tuple[int, ...] = _key((), "comma list of per-level outer_iters, finest first")
+    depths: tuple[int, ...] = _key((2, 4), "comma list of depths for deepen")
+    seed: int = _key(0, "master seed")
 
     def __post_init__(self) -> None:
         def check(ok: bool, name: str, rule: str) -> None:
@@ -161,45 +167,6 @@ _PARSERS = {
     "bool": _parse_bool,
     "tuple[int, ...]": _parse_int_list,
 }
-
-_HELP = {
-    "dataset": "data source: bars, blobs, or idx",
-    "idx_images": "path to IDX image file (dataset = idx)",
-    "idx_labels": "path to IDX label file (dataset = idx)",
-    "limit": "keep only the first N loaded examples, 0 = all",
-    "num_examples": "synthetic dataset size",
-    "grid_nx": "synthetic grid cells in x",
-    "grid_ny": "synthetic grid cells in y",
-    "grid_h": "pixel size",
-    "noise": "synthetic additive noise level",
-    "train_fraction": "train share of the seeded split",
-    "layers": "network depth N",
-    "final_time": "total integration time T (dt = T / N)",
-    "channels": "feature channels",
-    "kernel": "stencil window size (odd)",
-    "activation": "tanh or identity",
-    "act_gain": "scalar gain inside the activation",
-    "init_scale": "std of the random initial stencils",
-    "embed_learnable": "train the embedding bank too",
-    "lambda_w": "spatial smoothness weight (classifier fields)",
-    "lambda_theta": "temporal smoothness weight (layer parameters)",
-    "outer_iters": "BCD outer iterations",
-    "newton_steps": "Newton steps on the classifier per iteration",
-    "step_rule": "propagation step rule: armijo or fixed",
-    "step_size": (
-        "step size (fixed), or the first iteration's trial step and the cap on later ones (armijo)"
-    ),
-    "armijo_beta": "backtracking shrink factor",
-    "armijo_c": "Armijo sufficient-decrease constant",
-    "batch_size": "propagation-step batch size, 0 = full batch",
-    "levels": "resolution coarsenings below the finest grid",
-    "blur_sigma": "Gaussian blur width before each restriction",
-    "transfer": "transfer pair: constant or bilinear",
-    "level_iters": "comma list of per-level outer_iters, finest first",
-    "depths": "comma list of depths for deepen",
-    "seed": "master seed",
-}
-
 
 def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Read a config file on top of the defaults; unknown keys and values
@@ -284,7 +251,10 @@ def _load_dataset(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
         )
     if cfg.limit:
         full = full.subset(np.arange(min(cfg.limit, len(full))))
-    return split(full, cfg.train_fraction, seed=cfg.seed)
+    try:
+        return split(full, cfg.train_fraction, seed=cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(f"train_fraction = {cfg.train_fraction}: {exc}") from exc
 
 
 def _check_grid(cfg: RunConfig, grid: Grid2D, levels: int) -> None:
@@ -432,10 +402,10 @@ def cmd_inspect(model_path: str) -> int:
 def _config_epilog() -> str:
     lines = ["config keys (key = value per line, # comments):"]
     for name, f in RunConfig.__dataclass_fields__.items():
-        default = getattr(RunConfig(), name)
+        default = f.default
         if isinstance(default, tuple):
             default = ",".join(str(v) for v in default)
-        lines.append(f"  {name:<16} default {default!r:<12} {_HELP[name]}")
+        lines.append(f"  {name:<16} default {default!r:<12} {f.metadata['help']}")
     return "\n".join(lines)
 
 
@@ -448,13 +418,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_out: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None, help="key-value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--workers", type=int, default=1, help="batch-level worker threads")
         p.add_argument("--sequential", action="store_true", help="one worker thread (same as --workers 1)")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     common(sub.add_parser("train", help="fit a model"))
     p_adapt = sub.add_parser("adapt", help="move a model across one resolution step")

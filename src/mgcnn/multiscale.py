@@ -27,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import DimensionError
 from .grid import TransferPair, gaussian_blur_values, prolong_values, restrict_values
 from .network import Classifier, NetworkParams, loss
 from .stencils import CoarsenMap, StencilBank, build_coarsen_map, coarsen_bank, refine_bank
@@ -220,22 +219,18 @@ def prolong_depth(params: NetworkParams, factor: int) -> NetworkParams:
         out.dt = params.dt / factor
         return out
 
-    banks = np.stack([b.weights for b in params.banks])
-    new_n = factor * n
-    new_banks = np.empty((new_n,) + banks.shape[1:])
-    new_biases = np.empty((new_n, params.channels))
-    for j in range(new_n):
-        tau = j / factor
-        i0 = int(tau)
-        if i0 >= n - 1:
-            new_banks[j] = banks[n - 1]
-            new_biases[j] = params.biases[n - 1]
-        else:
-            frac = tau - i0
-            new_banks[j] = (1.0 - frac) * banks[i0] + frac * banks[i0 + 1]
-            new_biases[j] = (1.0 - frac) * params.biases[i0] + frac * params.biases[i0 + 1]
-    out.banks = [StencilBank(new_banks[j]) for j in range(new_n)]
-    out.biases = new_biases
+    tau = np.arange(factor * n) / factor
+    i0 = tau.astype(np.intp)
+    beyond = i0 >= n - 1
+    i1 = np.minimum(i0 + 1, n - 1)
+
+    def resample(v: np.ndarray) -> np.ndarray:
+        """Values ``v[k]`` at the old nodes, shape ``(n, ...)``, at every new node."""
+        frac = (tau - i0).reshape((-1,) + (1,) * (v.ndim - 1))
+        return np.where(beyond.reshape(frac.shape), v[n - 1], (1.0 - frac) * v[i0] + frac * v[i1])
+
+    out.banks = [StencilBank(w) for w in resample(np.stack([b.weights for b in params.banks]))]
+    out.biases = resample(params.biases)
     out.dt = params.dt / factor
     return out
 

@@ -50,7 +50,7 @@ is the same to the bit.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -164,16 +164,8 @@ class NetworkParams:
         return self.embed.k
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            dt=self.dt,
-            final_time=self.final_time,
-            banks=[b.copy() for b in self.banks],
-            biases=self.biases.copy(),
-            embed=self.embed.copy(),
-            embed_learnable=self.embed_learnable,
-            activation=self.activation,
-            act_gain=self.act_gain,
-        )
+        return replace(self, banks=[b.copy() for b in self.banks], biases=self.biases.copy(),
+                       embed=self.embed.copy())
 
 
 @dataclass
@@ -212,7 +204,8 @@ def zero_classifier(grid: Grid2D, channels: int, num_classes: int) -> Classifier
 
 @dataclass(frozen=True)
 class NetworkInit:
-    """Hyperparameters needed to draw a fresh network at a given depth."""
+    """Hyperparameters needed to draw a fresh network at a given depth; each
+    field is a keyword of :func:`random_network_params`."""
 
     channels: int
     kernel_size: int = 3
@@ -223,17 +216,7 @@ class NetworkInit:
     embed_learnable: bool = False
 
     def network_params(self, num_layers: int, seed: int) -> NetworkParams:
-        return random_network_params(
-            channels=self.channels,
-            num_layers=num_layers,
-            final_time=self.final_time,
-            kernel_size=self.kernel_size,
-            seed=seed,
-            init_scale=self.init_scale,
-            activation=self.activation,
-            act_gain=self.act_gain,
-            embed_learnable=self.embed_learnable,
-        )
+        return random_network_params(num_layers=num_layers, seed=seed, **vars(self))
 
 
 def random_network_params(

@@ -332,22 +332,20 @@ def build_coarsen_map(k: int, pair: TransferPair) -> CoarsenMap:
     return CoarsenMap(k=k, kind=pair.kind, matrix=matrix, cond=cond, truncation_mass=truncation)
 
 
-def _check_k(m: CoarsenMap, k: int) -> None:
-    if m.k != k:
-        raise DimensionError(f"coarsening map is for k={m.k}, stencil has k={k}")
+def _map_bank(bank: StencilBank, m: CoarsenMap, refine: bool) -> StencilBank:
+    """Map every stencil of a bank through ``m``, or through its inverse."""
+    if m.k != bank.k:
+        raise DimensionError(f"coarsening map is for k={m.k}, stencil has k={bank.k}")
+    matrix = m.inverse() if refine else m.matrix
+    flat = bank.weights.reshape(bank.c_out * bank.c_in, -1)
+    return StencilBank((flat @ matrix.T).reshape(bank.weights.shape))
 
 
 def coarsen_bank(bank: StencilBank, m: CoarsenMap) -> StencilBank:
     """Coarsen every stencil of a bank, preserving channel structure."""
-    _check_k(m, bank.k)
-    flat = bank.weights.reshape(bank.c_out * bank.c_in, -1)
-    coarse = flat @ m.matrix.T
-    return StencilBank(coarse.reshape(bank.weights.shape))
+    return _map_bank(bank, m, refine=False)
 
 
 def refine_bank(bank: StencilBank, m: CoarsenMap) -> StencilBank:
     """Refine every stencil of a bank, preserving channel structure."""
-    _check_k(m, bank.k)
-    flat = bank.weights.reshape(bank.c_out * bank.c_in, -1)
-    fine = flat @ m.inverse().T
-    return StencilBank(fine.reshape(bank.weights.shape))
+    return _map_bank(bank, m, refine=True)

@@ -15,16 +15,16 @@ to every class, so the data term of the Hessian vanishes along
 class-constant directions, and the penalty and the jitter act on each class
 alike.  The class mean therefore decouples exactly: it sees only ``lambda *
 Laplacian + jitter``, which the FFT diagonalises on the periodic grid.  The
-``L - 1`` class contrasts form one system of ``(L-1)(F+1)`` unknowns, solved
-directly (the contrast path).  With ``m`` examples and ``c`` channels that
-system also has an exact sample-space form of ``(L-1)(m+c+1)`` unknowns,
-because the data term has rank at most ``m(L-1)`` and the penalty is
-diagonal under the FFT (the sample path).  The smaller of the two is solved
-directly if it has at most ``DENSE_NEWTON_LIMIT`` unknowns, the sample form
-only when ``lambda > 0``; otherwise conjugate gradients solve the contrast
-system matrix-free.  All three are deterministic.  A singular or non-descent
-system falls back to a gradient step with Armijo search and flags the step
-report.
+``L - 1`` class contrasts, in the orthonormal basis of scipy's Helmert matrix,
+form one system of ``(L-1)(F+1)`` unknowns, solved directly (the contrast
+path).  With ``m`` examples and ``c`` channels that system also has an exact
+sample-space form of ``(L-1)(m+c+1)`` unknowns, because the data term has
+rank at most ``m(L-1)`` and the penalty is diagonal under the FFT (the
+sample path).  The smaller of the two is solved directly if it has at most
+``DENSE_NEWTON_LIMIT`` unknowns, the sample form only when ``lambda > 0``;
+otherwise conjugate gradients solve the contrast system matrix-free.  All
+three are deterministic.  A singular or non-descent system falls back to a
+gradient step with Armijo search and flags the step report.
 
 The smoothness penalties are those of :func:`mgcnn.network.loss`.
 """
@@ -221,16 +221,12 @@ def newton_classifier_step(
 
 
 def _contrast_basis(L: int) -> np.ndarray:
-    """Orthonormal ``(L, L-1)`` basis of the class contrasts (Helmert columns).
-
-    Column ``a`` holds ``1/sqrt(a(a+1))`` on classes ``0..a-1`` and
-    ``-a/sqrt(a(a+1))`` on class ``a``, so every column sums to zero.
+    """Orthonormal ``(L, L-1)`` basis of the class contrasts: the transposed
+    rows of scipy's Helmert matrix below its first, so column ``a - 1`` holds
+    ``1/sqrt(a(a+1))`` on classes ``0..a-1`` and ``-a/sqrt(a(a+1))`` on class
+    ``a``, and every column sums to zero.
     """
-    Q = np.zeros((L, L - 1))
-    for a in range(1, L):
-        Q[:a, a - 1] = 1.0 / math.sqrt(a * (a + 1))
-        Q[a, a - 1] = -a / math.sqrt(a * (a + 1))
-    return Q
+    return np.ascontiguousarray(scipy.linalg.helmert(L).T)
 
 
 def _contrast_hessian(
@@ -512,23 +508,12 @@ class TrainResult:
     history: list[HistoryRow]
 
 
-class _Batcher:
-    """Without-replacement minibatches from a seeded shuffle, reshuffled per
-    epoch; ``size == m`` means full batch, where no batch is drawn."""
-
-    def __init__(self, m: int, batch_size: int | None, rng: np.random.Generator):
-        self.m = m
-        self.size = m if not batch_size or batch_size >= m else batch_size
-        self.rng = rng
-        self.pos = m  # force shuffle on first draw
-
-    def next(self) -> np.ndarray:
-        if self.pos + self.size > self.m:
-            self.order = self.rng.permutation(self.m)
-            self.pos = 0
-        batch = self.order[self.pos : self.pos + self.size]
-        self.pos += self.size
-        return batch
+def _minibatches(m: int, size: int, rng: np.random.Generator):
+    """Without-replacement minibatches of ``size`` from ``m`` examples, one
+    seeded shuffle per epoch; the ``m % size`` examples left over at the end
+    of an epoch are skipped."""
+    while True:
+        yield from np.split(rng.permutation(m)[: m - m % size], m // size)
 
 
 def _prop_step(params: NetworkParams, grads: Gradients, t: float) -> NetworkParams:
@@ -614,9 +599,9 @@ def bcd_train(
     params = params.copy()
     clf = clf.copy()
     history: list[HistoryRow] = []
-    rng = np.random.default_rng(cfg.seed)
-    batcher = _Batcher(len(train), cfg.batch_size, rng)
-    full_batch = batcher.size == len(train)
+    m, size = len(train), cfg.batch_size
+    full_batch = not size or size >= m
+    batches = None if full_batch else _minibatches(m, size, np.random.default_rng(cfg.seed))
     rule = cfg.prop_step_rule
     t0 = rule.step_size
     states = None  # the trajectory of train.images at params, when known
@@ -625,7 +610,7 @@ def bcd_train(
         if full_batch:
             images, labels = train.images, train.labels
         else:
-            idx = batcher.next()
+            idx = next(batches)
             images, labels = train.images[idx], train.labels[idx]
         report, grads = loss_and_gradient(
             images, labels, params, clf, reg, workers=workers, states=states,

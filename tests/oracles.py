@@ -179,6 +179,25 @@ def naive_forward(
     return states
 
 
+def naive_time_resample(values: np.ndarray, factor: int) -> np.ndarray:
+    """Layer values ``values[k]`` at ``t = k`` resampled at ``t = j / factor``,
+    node by node: linear between old nodes, the last value beyond them, and
+    every bit kept at ``factor == 1``."""
+    n = len(values)
+    if factor == 1:
+        return values.copy()
+    out = np.empty((factor * n,) + values.shape[1:])
+    for j in range(factor * n):
+        tau = j / factor
+        i0 = int(tau)
+        if i0 >= n - 1:
+            out[j] = values[n - 1]
+        else:
+            frac = tau - i0
+            out[j] = (1.0 - frac) * values[i0] + frac * values[i0 + 1]
+    return out
+
+
 def naive_logits(y_out: np.ndarray, w: np.ndarray, mu: np.ndarray, h: float) -> np.ndarray:
     ell = w.shape[0]
     z = np.zeros(ell)

@@ -1,5 +1,6 @@
 """The package's public surface: module layering and exported names."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -75,3 +76,24 @@ def test_removed_methods_are_gone():
 def test_penalty_has_one_home():
     for attr in ("RegConfig", "RegGrads", "reg_value_and_grad"):
         assert getattr(training, attr) is getattr(network, attr)
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "mgcnn").glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    unused = {name: line for name, line in imported.items() if name not in used | exported}
+    assert not unused, f"{path.name}: unused imports {unused}"

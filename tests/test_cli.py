@@ -1,12 +1,13 @@
 """Config parsing, subcommands, exit codes, and end-to-end determinism."""
 
 import csv
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mgcnn.cli import _HELP, RunConfig, config_hash, main, parse_config
+from mgcnn.cli import RunConfig, config_hash, main, parse_config
 from mgcnn.data import ModelFile, load_model, save_model
 from mgcnn.errors import ConfigError
 from mgcnn.grid import Grid2D
@@ -15,6 +16,7 @@ from mgcnn.network import Classifier, random_network_params, zero_classifier
 from oracles import dense_circulant, rel_err
 
 ROOT = Path(__file__).resolve().parent.parent
+HELP = {f.name: f.metadata["help"] for f in fields(RunConfig)}
 CONFIG_DIR = ROOT / "configs"
 
 FAST_TRAIN = """
@@ -108,6 +110,7 @@ class TestParseConfig:
         text = capsys.readouterr().out
         for key in RunConfig.__dataclass_fields__:
             assert key in text
+            assert HELP[key] in text, key
 
     def test_help_matches_the_readme_config_table(self):
         lines = (ROOT / "README.md").read_text().splitlines()
@@ -118,15 +121,15 @@ class TestParseConfig:
                 break
             keys, _, meaning = (cell.strip().replace("`", "") for cell in line.strip("|").split("|"))
             rows[tuple(keys.split(", "))] = meaning
-        assert sorted(k for keys in rows for k in keys) == sorted(_HELP)
-        assert set(_HELP) == set(RunConfig.__dataclass_fields__)
+        assert sorted(k for keys in rows for k in keys) == sorted(HELP)
+        assert set(HELP) == set(RunConfig.__dataclass_fields__)
         for keys, meaning in rows.items():
             for key in keys:
                 # a row shared by several keys gives their common meaning
                 if len(keys) == 1:
-                    assert _HELP[key] == meaning, key
+                    assert HELP[key] == meaning, key
                 else:
-                    assert _HELP[key].startswith(meaning + " "), key
+                    assert HELP[key].startswith(meaning + " "), key
 
 
 class TestExitCodes:
@@ -186,6 +189,17 @@ class TestExitCodes:
         command = "multilevel" if key == "levels" else "train"
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("extra", [
+        "train_fraction = 0.001\n",
+        "num_examples = 2\ntrain_fraction = 0.9\n",
+        "limit = 1\n",
+    ], ids=["fraction-0.001", "two-examples", "limit-1"])
+    def test_empty_split_part_is_two_and_named(self, tmp_path, capsys, extra):
+        cfg = write_cfg(tmp_path, FAST_TRAIN + extra)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "train_fraction" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_data_path_is_three_and_named(self, tmp_path, capsys):

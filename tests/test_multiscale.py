@@ -40,7 +40,7 @@ from mgcnn.training import (
     evaluate,
 )
 
-from oracles import rel_err
+from oracles import naive_time_resample, rel_err
 
 CA = TransferPair.constant_average()
 FW = TransferPair.bilinear_full_weighting()
@@ -295,17 +295,40 @@ class TestProlongDepth:
             np.testing.assert_array_equal(b.weights, p.banks[0].weights)
         np.testing.assert_array_equal(q.biases, np.tile(p.biases[0], (6, 1)))
 
-    def test_two_layer_interpolation_pattern(self):
+    @pytest.mark.parametrize("factor, banks, biases", [
+        (2, [1.0, 2.0, 3.0, 3.0], [10.0, 15.0, 20.0, 20.0]),
+        (3, [1.0, 5 / 3, 7 / 3, 3.0, 3.0, 3.0], [10.0, 40 / 3, 50 / 3, 20.0, 20.0, 20.0]),
+    ], ids=["2", "3"])
+    def test_two_layer_interpolation_pattern(self, factor, banks, biases):
         p = random_network_params(channels=1, num_layers=2, final_time=1.0, seed=13)
         a = np.full((1, 1, 3, 3), 1.0)
         b = np.full((1, 1, 3, 3), 3.0)
         p.banks[0].weights[:] = a
         p.banks[1].weights[:] = b
         p.biases[:] = np.array([[10.0], [20.0]])
-        q = prolong_depth(p, 2)
+        q = prolong_depth(p, factor)
         got = [bank.weights[0, 0, 0, 0] for bank in q.banks]
-        assert got == [1.0, 2.0, 3.0, 3.0]
-        np.testing.assert_array_equal(q.biases[:, 0], [10.0, 15.0, 20.0, 20.0])
+        np.testing.assert_allclose(got, banks, rtol=1e-15)
+        np.testing.assert_allclose(q.biases[:, 0], biases, rtol=1e-15)
+        # Nodes beyond the last old node copy it exactly, also where
+        # (1 - frac) * v + frac * v rounds away from v (v = 0.85, frac = 4/3 - 1).
+        p.banks[1].weights[:] = np.random.default_rng(14).normal(size=b.shape)
+        p.biases[1] = 0.85
+        q = prolong_depth(p, factor)
+        for j in range(factor, 2 * factor):
+            np.testing.assert_array_equal(q.banks[j].weights, p.banks[1].weights)
+            np.testing.assert_array_equal(q.biases[j], p.biases[1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_matches_the_node_loop_to_the_bit(self, n, factor):
+        p = varied_params(16, num_layers=n)
+        p.biases[0, 0] = -0.0
+        q = prolong_depth(p, factor)
+        banks = np.stack([b.weights for b in p.banks])
+        got = np.stack([b.weights for b in q.banks])
+        assert got.tobytes() == naive_time_resample(banks, factor).tobytes()
+        assert q.biases.tobytes() == naive_time_resample(p.biases, factor).tobytes()
 
     def test_iterated_prolongation_converges_first_order(self):
         # Iterating the prolongation samples one fixed parameter path at

@@ -387,6 +387,19 @@ def blob_set(n=40, seed=0, noise=0.05):
                           noise=noise)
 
 
+class TestMinibatches:
+    def test_epochs_reshuffle_and_skip_the_remainder(self):
+        # m = 10, size 4: each shuffle yields two batches, and the last two
+        # examples of every epoch's order are never drawn.
+        batches = training_mod._minibatches(10, 4, np.random.default_rng(5))
+        got = [next(batches) for _ in range(5)]
+        rng = np.random.default_rng(5)
+        orders = [rng.permutation(10) for _ in range(3)]
+        expected = [order[i : i + 4] for order in orders for i in (0, 4)][:5]
+        for g, e in zip(got, expected, strict=True):
+            np.testing.assert_array_equal(g, e)
+
+
 class TestBcdTrain:
     def test_zero_iterations_is_identity(self):
         ds = blob_set()
