@@ -38,13 +38,16 @@ in fixed chunks of ``CHUNK`` examples so memory stays bounded and reductions
 happen in a fixed order whatever the worker count; with ``workers > 1`` the
 chunks of one call run on that many threads, next to BLAS's own threads.
 
-Training propagates each full-batch iterate once.  ``loss(..., keep=True)``
+Training propagates each full-batch iterate once, and embeds each fixed
+image set once while the embedding is frozen.  ``loss(..., keep=True)``
 keeps every chunk's trajectory ``y_1 .. y_N`` on its report, and
 ``loss_and_gradient(..., states=...)`` runs its reverse sweep on those
-instead of a forward pass of its own, forming only ``y_0 = L x`` again; with
-``embed_grad=False`` it also leaves out the embedding's gradient and the
-adjoint application that only that gradient needs.  Either way the result
-is the same to the bit.
+instead of a forward pass of its own; with ``embed_grad=False`` it also
+leaves out the embedding's gradient and the adjoint application that only
+that gradient needs.  ``embedded=`` on :func:`loss`,
+:func:`loss_and_gradient` and :func:`propagate_final` takes ``y_0 = L x``
+of the batch, formed once by the caller, in place of embedding again.
+Either way the result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -96,12 +99,6 @@ class Activation(Enum):
             return cls(name.strip().lower())
         except ValueError:
             raise ValueError(f"unknown activation {name!r}") from None
-
-
-def _act(z: np.ndarray, act: Activation, gain: float) -> np.ndarray:
-    if act is Activation.TANH:
-        return np.tanh(gain * z)
-    return gain * z
 
 
 def _act_deriv(y: np.ndarray, y_next: np.ndarray, params: NetworkParams):
@@ -270,9 +267,20 @@ def forward_step(
     act: Activation = Activation.TANH,
     gain: float = 1.0,
 ) -> np.ndarray:
-    """One explicit Euler layer: ``y + dt * act(bank(y) + bias)``."""
-    z = bank_apply(bank.weights, y) + np.asarray(bias, dtype=np.float64).reshape(-1, 1, 1)
-    return y + dt * _act(z, act, gain)
+    """One explicit Euler layer: ``y + dt * act(bank(y) + bias)``, a new array.
+
+    The update runs in place on the fresh output of ``bank_apply``;
+    multiplication and addition commute in IEEE arithmetic, so every bit is
+    that of the formula.
+    """
+    z = bank_apply(bank.weights, y)
+    z += np.asarray(bias, dtype=np.float64).reshape(-1, 1, 1)
+    z *= gain
+    if act is Activation.TANH:
+        np.tanh(z, out=z)
+    z *= dt
+    z += y
+    return z
 
 
 def _check_finite(y: np.ndarray, where: str) -> None:
@@ -280,11 +288,26 @@ def _check_finite(y: np.ndarray, where: str) -> None:
         raise DivergenceError(f"state became non-finite at {where}")
 
 
-def _propagate(x: np.ndarray, params: NetworkParams, keep: bool) -> list[np.ndarray]:
-    """Embed images ``x`` and run every layer: all states ``y_0 .. y_N``
-    with ``keep``, else only ``[y_N]``."""
+def _embed(x: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """:func:`embed_input`, refused when the result is not finite."""
     y = embed_input(x, params)
     _check_finite(y, "embedding")
+    return y
+
+
+def _check_embedded(embedded: np.ndarray | None, images: np.ndarray, params: NetworkParams) -> None:
+    """Refuse an ``embedded`` that lacks the shape of ``embed_input(images, params)``."""
+    shape = images.shape[:-2] + (params.channels,) + images.shape[-2:]
+    if embedded is not None and np.shape(embedded) != shape:
+        raise ValueError(f"embedded must have shape {shape}, got {np.shape(embedded)}")
+
+
+def _propagate(
+    x: np.ndarray, params: NetworkParams, keep: bool, y0: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """Run every layer from ``y_0 = L x`` (``y0`` when given, else embedded
+    here): all states ``y_0 .. y_N`` with ``keep``, else only ``[y_N]``."""
+    y = _embed(x, params) if y0 is None else y0
     states = [y]
     for i, bank in enumerate(params.banks):
         y = forward_step(y, bank, params.biases[i], params.dt, params.activation, params.act_gain)
@@ -310,16 +333,18 @@ def _map_chunks(fn, items: Sequence, workers: int) -> list:
 
 
 def _propagate_batch(
-    images: np.ndarray, params: NetworkParams, workers: int, keep: bool
+    images: np.ndarray, params: NetworkParams, workers: int, keep: bool, embedded: np.ndarray | None
 ) -> tuple[np.ndarray, list[list[np.ndarray]] | None]:
     """Final states ``y_N`` of a batch ``(m, ny, nx)``, written chunk by chunk
     into one array; with ``keep`` also each chunk's trajectory ``y_1 .. y_N``
-    (no ``y_0``), whose last entry is a view of that array."""
+    (no ``y_0``), whose last entry is a view of that array.  ``embedded``
+    is as in :func:`propagate_final`."""
     images = np.asarray(images, dtype=np.float64)
+    _check_embedded(embedded, images, params)
     features = np.empty((images.shape[0], params.channels) + images.shape[1:])
 
     def run(s: slice) -> list[np.ndarray] | None:
-        states = _propagate(images[s], params, keep)
+        states = _propagate(images[s], params, keep, None if embedded is None else embedded[s])
         features[s] = states[-1]
         if not keep:
             return None
@@ -330,9 +355,19 @@ def _propagate_batch(
     return features, trajectories if keep else None
 
 
-def propagate_final(images: np.ndarray, params: NetworkParams, workers: int = 1) -> np.ndarray:
-    """Final states ``y_N`` for a batch ``(m, ny, nx)``, no trajectory kept."""
-    return _propagate_batch(images, params, workers, keep=False)[0]
+def propagate_final(
+    images: np.ndarray,
+    params: NetworkParams,
+    workers: int = 1,
+    embedded: np.ndarray | None = None,
+) -> np.ndarray:
+    """Final states ``y_N`` for a batch ``(m, ny, nx)``, no trajectory kept.
+
+    ``embedded``, when given, is ``embed_input(images, params)`` and is used
+    as ``y_0`` instead of embedding again; it is read, not changed, and not
+    checked for finiteness.
+    """
+    return _propagate_batch(images, params, workers, keep=False, embedded=embedded)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -469,6 +504,7 @@ def loss(
     reg: RegConfig = RegConfig(),
     workers: int = 1,
     keep: bool = False,
+    embedded: np.ndarray | None = None,
 ) -> LossReport:
     """Mean cross-entropy over the batch plus the regularization value.
 
@@ -478,9 +514,10 @@ def loss(
 
     With ``keep`` the report also holds every chunk's trajectory
     (``LossReport.states``) for a gradient pass at the same point.
+    ``embedded`` is as in :func:`propagate_final`.
     """
     labels = _check_labels(labels, clf.num_classes)
-    y_out, states = _propagate_batch(images, params, workers, keep)
+    y_out, states = _propagate_batch(images, params, workers, keep, embedded)
     m = labels.size
     data = 0.0
     for s in _chunks(m):
@@ -504,6 +541,7 @@ def loss_and_gradient(
     workers: int = 1,
     states: list[list[np.ndarray]] | None = None,
     embed_grad: bool = True,
+    embedded: np.ndarray | None = None,
 ) -> tuple[LossReport, Gradients]:
     """Reverse-mode gradient of :func:`loss` for every learnable block.
 
@@ -516,12 +554,14 @@ def loss_and_gradient(
 
     ``states``, the ``LossReport.states`` of ``loss(images, labels, params,
     ..., keep=True)`` on these same images and parameters, replaces the
-    forward pass: only ``y_0 = L x`` is formed again.  The lists are read,
-    not changed.  With ``embed_grad=False`` the sweep stops at layer 0's
-    stencil gradient, without layer 0's adjoint application and the
-    embedding's tap gradient, and ``grads.embed`` is ``None``.
+    forward pass: only ``y_0 = L x`` is formed again, unless ``embedded``
+    (as in :func:`propagate_final`) holds it.  Both are read, not changed.
+    With ``embed_grad=False`` the sweep stops at layer 0's stencil gradient,
+    without layer 0's adjoint application and the embedding's tap gradient,
+    and ``grads.embed`` is ``None``.
     """
     images = np.asarray(images, dtype=np.float64)
+    _check_embedded(embedded, images, params)
     labels = _check_labels(labels, clf.num_classes)
     m = images.shape[0]
     n, c, k = params.num_layers, params.channels, params.kernel_size
@@ -537,10 +577,11 @@ def loss_and_gradient(
     def run(chunk: tuple[slice, list[np.ndarray] | None]):
         s, kept = chunk
         x = images[s]
+        y0 = None if embedded is None else embedded[s]
         if kept is None:
-            trajectory = _propagate(x, params, keep=True)
+            trajectory = _propagate(x, params, keep=True, y0=y0)
         else:
-            trajectory = [embed_input(x, params)] + kept
+            trajectory = [embed_input(x, params) if y0 is None else y0] + kept
         logits = _logits(trajectory[-1], clf)
         ce_sum = float(_cross_entropy(logits, labels[s]).sum())
 

@@ -13,17 +13,18 @@ bank's operator couples the channels, so its spectrum is that of the
 ``c x c`` block symbol at each frequency (:func:`stability_report`).
 
 A bank of stencils (``c_out x c_in`` windows) is applied by one kernel,
-shared with its weight gradient :func:`tap_gradient`: the batch is
-wrap-padded once and laid out channel-major, so that for every output cell
-at once a tap ``(p, q)`` is the same contiguous column slice shifted by a
-fixed offset.  Each tap is then a single ``(c_out, c_in)`` matrix product
-on that slice, in the manner of the unfolded convolutions of Chellapilla,
-Puri and Simard (2006), without materialising the ``k^2`` times larger
-unfolded input.  A bank with one input channel (the embedding) takes an
-elementwise broadcast product per tap instead: a matrix product with inner
-dimension 1 is an outer product, which BLAS runs several times slower, and
-each of its entries is the same single rounded product, so every value is
-unchanged except possibly the sign of an exact zero.
+shared with its weight gradient :func:`tap_gradient`: the batch is copied
+once, channel-major, into periodically padded frames built from slice
+copies, so that for every output cell at once a tap ``(p, q)`` is the same
+contiguous column slice shifted by a fixed offset.  Each tap is then a
+single ``(c_out, c_in)`` matrix product on that slice, in the manner of the
+unfolded convolutions of Chellapilla, Puri and Simard (2006), without
+materialising the ``k^2`` times larger unfolded input.  A bank with one
+input channel (the embedding) takes an elementwise broadcast product per
+tap instead: a matrix product with inner dimension 1 is an outer product,
+which BLAS runs several times slower, and each of its entries is the same
+single rounded product, so every value is unchanged except possibly the
+sign of an exact zero.
 
 Changing resolution composes the operator with a restriction ``R`` and a
 prolongation ``P``: the coarse-grid operator is ``R K(s) P``.  Because R, K
@@ -109,21 +110,38 @@ class StencilBank:
         return cls(w)
 
 
+def _check_fits(grid_shape: tuple[int, ...], k: int) -> None:
+    ny, nx = grid_shape
+    if ny < k or nx < k:
+        raise DimensionError(f"grid {ny}x{nx} is smaller than the {k}x{k} stencil")
+
+
 def _frame(a: np.ndarray, k: int, wrap: bool) -> np.ndarray:
     """Lay ``a`` of shape ``(..., c, ny, nx)`` out channel-major as ``(c, B * H * W)``.
 
     ``B`` is the product of the leading axes, ``H = ny + 2r``, ``W = nx + 2r``
     and ``r = k // 2``.  With ``wrap`` every image is periodically padded by
-    ``r`` on all four sides; otherwise it sits in the top-left corner of a
-    zero-filled ``H x W`` frame.  Cell ``(b, i, j)`` of the frames is column
-    ``(b * H + i) * W + j``.
+    ``r`` on all four sides, which needs ``r <= ny, nx``; otherwise it sits
+    in the top-left corner of a zero-filled ``H x W`` frame.  Cell ``(b, i,
+    j)`` of the frames is column ``(b * H + i) * W + j``.  Both are slice
+    copies into one new array: with ``wrap`` the interior, the left and
+    right columns, then the top and bottom rows, which fill the corners.
     """
     r = k // 2
     flat = np.moveaxis(a.reshape((-1,) + a.shape[-3:]), 1, 0)
-    pad = [(r, r), (r, r)] if wrap else [(0, 2 * r), (0, 2 * r)]
-    return np.pad(flat, [(0, 0), (0, 0)] + pad, mode="wrap" if wrap else "constant").reshape(
-        flat.shape[0], -1
-    )
+    c, b, ny, nx = flat.shape
+    shape = (c, b, ny + 2 * r, nx + 2 * r)
+    if not wrap:
+        frame = np.zeros(shape, dtype=a.dtype)
+        frame[:, :, :ny, :nx] = flat
+        return frame.reshape(c, -1)
+    frame = np.empty(shape, dtype=a.dtype)
+    frame[:, :, r : r + ny, r : r + nx] = flat
+    frame[:, :, r : r + ny, :r] = flat[..., nx - r :]
+    frame[:, :, r : r + ny, r + nx :] = flat[..., :r]
+    frame[:, :, :r] = frame[:, :, ny : ny + r]
+    frame[:, :, r + ny :] = frame[:, :, r : 2 * r]
+    return frame.reshape(c, -1)
 
 
 def _tap_slices(y: np.ndarray, k: int) -> tuple[np.ndarray, int, list[int]]:
@@ -146,8 +164,8 @@ def bank_apply(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Apply a stencil bank to ``y`` with shape ``(..., c_in, ny, nx)``.
 
     Returns ``(..., c_out, ny, nx)``.  Leading axes (a batch, say) pass
-    through untouched.  The batch is wrap-padded once, channel-major (see
-    :func:`_tap_slices`); each of the ``k^2`` taps is then one
+    through untouched.  The batch is copied once into wrap-padded frames,
+    channel-major (see :func:`_tap_slices`); each of the ``k^2`` taps is then one
     ``(c_out, c_in) @ (c_in, columns)`` product on a shifted contiguous
     slice, accumulated in row-major tap order.  Columns are taken in blocks
     of ``_BLOCK`` so that a block's slices and sums stay in cache across the
@@ -169,8 +187,7 @@ def bank_apply(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DimensionError(f"input must have shape (..., c_in, ny, nx), got {y.shape}")
     c_out, c_in, k, _ = weights.shape
     ny, nx = y.shape[-2:]
-    if ny < k or nx < k:
-        raise DimensionError(f"grid {ny}x{nx} is smaller than the {k}x{k} stencil")
+    _check_fits((ny, nx), k)
     if y.shape[-3] != c_in:
         raise DimensionError(f"bank expects {c_in} input channels, got {y.shape[-3]}")
     cols, span, offsets = _tap_slices(y, k)
@@ -206,6 +223,7 @@ def tap_gradient(u: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
             f"u {u.shape} and y {y.shape} must share leading axes and grid, "
             "as (..., c_out, ny, nx) and (..., c_in, ny, nx)"
         )
+    _check_fits(y.shape[-2:], k)
     cols, span, offsets = _tap_slices(y, k)
     u_cols = _frame(u, k, wrap=False)
     g = np.zeros((k * k, u.shape[-3], y.shape[-3]))
@@ -228,8 +246,7 @@ def stencil_symbol(weights: np.ndarray, grid: Grid2D) -> np.ndarray:
     """
     weights = np.asarray(weights, dtype=np.float64)
     k = weights.shape[-1]
-    if grid.ny < k or grid.nx < k:
-        raise DimensionError(f"grid {grid.ny}x{grid.nx} is smaller than the {k}x{k} stencil")
+    _check_fits(grid.shape, k)
     embedded = np.zeros(weights.shape[:-2] + grid.shape)
     embedded[..., :k, :k] = weights
     embedded = np.roll(embedded, (-(k // 2), -(k // 2)), axis=(-2, -1))

@@ -55,6 +55,7 @@ from .network import (
     softmax,
     _check_labels,
     _cross_entropy,
+    _embed,
     _logits,
     _smooth_grad,
     _smooth_sq,
@@ -538,6 +539,7 @@ def _take_prop_step(
     grads: Gradients,
     workers: int,
     keep: bool,
+    embedded: np.ndarray | None,
 ) -> tuple[NetworkParams, LossReport | None, float | None]:
     """One step on the propagation parameters.
 
@@ -549,6 +551,7 @@ def _take_prop_step(
     test it keeps the current point and returns ``None`` as the step.  A
     zero gradient's first trial is the current point, whose loss equals
     ``report.total`` to the bit, so it is accepted at ``t0`` like any other.
+    ``embedded`` is passed on to every trial's :func:`mgcnn.network.loss`.
     """
     if isinstance(rule, FixedStep):
         return _prop_step(params, grads, rule.step_size), None, rule.step_size
@@ -556,7 +559,8 @@ def _take_prop_step(
     t = t0
     for _ in range(rule.max_backtracks):
         trial = _prop_step(params, grads, t)
-        trial_report = loss(images, labels, trial, clf, reg, workers=workers, keep=keep)
+        trial_report = loss(images, labels, trial, clf, reg, workers=workers, keep=keep,
+                            embedded=embedded)
         if trial_report.total <= report.total - rule.c * t * sq:
             return trial, trial_report if keep else None, t
         del trial_report  # a rejected trajectory goes before the next trial runs
@@ -588,6 +592,12 @@ def bcd_train(
     that accepts no step, the features come from a fresh pass and the next
     gradient runs its own forward pass.
 
+    A frozen embedding never changes, so in full-batch mode ``y_0 = L x``
+    of the training and of the validation set is formed and checked once
+    per call, and every gradient pass, Armijo trial and fresh pass on those
+    images starts from it.  With minibatches every pass embeds its images,
+    so no whole-set embedding stays in memory.
+
     The Armijo search of the first iteration starts at ``step_size``; every
     later one starts at ``min(step_size, t_last / beta)`` from the step
     accepted last (Nocedal and Wright, *Numerical Optimization*, section 3.5),
@@ -605,25 +615,29 @@ def bcd_train(
     rule = cfg.prop_step_rule
     t0 = rule.step_size
     states = None  # the trajectory of train.images at params, when known
+    hoist = full_batch and not params.embed_learnable
+    train_y0 = _embed(train.images, params) if hoist else None
+    val_y0 = _embed(val.images, params) if hoist and val is not None else None
 
     for it in range(1, cfg.outer_iters + 1):
         if full_batch:
-            images, labels = train.images, train.labels
+            images, labels, embedded = train.images, train.labels, train_y0
         else:
             idx = next(batches)
-            images, labels = train.images[idx], train.labels[idx]
+            images, labels, embedded = train.images[idx], train.labels[idx], None
         report, grads = loss_and_gradient(
             images, labels, params, clf, reg, workers=workers, states=states,
-            embed_grad=params.embed_learnable,
+            embed_grad=params.embed_learnable, embedded=embedded,
         )
         states = None
         params, accepted, t = _take_prop_step(
-            images, labels, params, clf, reg, rule, t0, report, grads, workers, keep=full_batch
+            images, labels, params, clf, reg, rule, t0, report, grads, workers,
+            keep=full_batch, embedded=embedded,
         )
         if t is not None and isinstance(rule, ArmijoBacktracking):
             t0 = min(rule.step_size, t / rule.beta)
         if accepted is None:
-            features = propagate_final(train.images, params, workers=workers)
+            features = propagate_final(train.images, params, workers=workers, embedded=train_y0)
         else:
             features, states = accepted.features, accepted.states
             del accepted  # only `states` carries the trajectory to the next gradient pass
@@ -639,7 +653,8 @@ def bcd_train(
         train_acc = float((logits.argmax(axis=1) == train.labels).mean())
         val_acc = math.nan
         if val is not None:
-            val_logits = _logits(propagate_final(val.images, params, workers=workers), clf)
+            val_features = propagate_final(val.images, params, workers=workers, embedded=val_y0)
+            val_logits = _logits(val_features, clf)
             val_acc = float((val_logits.argmax(axis=1) == val.labels).mean())
         history.append(
             HistoryRow(

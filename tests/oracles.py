@@ -154,6 +154,17 @@ def naive_bank_apply(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def padded_frame(a: np.ndarray, k: int, wrap: bool) -> np.ndarray:
+    """The kernel's channel-major frames of ``a`` (``(..., c, ny, nx)``) by
+    ``np.pad``: wrap-padded by ``k // 2`` on every side, or the image in the
+    top-left corner of zeros, flattened to ``(c, B * H * W)``."""
+    r = k // 2
+    flat = np.moveaxis(a.reshape((-1,) + a.shape[-3:]), 1, 0)
+    pad = [(r, r), (r, r)] if wrap else [(0, 2 * r), (0, 2 * r)]
+    framed = np.pad(flat, [(0, 0), (0, 0)] + pad, mode="wrap" if wrap else "constant")
+    return framed.reshape(flat.shape[0], -1)
+
+
 def naive_forward(
     x: np.ndarray,
     embed_w: np.ndarray,

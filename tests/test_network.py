@@ -154,6 +154,21 @@ class TestForwardStep:
         assert rel_err(got, want) <= 1e-13
 
 
+    @pytest.mark.parametrize("act, gain", [(Activation.TANH, 1.3), (Activation.IDENTITY, 0.7)])
+    def test_new_array_equal_to_the_formula_to_the_bit(self, act, gain):
+        rng = np.random.default_rng(7)
+        y = rng.normal(size=(3, 2, 6, 6))
+        w = rng.normal(size=(2, 2, 3, 3))
+        bias = rng.normal(size=2)
+        before = y.copy()
+        got = forward_step(y, StencilBank(w), bias, 0.37, act, gain)
+        z = gain * (bank_apply(w, y) + bias[:, None, None])
+        want = y + 0.37 * (np.tanh(z) if act is Activation.TANH else z)
+        assert not np.shares_memory(got, y)
+        np.testing.assert_array_equal(y, before)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestForwardPropagate:
     def test_zero_depth_trajectory(self):
         p = random_network_params(channels=2, num_layers=0, final_time=1.0)
@@ -619,3 +634,41 @@ class TestTrajectoryReuse:
         # per chunk: embedding and 3 layers forward, 2 adjoint applications
         # back instead of 3; 3 tap gradients instead of 4
         assert calls == {"bank_apply": 2 * (4 + 2), "tap_gradient": 2 * 3}
+
+
+class TestEmbeddingReuse:
+    """``embedded=`` stands in for ``embed_input`` of the same images."""
+
+    @pytest.mark.parametrize("act", [Activation.TANH, Activation.IDENTITY])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_same_bits_as_the_plain_calls(self, act, workers):
+        imgs, labels, p, clf, reg = TestTrajectoryReuse.problem(act, seed=44)
+        assert imgs.shape[0] > network_mod.CHUNK
+        y0 = embed_input(imgs, p)
+        before = y0.copy()
+        np.testing.assert_array_equal(propagate_final(imgs, p, workers, embedded=y0),
+                                      propagate_final(imgs, p, workers))
+        plain = loss(imgs, labels, p, clf, reg, workers=workers, keep=True)
+        fed = loss(imgs, labels, p, clf, reg, workers=workers, keep=True, embedded=y0)
+        assert fed == plain
+        np.testing.assert_array_equal(fed.features, plain.features)
+        for got, want in zip(fed.states, plain.states, strict=True):
+            for a, b in zip(got, want, strict=True):
+                np.testing.assert_array_equal(a, b)
+        fresh_report, fresh = loss_and_gradient(imgs, labels, p, clf, reg, workers=workers)
+        for states in (None, plain.states):
+            report, grads = loss_and_gradient(imgs, labels, p, clf, reg, workers=workers,
+                                              states=states, embedded=y0)
+            assert report == fresh_report
+            assert_same_gradients(grads, fresh)
+        np.testing.assert_array_equal(y0, before)  # read, not changed
+
+    def test_wrong_shape_refused(self):
+        imgs, labels, p, clf, reg = TestTrajectoryReuse.problem(Activation.TANH)
+        for bad in (embed_input(imgs[:100], p), embed_input(imgs, p)[:, :1]):
+            with pytest.raises(ValueError, match="embedded"):
+                propagate_final(imgs, p, embedded=bad)
+            with pytest.raises(ValueError, match="embedded"):
+                loss(imgs, labels, p, clf, reg, embedded=bad)
+            with pytest.raises(ValueError, match="embedded"):
+                loss_and_gradient(imgs, labels, p, clf, reg, embedded=bad)

@@ -16,7 +16,7 @@ from mgcnn.stencils import (
     tap_gradient,
 )
 
-from oracles import dense_circulant, galerkin_coarse_stencil, naive_bank_apply
+from oracles import dense_circulant, galerkin_coarse_stencil, naive_bank_apply, padded_frame
 
 CA = TransferPair.constant_average()
 FW = TransferPair.bilinear_full_weighting()
@@ -201,6 +201,26 @@ class TestKernel:
     def test_tap_gradient_rejects_mismatched_shapes(self, u_shape, y_shape):
         with pytest.raises(DimensionError):
             tap_gradient(np.zeros(u_shape), np.zeros(y_shape), 3)
+
+    @pytest.mark.parametrize("grid, k", [((2, 5), 3), ((5, 2), 3), ((1, 1), 3), ((4, 6), 5)])
+    def test_grid_smaller_than_the_stencil_refused(self, grid, k):
+        # the periodic frame takes k // 2 rows and columns from the far side
+        y, u = np.zeros((2, 2) + grid), np.zeros((2, 3) + grid)
+        with pytest.raises(DimensionError, match="smaller than"):
+            bank_apply(np.zeros((3, 2, k, k)), y)
+        with pytest.raises(DimensionError, match="smaller than"):
+            tap_gradient(u, y, k)
+
+    @pytest.mark.parametrize("wrap", [True, False])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("shape", [(1, 5, 7), (3, 1, 6, 5), (2, 3, 2, 7, 6), (4, 2, 5, 5)])
+    def test_frame_matches_np_pad(self, shape, k, wrap):
+        rng = np.random.default_rng(21)
+        for grid in ((k, k), (k, k + 1), shape[-2:]):
+            a = rng.normal(size=shape[:-2] + grid)
+            got = stencils_mod._frame(a, k, wrap)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, padded_frame(a, k, wrap))
 
 
 def coarsen_one(w, m):

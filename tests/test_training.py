@@ -9,6 +9,7 @@ import pytest
 import mgcnn.network as network_mod
 import mgcnn.training as training_mod
 from mgcnn.data import LabeledDataset, SyntheticKind, make_synthetic
+from mgcnn.errors import DivergenceError
 from mgcnn.grid import Grid2D
 from mgcnn.network import (
     Activation,
@@ -722,6 +723,58 @@ class TestTrajectoryReuse:
         runs = [bcd_train(ds, params, clf, RegConfig(0.02, 0.05), cfg, workers=w)
                 for w in (1, 2)]
         assert_same_run(*runs)
+
+
+class TestEmbeddingOnce:
+    """A frozen embedding is formed once per image set and ``bcd_train`` call."""
+
+    @staticmethod
+    def spied_run(monkeypatch, n, batch_size=None, embed_learnable=False):
+        """Embeddings and passes of one run: per pass, whether it got ``embedded``."""
+        embeds, passes = [], []
+        embed = network_mod.embed_input
+
+        def counted_embed(x, params):
+            embeds.append(np.shape(x)[0])
+            return embed(x, params)
+
+        monkeypatch.setattr(network_mod, "embed_input", counted_embed)
+        for name in ("loss", "loss_and_gradient", "propagate_final"):
+            def counted(*args, _fn=getattr(training_mod, name), **kwargs):
+                passes.append(kwargs.get("embedded") is not None)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(training_mod, name, counted)
+        ds, val = blob_set(n=n, seed=19), blob_set(n=12, seed=20)
+        params, clf = TestTrajectoryReuse.start(ds, embed_learnable)
+        res = bcd_train(ds, params, clf, RegConfig(0.02, 0.05),
+                        BcdConfig(outer_iters=3, newton_steps=2, batch_size=batch_size), val=val)
+        assert len(res.history) == 3
+        return embeds, passes
+
+    def test_frozen_full_batch_embeds_train_and_val_once(self, monkeypatch):
+        embeds, passes = self.spied_run(monkeypatch, n=300)  # two chunks per pass
+        assert embeds == [300, 12]
+        assert passes and all(passes)
+
+    def test_learnable_embedding_embeds_every_chunk_of_every_pass(self, monkeypatch):
+        embeds, passes = self.spied_run(monkeypatch, n=30, embed_learnable=True)
+        assert len(embeds) == len(passes) and not any(passes)
+
+    def test_minibatches_embed_every_pass(self, monkeypatch):
+        embeds, passes = self.spied_run(monkeypatch, n=30, batch_size=10)
+        assert embeds[0] == 10
+        assert len(embeds) == len(passes) and not any(passes)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("with_val", [False, True])
+    def test_overflowing_embedding_refused(self, with_val):
+        ds = blob_set(n=20, seed=21)
+        params = varied_params(22, num_layers=2)
+        params.embed.weights[:] = 1e308  # finite, but nine taps overflow
+        with pytest.raises(DivergenceError, match="at embedding"):
+            bcd_train(ds, params, zero_classifier(ds.grid, 2, 2), RegConfig(0.02, 0.05),
+                      BcdConfig(outer_iters=2, newton_steps=2),
+                      val=blob_set(n=10, seed=23) if with_val else None)
 
 
 class TestEvaluate:
