@@ -244,6 +244,10 @@ def _load_dataset(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
         if not cfg.idx_images or not cfg.idx_labels:
             raise ConfigError("dataset = idx requires idx_images and idx_labels paths")
         full = load_idx(cfg.idx_images, cfg.idx_labels, h=cfg.grid_h)
+        if full.num_classes < 2:
+            raise DataFormatError(
+                f"idx_labels {cfg.idx_labels} holds {full.num_classes} class(es), need at least 2"
+            )
     else:
         grid = Grid2D(cfg.grid_nx, cfg.grid_ny, cfg.grid_h)
         full = make_synthetic(
@@ -259,7 +263,8 @@ def _load_dataset(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
 
 def _check_grid(cfg: RunConfig, grid: Grid2D, levels: int) -> None:
     """Refuse a grid that cannot be halved ``levels`` times while staying at
-    least ``kernel`` cells wide."""
+    least ``kernel`` cells wide, or whose pixel area ``h^2`` over- or
+    underflows on the finest or the coarsest grid."""
     nx, ny = grid.nx, grid.ny
     for _ in range(levels):
         if nx % 2 or ny % 2:
@@ -271,6 +276,10 @@ def _check_grid(cfg: RunConfig, grid: Grid2D, levels: int) -> None:
     if min(nx, ny) < cfg.kernel:
         cause = f"levels = {levels} leaves a" if levels else "the data has a"
         raise ConfigError(f"{cause} {nx}x{ny} grid, narrower than kernel = {cfg.kernel}")
+    for h in (grid.h, grid.h * 2**levels):
+        if not (math.isfinite(h * h) and h * h > 0.0):
+            raise ConfigError(f"grid_h = {cfg.grid_h} gives a pixel area h^2 = {h * h} "
+                              f"at h = {h}; it must be finite and > 0")
 
 
 def _save(out: Path, params, clf, provenance: dict) -> None:
@@ -455,7 +464,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_inspect(args.model)
         overrides = {} if args.seed is None else {"seed": args.seed}
         cfg = parse_config(args.config, overrides)
-        workers = 1 if args.sequential else max(1, args.workers)
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        workers = 1 if args.sequential else args.workers
         out = Path(args.out)
         if args.command == "train":
             return cmd_train(cfg, out, workers)

@@ -44,7 +44,6 @@ from .data import LabeledDataset
 from .network import (
     Classifier,
     Gradients,
-    LossReport,
     NetworkParams,
     RegConfig,
     RegGrads,
@@ -527,47 +526,6 @@ def _prop_step(params: NetworkParams, grads: Gradients, t: float) -> NetworkPara
     return out
 
 
-def _take_prop_step(
-    images: np.ndarray,
-    labels: np.ndarray,
-    params: NetworkParams,
-    clf: Classifier,
-    reg: RegConfig,
-    rule: StepRule,
-    t0: float,
-    report: LossReport,
-    grads: Gradients,
-    workers: int,
-    keep: bool,
-    embedded: np.ndarray | None,
-) -> tuple[NetworkParams, LossReport | None, float | None]:
-    """One step on the propagation parameters.
-
-    Returns the next parameters; with ``keep``, the loss report of the
-    accepted Armijo trial, holding the final states and the trajectories of
-    ``images`` under those parameters (else ``None``); and the step taken.
-    ``FixedStep`` always takes ``rule.step_size``.  Armijo backtracks from
-    ``t0`` by ``rule.beta``; when no trial passes the sufficient-decrease
-    test it keeps the current point and returns ``None`` as the step.  A
-    zero gradient's first trial is the current point, whose loss equals
-    ``report.total`` to the bit, so it is accepted at ``t0`` like any other.
-    ``embedded`` is passed on to every trial's :func:`mgcnn.network.loss`.
-    """
-    if isinstance(rule, FixedStep):
-        return _prop_step(params, grads, rule.step_size), None, rule.step_size
-    sq = grads.prop_sq_norm(params.embed_learnable)
-    t = t0
-    for _ in range(rule.max_backtracks):
-        trial = _prop_step(params, grads, t)
-        trial_report = loss(images, labels, trial, clf, reg, workers=workers, keep=keep,
-                            embedded=embedded)
-        if trial_report.total <= report.total - rule.c * t * sq:
-            return trial, trial_report if keep else None, t
-        del trial_report  # a rejected trajectory goes before the next trial runs
-        t *= rule.beta
-    return params, None, None
-
-
 def bcd_train(
     train: LabeledDataset,
     params: NetworkParams,
@@ -583,6 +541,17 @@ def bcd_train(
     propagation and classifier updates.  Replays are bit-identical for a
     fixed config and seed.
 
+    Each iteration steps the propagation parameters along the batch's
+    negative gradient.  ``FixedStep`` steps by ``step_size``.  Armijo
+    backtracks by ``beta`` from ``t0`` and takes the first trial that passes
+    the sufficient-decrease test; ``t0`` is ``step_size`` at first, then
+    ``min(step_size, t_last / beta)`` from the step accepted last (Nocedal
+    and Wright, *Numerical Optimization*, section 3.5), so a search does
+    not pay again for the rejected trials above the last step.  A search
+    that accepts nothing keeps the point and ``t0``.  A zero gradient's
+    first trial is the current point, whose loss equals the gradient pass's
+    total to the bit, so it is accepted at ``t0``.
+
     In full-batch mode each Armijo iterate is propagated once.  The
     accepted trial has already run the whole training set through the new
     parameters: its final states serve as the Newton features, and its
@@ -597,12 +566,6 @@ def bcd_train(
     per call, and every gradient pass, Armijo trial and fresh pass on those
     images starts from it.  With minibatches every pass embeds its images,
     so no whole-set embedding stays in memory.
-
-    The Armijo search of the first iteration starts at ``step_size``; every
-    later one starts at ``min(step_size, t_last / beta)`` from the step
-    accepted last (Nocedal and Wright, *Numerical Optimization*, section 3.5),
-    so an iteration whose accepted step is below ``step_size`` does not pay
-    again for the rejected trials above it.
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
@@ -620,27 +583,32 @@ def bcd_train(
     val_y0 = _embed(val.images, params) if hoist and val is not None else None
 
     for it in range(1, cfg.outer_iters + 1):
-        if full_batch:
-            images, labels, embedded = train.images, train.labels, train_y0
-        else:
-            idx = next(batches)
-            images, labels, embedded = train.images[idx], train.labels[idx], None
+        idx = slice(None) if full_batch else next(batches)
+        images, labels = train.images[idx], train.labels[idx]
         report, grads = loss_and_gradient(
             images, labels, params, clf, reg, workers=workers, states=states,
-            embed_grad=params.embed_learnable, embedded=embedded,
+            embed_grad=params.embed_learnable, embedded=train_y0,
         )
-        states = None
-        params, accepted, t = _take_prop_step(
-            images, labels, params, clf, reg, rule, t0, report, grads, workers,
-            keep=full_batch, embedded=embedded,
-        )
-        if t is not None and isinstance(rule, ArmijoBacktracking):
-            t0 = min(rule.step_size, t / rule.beta)
-        if accepted is None:
-            features = propagate_final(train.images, params, workers=workers, embedded=train_y0)
+        states = accepted = None  # accepted: the loss report of the accepted trial
+        if isinstance(rule, FixedStep):
+            params = _prop_step(params, grads, rule.step_size)
         else:
+            t, sq = t0, grads.prop_sq_norm(params.embed_learnable)
+            for _ in range(rule.max_backtracks):
+                trial = _prop_step(params, grads, t)
+                accepted = loss(images, labels, trial, clf, reg, workers=workers,
+                                keep=full_batch, embedded=train_y0)
+                if accepted.total <= report.total - rule.c * t * sq:
+                    params, t0 = trial, min(rule.step_size, t / rule.beta)
+                    break
+                accepted = None  # a rejected trajectory goes before the next trial runs
+                t *= rule.beta
+        if full_batch and accepted is not None:
             features, states = accepted.features, accepted.states
-            del accepted  # only `states` carries the trajectory to the next gradient pass
+        else:
+            accepted = None  # a minibatch trial's final states go before the fresh pass
+            features = propagate_final(train.images, params, workers=workers, embedded=train_y0)
+        del accepted  # only `states` carries the trajectory to the next gradient pass
         if cfg.newton_steps > 0:
             clf = newton_classifier_step(
                 features, train.labels, clf, reg, cfg.newton_steps

@@ -69,6 +69,7 @@ def test_removed_methods_are_gone():
     assert not hasattr(TransferPair.constant_average(), "gamma")
     assert not hasattr(network, "_layer")
     assert not hasattr(training, "_laplacian_entries")
+    assert not hasattr(training, "_take_prop_step")
     # read nowhere
     assert not hasattr(network.Classifier, "channels")
 

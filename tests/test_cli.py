@@ -13,7 +13,7 @@ from mgcnn.errors import ConfigError
 from mgcnn.grid import Grid2D
 from mgcnn.network import Classifier, random_network_params, zero_classifier
 
-from oracles import dense_circulant, rel_err
+from oracles import dense_circulant, rel_err, write_idx_images, write_idx_labels
 
 ROOT = Path(__file__).resolve().parent.parent
 HELP = {f.name: f.metadata["help"] for f in fields(RunConfig)}
@@ -159,6 +159,8 @@ class TestExitCodes:
         ("train_fraction", "0"),
         ("num_examples", "1"),
         ("grid_h", "-1"),
+        ("grid_h", "1e200"),  # h^2 overflows
+        ("grid_h", "1e-200"),  # h^2 underflows to 0: the classifier sees no features
         ("grid_nx", "0"),
         ("final_time", "0"),
         ("activation", "relu"),
@@ -200,6 +202,36 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, FAST_TRAIN + extra)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "train_fraction" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_coarsest_pixel_area_overflow_is_two_and_named(self, tmp_path, capsys):
+        # h^2 = 1e308 is finite on the finest grid, but not at 2h one level down
+        cfg = write_cfg(tmp_path, FAST_TRAIN + "grid_h = 1e154\nlevels = 1\n")
+        assert main(["multilevel", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "grid_h" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_two_and_named(self, tmp_path, capsys, workers):
+        cfg = write_cfg(tmp_path, FAST_TRAIN)
+        assert main(["train", "--config", cfg, "--workers", workers,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_one_class_idx_labels_is_three_and_named(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        write_idx_images(tmp_path / "images.idx", rng.integers(0, 256, size=(20, 8, 8)))
+        write_idx_labels(tmp_path / "labels.idx", np.zeros(20, dtype=np.uint8))
+        cfg = write_cfg(tmp_path, f"""
+        dataset = idx
+        idx_images = {tmp_path / 'images.idx'}
+        idx_labels = {tmp_path / 'labels.idx'}
+        outer_iters = 1
+        """)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "idx_labels" in err and "1 class" in err
         assert not (tmp_path / "o").exists()
 
     def test_missing_data_path_is_three_and_named(self, tmp_path, capsys):

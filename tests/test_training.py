@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -723,6 +724,53 @@ class TestTrajectoryReuse:
         runs = [bcd_train(ds, params, clf, RegConfig(0.02, 0.05), cfg, workers=w)
                 for w in (1, 2)]
         assert_same_run(*runs)
+
+
+class TestReportLifetimes:
+    """The search releases every trial's loss report as soon as it is done
+    with it: a rejected one before the next trial runs, a minibatch one
+    before the fresh feature pass, and a full-batch accepted one once its
+    features and trajectory are taken, before Newton runs."""
+
+    @pytest.mark.parametrize("batch_size", [None, 10])
+    def test_no_trial_report_outlives_its_use(self, monkeypatch, batch_size):
+        refs, checks = [], []
+        trial_loss, final = training_mod.loss, training_mod.propagate_final
+        newton = training_mod.newton_classifier_step
+
+        def assert_released(where):
+            checks.append(where)
+            assert all(r() is None for r in refs), where
+
+        def spy_loss(*args, **kwargs):
+            assert_released("trial")
+            report = trial_loss(*args, **kwargs)
+            refs.append(weakref.ref(report))
+            return report
+
+        def spy_final(*args, **kwargs):
+            assert_released("propagate_final")
+            return final(*args, **kwargs)
+
+        def spy_newton(*args, **kwargs):
+            assert_released("newton")
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "loss", spy_loss)
+        monkeypatch.setattr(training_mod, "propagate_final", spy_final)
+        monkeypatch.setattr(training_mod, "newton_classifier_step", spy_newton)
+        ds = blob_set(n=30, seed=3)
+        outer_iters = 6
+        res = bcd_train(ds, varied_params(10, num_layers=2), zero_classifier(ds.grid, 2, 2),
+                        RegConfig(0.02, 0.05),
+                        BcdConfig(outer_iters=outer_iters, newton_steps=2, batch_size=batch_size,
+                                  prop_step_rule=ArmijoBacktracking(step_size=4.0)),
+                        val=blob_set(n=10, seed=2))
+        assert len(res.history) == outer_iters
+        assert len(refs) > outer_iters  # some trials were rejected
+        fresh = outer_iters if batch_size else 0  # training-set feature passes
+        assert checks.count("propagate_final") == outer_iters + fresh
+        assert checks.count("newton") == outer_iters
 
 
 class TestEmbeddingOnce:
