@@ -11,8 +11,9 @@ directory.  Subcommands:
 
 Config files contain ``key = value`` lines, ``#`` comments, and nothing
 else; every key has a default (see ``--help``), unknown keys are an error.
-Given the same config and seed, every command is deterministic; in
-sequential mode, byte-identical outputs (summary wall-clock columns aside).
+Given the same config and seed, every command is deterministic; at a fixed
+BLAS thread count, every ``--workers`` value writes byte-identical outputs
+(summary wall-clock columns aside).
 
 Exit codes: 0 success, 2 configuration error, 3 data or I/O error,
 4 numerical failure (divergence, ill-posed maps), 1 anything else.
@@ -211,17 +212,15 @@ def _transfer_pair(cfg: RunConfig) -> TransferPair:
     return TransferPair.bilinear_full_weighting()
 
 
-def _step_rule(cfg: RunConfig):
-    if cfg.step_rule == "fixed":
-        return FixedStep(cfg.step_size)
-    return ArmijoBacktracking(cfg.step_size, cfg.armijo_beta, cfg.armijo_c)
-
-
 def _bcd_config(cfg: RunConfig) -> BcdConfig:
+    if cfg.step_rule == "fixed":
+        rule = FixedStep(cfg.step_size)
+    else:
+        rule = ArmijoBacktracking(cfg.step_size, cfg.armijo_beta, cfg.armijo_c)
     return BcdConfig(
         outer_iters=cfg.outer_iters,
         newton_steps=cfg.newton_steps,
-        prop_step_rule=_step_rule(cfg),
+        prop_step_rule=rule,
         batch_size=cfg.batch_size or None,
         seed=cfg.seed,
     )
@@ -233,7 +232,7 @@ def _network_init(cfg: RunConfig) -> NetworkInit:
         kernel_size=cfg.kernel,
         final_time=cfg.final_time,
         init_scale=cfg.init_scale,
-        activation=Activation.from_name(cfg.activation),
+        activation=Activation(cfg.activation.strip().lower()),
         act_gain=cfg.act_gain,
         embed_learnable=cfg.embed_learnable,
     )
@@ -345,15 +344,11 @@ def cmd_multilevel(cfg: RunConfig, out: Path, workers: int) -> int:
     pair = _transfer_pair(cfg)
     pyr = ResolutionPyramid.build(train, cfg.levels, pair, cfg.blur_sigma)
     val_pyr = ResolutionPyramid.build(val, cfg.levels, pair, cfg.blur_sigma)
+    iters = cfg.level_iters or (cfg.outer_iters,) * pyr.levels
+    if len(iters) != pyr.levels:
+        raise ConfigError(f"level_iters has {len(iters)} entries, pyramid has {pyr.levels} levels")
     base = _bcd_config(cfg)
-    if cfg.level_iters:
-        if len(cfg.level_iters) != pyr.levels:
-            raise ConfigError(
-                f"level_iters has {len(cfg.level_iters)} entries, pyramid has {pyr.levels} levels"
-            )
-        schedule = LevelSchedule([replace(base, outer_iters=n) for n in cfg.level_iters])
-    else:
-        schedule = LevelSchedule.uniform(base, pyr.levels)
+    schedule = LevelSchedule([replace(base, outer_iters=n) for n in iters])
 
     init = _network_init(cfg)
 
@@ -474,9 +469,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_adapt(args.model, Direction(args.direction), cfg, out)
         if args.command == "multilevel":
             return cmd_multilevel(cfg, out, workers)
-        if args.command == "deepen":
-            return cmd_deepen(cfg, out, workers)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_deepen(cfg, out, workers)
     except ConfigError as exc:
         print(f"{_failing_module(exc)}: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ unknown, repeated or trailing block.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -66,6 +67,9 @@ IDX_LABEL_MAGIC = 0x00000801
 MODEL_MAGIC = b"MGCN"
 MODEL_VERSION = 2
 _MODEL_TAGS = ("GRID", "HYPR", "BANK", "BIAS", "EMBD", "CLSW", "CLSB", "PROV")
+_GRID = struct.Struct("<IId")  # nx, ny, h
+# depth, channels, kernel, dt, T, activation code, gain, embedding learnable
+_HYPR = struct.Struct("<IIIddBdB")
 
 
 @dataclass
@@ -118,7 +122,9 @@ def _parse_idx(path: str, magic: int, ndim: int) -> np.ndarray:
     if fields[0] != magic:
         raise BadMagicError(f"{path}: magic {fields[0]:#010x}, expected {magic:#010x}")
     shape = fields[1:]
-    count = int(np.prod(shape))
+    if min(shape) < 0:
+        raise DataFormatError(f"{path}: negative dimension in the IDX shape {shape}")
+    count = math.prod(shape)
     payload = _read_exact(data, 4 * (1 + ndim), count, path)
     return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
@@ -126,6 +132,9 @@ def _parse_idx(path: str, magic: int, ndim: int) -> np.ndarray:
 def load_idx(image_path: str, label_path: str, h: float = 1.0) -> LabeledDataset:
     """Load an IDX image/label file pair; pixels are scaled to ``[0, 1]``."""
     raw_images = _parse_idx(image_path, IDX_IMAGE_MAGIC, 3)
+    if 0 in raw_images.shape[1:]:
+        raise DataFormatError(f"{image_path}: images of shape {raw_images.shape[1:]}, "
+                              "need at least one row and one column")
     raw_labels = _parse_idx(label_path, IDX_LABEL_MAGIC, 1)
     if raw_images.shape[0] != raw_labels.shape[0]:
         raise CountMismatchError(
@@ -238,21 +247,9 @@ def save_model(path: str, model: ModelFile) -> None:
     banks = np.stack([b.weights for b in p.banks]) if n else np.zeros((0, c, c, k, k))
 
     blocks = [
-        _block(b"GRID", struct.pack("<IId", clf.grid.nx, clf.grid.ny, clf.grid.h)),
-        _block(
-            b"HYPR",
-            struct.pack(
-                "<IIIddBdB",
-                n,
-                c,
-                k,
-                p.dt,
-                p.final_time,
-                _ACT_CODES[p.activation],
-                p.act_gain,
-                1 if p.embed_learnable else 0,
-            ),
-        ),
+        _block(b"GRID", _GRID.pack(clf.grid.nx, clf.grid.ny, clf.grid.h)),
+        _block(b"HYPR", _HYPR.pack(n, c, k, p.dt, p.final_time, _ACT_CODES[p.activation],
+                                   p.act_gain, 1 if p.embed_learnable else 0)),
         _block(b"BANK", banks.astype("<f8").tobytes()),
         _block(b"BIAS", p.biases.astype("<f8").tobytes()),
         _block(b"EMBD", p.embed.weights.astype("<f8").tobytes()),
@@ -272,7 +269,7 @@ def save_model(path: str, model: ModelFile) -> None:
 
 
 def _doubles(payload: bytes, shape: tuple[int, ...], tag: str, path: str) -> np.ndarray:
-    expect = int(np.prod(shape)) * 8
+    expect = math.prod(shape) * 8
     if len(payload) != expect:
         raise DataFormatError(
             f"{path}: block {tag} holds {len(payload)} bytes, expected {expect}"
@@ -332,10 +329,8 @@ def load_model(path: str) -> ModelFile:
 
 
 def _decode_model(blocks: dict[str, bytes], path: str) -> ModelFile:
-    nx, ny, h = struct.unpack("<IId", blocks["GRID"])
-    n, c, k, dt, final_time, act_code, act_gain, embed_learnable = struct.unpack(
-        "<IIIddBdB", blocks["HYPR"]
-    )
+    nx, ny, h = _GRID.unpack(blocks["GRID"])
+    n, c, k, dt, final_time, act_code, act_gain, embed_learnable = _HYPR.unpack(blocks["HYPR"])
     if act_code not in _ACT_FROM_CODE:
         raise DataFormatError(f"{path}: unknown activation code {act_code}")
     if not np.all(np.isfinite([dt, final_time, act_gain])):

@@ -105,10 +105,11 @@ class TransferPair:
         return cls(TransferKind.BILINEAR_FULL_WEIGHTING)
 
 
-def _require_even(shape: tuple[int, ...]) -> None:
-    ny, nx = shape[-2], shape[-1]
-    if ny % 2 or nx % 2:
-        raise DimensionError(f"restriction needs even dimensions, got {ny}x{nx}")
+def _samples(values: np.ndarray) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim < 2:
+        raise DimensionError("expected at least a 2D array of samples")
+    return values
 
 
 def _restrict_fw_axis(v: np.ndarray, axis: int) -> np.ndarray:
@@ -133,12 +134,11 @@ def _prolong_linear_axis(v: np.ndarray, axis: int) -> np.ndarray:
 
 def restrict_values(values: np.ndarray, kind: TransferKind) -> np.ndarray:
     """Restrict the trailing two axes to the next coarser grid."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim < 2:
-        raise DimensionError("expected at least a 2D array of samples")
-    _require_even(values.shape)
+    values = _samples(values)
+    ny, nx = values.shape[-2:]
+    if ny % 2 or nx % 2:
+        raise DimensionError(f"restriction needs even dimensions, got {ny}x{nx}")
     if kind is TransferKind.CONSTANT_AVERAGE:
-        ny, nx = values.shape[-2:]
         blocks = values.reshape(values.shape[:-2] + (ny // 2, 2, nx // 2, 2))
         return blocks.mean(axis=(-3, -1))
     out = _restrict_fw_axis(values, -2)
@@ -147,9 +147,7 @@ def restrict_values(values: np.ndarray, kind: TransferKind) -> np.ndarray:
 
 def prolong_values(values: np.ndarray, kind: TransferKind) -> np.ndarray:
     """Prolong the trailing two axes to the next finer grid."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim < 2:
-        raise DimensionError("expected at least a 2D array of samples")
+    values = _samples(values)
     if kind is TransferKind.CONSTANT_AVERAGE:
         return values.repeat(2, axis=-2).repeat(2, axis=-1)
     out = _prolong_linear_axis(values, -2)
@@ -172,9 +170,7 @@ def gaussian_blur_values(values: np.ndarray, sigma: float) -> np.ndarray:
     Implemented as shifted accumulation so any truncation radius, including
     radii beyond the grid size, wraps around exactly.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim < 2:
-        raise DimensionError("expected at least a 2D array of samples")
+    values = _samples(values)
     kernel = gaussian_kernel_1d(sigma)
     radius = kernel.size // 2
     out = values

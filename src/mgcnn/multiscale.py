@@ -19,7 +19,7 @@ the analogous coarse-to-fine sweep across a resolution pyramid.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from math import nan
 from typing import Callable
@@ -63,16 +63,15 @@ def adapt_model_resolution(
     if cmap.kind is not pair.kind:
         raise ValueError(f"coarsening map was built for {cmap.kind}, pair is {pair.kind}")
     if direction is Direction.COARSEN:
-        move_bank: Callable[[StencilBank], StencilBank] = lambda b: coarsen_bank(b, cmap)
+        move_bank = coarsen_bank
         new_grid = clf.grid.coarsened()
         w = restrict_values(clf.weights, pair.kind)
     else:
-        move_bank = lambda b: refine_bank(b, cmap)
+        move_bank = refine_bank
         new_grid = clf.grid.refined()
         w = prolong_values(clf.weights, pair.kind)
-    out = params.copy()
-    out.banks = [move_bank(b) for b in params.banks]
-    out.embed = move_bank(params.embed)
+    out = replace(params, banks=[move_bank(b, cmap) for b in params.banks],
+                  biases=params.biases.copy(), embed=move_bank(params.embed, cmap))
     return out, Classifier(new_grid, w, clf.mu.copy())
 
 

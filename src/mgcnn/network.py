@@ -93,13 +93,6 @@ class Activation(Enum):
     TANH = "tanh"
     IDENTITY = "identity"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Activation":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown activation {name!r}") from None
-
 
 def _act_deriv(y: np.ndarray, y_next: np.ndarray, params: NetworkParams):
     """Activation slope of the layer ``y -> y_next``, read off its output

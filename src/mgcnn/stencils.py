@@ -78,9 +78,7 @@ class StencilBank:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 4 or w.shape[2] != w.shape[3]:
-            raise DimensionError(f"bank weights must have shape (c_out, c_in, k, k), got {w.shape}")
+        w = _bank_weights(self.weights)
         if w.shape[2] % 2 == 0:
             raise DimensionError(f"stencil size must be odd, got {w.shape[2]}")
         if not np.all(np.isfinite(w)):
@@ -108,6 +106,13 @@ class StencilBank:
         w = np.zeros((c_out, 1, k, k))
         w[:, 0, k // 2, k // 2] = 1.0
         return cls(w)
+
+
+def _bank_weights(weights: np.ndarray) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 4 or w.shape[2] != w.shape[3]:
+        raise DimensionError(f"bank weights must have shape (c_out, c_in, k, k), got {w.shape}")
+    return w
 
 
 def _check_fits(grid_shape: tuple[int, ...], k: int) -> None:
@@ -177,12 +182,8 @@ def bank_apply(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
     entry once, so the result is the same but for the sign of an exact zero
     (BLAS returns ``+0`` where the product is ``-0``).
     """
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = _bank_weights(weights)
     y = np.asarray(y, dtype=np.float64)
-    if weights.ndim != 4 or weights.shape[2] != weights.shape[3]:
-        raise DimensionError(
-            f"bank weights must have shape (c_out, c_in, k, k), got {weights.shape}"
-        )
     if y.ndim < 3:
         raise DimensionError(f"input must have shape (..., c_in, ny, nx), got {y.shape}")
     c_out, c_in, k, _ = weights.shape

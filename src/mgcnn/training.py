@@ -34,7 +34,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -111,14 +110,11 @@ class ArmijoBacktracking:
     max_backtracks: int = 30
 
 
-StepRule = Union[FixedStep, ArmijoBacktracking]
-
-
 @dataclass
 class BcdConfig:
     outer_iters: int
     newton_steps: int = 5
-    prop_step_rule: StepRule = field(default_factory=ArmijoBacktracking)
+    prop_step_rule: FixedStep | ArmijoBacktracking = field(default_factory=ArmijoBacktracking)
     batch_size: int | None = None  # None: full batch
     seed: int = 0
 
@@ -156,9 +152,11 @@ def newton_classifier_step(
     """``steps`` damped Newton iterations on the classifier subproblem.
 
     ``features`` are the fixed final states, shape ``(m, c, ny, nx)``.  The
-    objective is monotonically non-increasing across the inner steps; a
-    singular or non-descent system triggers an Armijo gradient step instead
-    and sets ``used_fallback``.
+    objective is monotonically non-increasing across the inner steps.  Each
+    step tries ``t = 1, 1/2, ...`` (``MAX_HALVINGS`` trials) along the Newton
+    direction and takes the first that lowers the objective.  A singular or
+    non-descent system, or a direction no trial accepts, triggers an Armijo
+    gradient step over the same trials instead and sets ``used_fallback``.
     """
     labels = _check_labels(labels, clf.num_classes)
     m = labels.size
@@ -187,34 +185,26 @@ def newton_classifier_step(
     obj = classifier_objective(features, labels, unpack(x), reg)
     objectives: list[float] = []
     used_fallback = False
+    trials = [0.5**i for i in range(MAX_HALVINGS)]
 
     for _ in range(steps):
         g, probs = grad(x)
-        if float(np.abs(g).max()) < 1e-13:
-            objectives.append(obj)
-            continue
-
-        d = direction(probs, g)
-        accepted = False
-        if d is not None and float((d * g).sum()) < 0.0:
-            t = 1.0
-            for _ in range(MAX_HALVINGS):
+        if float(np.abs(g).max()) >= 1e-13:
+            d = direction(probs, g)
+            descent = d is not None and float((d * g).sum()) < 0.0
+            for t in trials if descent else ():
                 new_obj = classifier_objective(features, labels, unpack(x + t * d), reg)
                 if new_obj < obj:
                     x, obj = x + t * d, new_obj
-                    accepted = True
                     break
-                t *= 0.5
-        if not accepted:
-            # Armijo gradient fallback
-            used_fallback = True
-            t = 1.0
-            for _ in range(MAX_HALVINGS):
-                new_obj = classifier_objective(features, labels, unpack(x - t * g), reg)
-                if new_obj <= obj - 1e-4 * t * float((g**2).sum()):
-                    x, obj = x - t * g, new_obj
-                    break
-                t *= 0.5
+            else:  # no Newton trial accepted: Armijo gradient fallback
+                used_fallback = True
+                g_sq = float((g**2).sum())
+                for t in trials:
+                    new_obj = classifier_objective(features, labels, unpack(x - t * g), reg)
+                    if new_obj <= obj - 1e-4 * t * g_sq:
+                        x, obj = x - t * g, new_obj
+                        break
         objectives.append(obj)
 
     return NewtonResult(classifier=unpack(x), objectives=objectives, used_fallback=used_fallback)

@@ -22,13 +22,16 @@ MODULES = ["mgcnn", "mgcnn.cli", "mgcnn.data", "mgcnn.grid", "mgcnn.multiscale",
            "mgcnn.network", "mgcnn.stencils", "mgcnn.training"]
 
 # Single-image and single-stencil wrappers replaced by the array-level API,
-# and test-only helpers whose checks moved into the tests.
+# test-only helpers whose checks moved into the tests, and single-use
+# helpers folded into their one caller.
 REMOVED = {
     "mgcnn.grid": ["Image", "restrict_image", "prolong_image", "gaussian_blur",
-                   "verify_rp_identity"],
+                   "verify_rp_identity", "_require_even"],
     "mgcnn.stencils": ["Stencil", "Symbol", "conv_apply", "coarsen_stencil", "refine_stencil"],
     "mgcnn.network": ["Trajectory", "gradient", "classify", "forward_propagate",
                       "_reg_parts"],
+    "mgcnn.training": ["StepRule"],
+    "mgcnn.cli": ["_step_rule"],
     "mgcnn": ["Image"],
 }
 
@@ -70,6 +73,8 @@ def test_removed_methods_are_gone():
     assert not hasattr(network, "_layer")
     assert not hasattr(training, "_laplacian_entries")
     assert not hasattr(training, "_take_prop_step")
+    # single-use indirections: callers build the value directly
+    assert not hasattr(network.Activation, "from_name")
     # read nowhere
     assert not hasattr(network.Classifier, "channels")
 

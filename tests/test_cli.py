@@ -1,6 +1,10 @@
 """Config parsing, subcommands, exit codes, and end-to-end determinism."""
 
 import csv
+import os
+import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -244,6 +248,29 @@ class TestExitCodes:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert str(missing) in capsys.readouterr().err
 
+    # An image header (count, rows, cols) over 4 images of 28x28 pixels.  A
+    # negative count must not read the payload backwards from the end of the
+    # file, and (2^31 - 1)^3 must not wrap in the truncation message.
+    @pytest.mark.parametrize("dims, named", [
+        ((4, 0, 28), "(0, 28)"),
+        ((4, 28, 0), "(28, 0)"),
+        ((-1, 28, 28), "(-1, 28, 28)"),
+        ((4, 28, -28), "(4, 28, -28)"),
+        ((2**31 - 1,) * 3, str((2**31 - 1) ** 3)),
+    ], ids=["zero-rows", "zero-cols", "negative-count", "negative-cols", "huge"])
+    def test_bad_idx_image_dimensions_are_three_and_named(self, tmp_path, capsys, dims, named):
+        images = tmp_path / "images.idx"
+        images.write_bytes(struct.pack(">4i", 0x00000803, *dims) + bytes(4 * 28 * 28))
+        write_idx_labels(tmp_path / "labels.idx", np.array([0, 1, 0, 1]))
+        cfg = write_cfg(tmp_path, f"""
+        dataset = idx
+        idx_images = {images}
+        idx_labels = {tmp_path / 'labels.idx'}
+        """)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(images) in err and named in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_failure_is_four(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """
@@ -451,6 +478,47 @@ class TestStageOutputs:
         assert cold == want
         for name in cold:
             assert len(read_csv(out / name)) == 3
+
+
+# 528 training images: three 256-example chunks, so --workers 2 runs them on
+# two threads, and a sum over the chunks in another order would move bits.
+THREE_CHUNKS = """
+dataset = {dataset}
+num_examples = 660
+grid_nx = 12
+grid_ny = 12
+layers = 2
+final_time = 1.0
+channels = 2
+outer_iters = 2
+newton_steps = 2
+levels = 1
+level_iters = 2,2
+depths = 1,2
+seed = 0
+"""
+
+
+class TestWorkerCount:
+    """At a fixed BLAS thread count every worker count writes the same bytes."""
+
+    @pytest.mark.parametrize("command, dataset", [
+        ("train", "bars"), ("deepen", "bars"), ("multilevel", "blobs"),
+    ])
+    def test_two_workers_write_the_sequential_bytes(self, tmp_path, command, dataset):
+        cfg = write_cfg(tmp_path, THREE_CHUNKS.format(dataset=dataset))
+        # BLAS threads are fixed when numpy loads, so each run is its own process
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        written = []
+        for mode in (["--sequential"], ["--workers", "2"]):
+            out = tmp_path / mode[-1].strip("-")
+            subprocess.run([sys.executable, "-m", "mgcnn.cli", command, "--config", cfg, *mode,
+                            "--out", str(out)], env=env, check=True, timeout=300)
+            # summary.csv holds wall-clock seconds
+            files = sorted([*out.glob("history*.csv"), out / "model.bin"])
+            written.append({p.name: p.read_bytes() for p in files})
+        assert written[0] == written[1]
 
 
 class TestInspectCommand:

@@ -221,6 +221,59 @@ class TestNewtonClassifierStep:
             newton_classifier_step(np.zeros((0, 2, 4, 4)), np.zeros(0, dtype=int),
                                    zero_classifier(g, 2, 2), RegConfig(), steps=1)
 
+    # Directions Newton cannot use: a failed solve, the ascent direction +g,
+    # and a descent direction that no halving of 1, 1/2, ..., 2^-19 shortens
+    # enough to lower the objective.
+    @pytest.mark.parametrize("direction", [
+        lambda g: None, lambda g: g, lambda g: -1e30 * g,
+    ], ids=["no-solve", "ascent", "too-long"])
+    def test_unusable_direction_takes_armijo_gradient_steps(self, monkeypatch, direction):
+        monkeypatch.setattr(training_mod, "_newton_solver",
+                            lambda *args: lambda probs, g: direction(g))
+        rng = np.random.default_rng(8)
+        grid = Grid2D(4, 4, 1.0)
+        features = rng.normal(size=(10, 2, 4, 4))
+        labels = rng.integers(0, 3, 10)
+        reg = RegConfig(0.05, 0.0)
+        clf = zero_classifier(grid, 2, 3)
+        res = newton_classifier_step(features, labels, clf, reg, steps=3)
+        assert res.used_fallback
+        start = classifier_objective(features, labels, clf, reg)
+        objectives = [start] + res.objectives
+        assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+        assert res.objectives[-1] < start
+
+        # Reference: Armijo gradient steps from the same start, the gradient
+        # recomputed in full as in test_beats_500_plain_gradient_steps.
+        m, L = labels.size, 3
+        A = grid.h**2 * features.reshape(m, -1)
+        onehot = np.eye(L)[labels]
+        lam = reg.lambda_w * grid.h**2
+        ref, obj = clf, start
+        for _ in range(3):
+            f = ref.weights
+            z = A @ f.reshape(L, -1).T + ref.mu
+            p = np.exp(z - z.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            d = (p - onehot) / m
+            laplacian = 2.0 * (4.0 * f
+                               - np.roll(f, 1, -1) - np.roll(f, -1, -1)
+                               - np.roll(f, 1, -2) - np.roll(f, -1, -2))
+            g_w = (d.T @ A).reshape(f.shape) + lam * laplacian
+            g_mu = d.sum(axis=0)
+            g_sq = float((g_w**2).sum() + (g_mu**2).sum())
+            t = 1.0
+            for _ in range(20):
+                trial = Classifier(grid, f - t * g_w, ref.mu - t * g_mu)
+                new = classifier_objective(features, labels, trial, reg)
+                if new <= obj - 1e-4 * t * g_sq:
+                    ref, obj = trial, new
+                    break
+                t *= 0.5
+        assert rel_err(res.classifier.weights, ref.weights) <= 1e-12
+        assert rel_err(res.classifier.mu, ref.mu) <= 1e-12
+        assert abs(res.objectives[-1] - obj) <= 1e-12 * abs(obj)
+
 
 def newton_problem(seed, field_shape, m=7, L=3):
     rng = np.random.default_rng(seed)
