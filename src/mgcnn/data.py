@@ -165,7 +165,6 @@ def make_synthetic(
     rng = np.random.default_rng(seed)
     ny, nx = grid.shape
     labels = np.arange(n, dtype=np.int64) % 2
-    images = np.zeros((n, ny, nx))
 
     if kind is SyntheticKind.BARS:
         # Repeating two-pixel-wide bars filling the image: class 0 stripes
@@ -182,20 +181,16 @@ def make_synthetic(
         # strength, so the sign of that inner product is the class.
         rowsign = np.where((np.arange(ny) // 2) % 2 == 0, 1.0, -1.0)[:, None]
         colsign = np.where((np.arange(nx) // 2) % 2 == 0, 1.0, -1.0)[None, :]
-        for i, lab in enumerate(labels):
-            base = 0.5 + rng.uniform(-0.15, 0.15)
-            t = rng.uniform(0.1, 0.2)
-            images[i] = base + t * (rowsign if lab == 0 else colsign)
+        # one (base, contrast) pair per image, drawn in image order
+        base, t = rng.uniform([-0.15, 0.1], [0.15, 0.2], (n, 2)).T[:, :, None, None]
+        images = 0.5 + base + t * np.where(labels[:, None, None] == 0, rowsign, colsign)
     elif kind is SyntheticKind.BLOBS:
-        centers = ((0.3 * ny, 0.3 * nx), (0.7 * ny, 0.7 * nx))
+        centers = np.array([[0.3 * ny, 0.3 * nx], [0.7 * ny, 0.7 * nx]])
         rows = np.arange(ny)[:, None]
         cols = np.arange(nx)[None, :]
         width = 0.12 * min(ny, nx)
-        for i, lab in enumerate(labels):
-            cy, cx = centers[lab]
-            cy += rng.uniform(-1.0, 1.0)
-            cx += rng.uniform(-1.0, 1.0)
-            images[i] = np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2.0 * width**2))
+        cy, cx = (centers[labels] + rng.uniform(-1.0, 1.0, (n, 2))).T[:, :, None, None]
+        images = np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2.0 * width**2))
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}")
 

@@ -29,7 +29,14 @@ import numpy as np
 from .data import LabeledDataset
 from .grid import TransferPair, gaussian_blur_values, prolong_values, restrict_values
 from .network import Classifier, NetworkParams, loss
-from .stencils import CoarsenMap, StencilBank, build_coarsen_map, coarsen_bank, refine_bank
+from .stencils import (
+    CoarsenMap,
+    StencilBank,
+    build_coarsen_map,
+    coarsen_bank,
+    refine_bank,
+    _check_fits,
+)
 from .training import BcdConfig, HistoryRow, RegConfig, TrainResult, bcd_train, evaluate
 
 __all__ = [
@@ -59,12 +66,17 @@ def adapt_model_resolution(
     cmap: CoarsenMap,
     pair: TransferPair,
 ) -> tuple[NetworkParams, Classifier]:
-    """Re-express a trained model on the 2x coarser or finer grid."""
+    """Re-express a trained model on the 2x coarser or finer grid.
+
+    Coarsening an odd grid, or to a grid smaller than the stencil, raises
+    :class:`~mgcnn.errors.DimensionError`.
+    """
     if cmap.kind is not pair.kind:
         raise ValueError(f"coarsening map was built for {cmap.kind}, pair is {pair.kind}")
     if direction is Direction.COARSEN:
         move_bank = coarsen_bank
         new_grid = clf.grid.coarsened()
+        _check_fits(new_grid.shape, params.kernel_size)
         w = restrict_values(clf.weights, pair.kind)
     else:
         move_bank = refine_bank

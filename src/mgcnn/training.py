@@ -24,7 +24,9 @@ sample path).  The smaller of the two is solved directly if it has at most
 ``DENSE_NEWTON_LIMIT`` unknowns, the sample form only when ``lambda > 0``;
 otherwise conjugate gradients solve the contrast system matrix-free.  All
 three are deterministic.  A singular or non-descent system falls back to a
-gradient step with Armijo search and flags the step report.
+gradient step with Armijo search and flags the step report.  The contrast
+basis, ``[A | 1]``, the penalty block and the sample kernel are built once
+per Newton call; each inner step builds only what the probabilities move.
 
 The smoothness penalties are those of :func:`mgcnn.network.loss`.
 """
@@ -138,10 +140,6 @@ class NewtonResult:
     used_fallback: bool = False
 
 
-def _laplacian_flat(v: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return _smooth_grad(v.reshape(shape)).reshape(v.shape)
-
-
 def newton_classifier_step(
     features: np.ndarray,
     labels: np.ndarray,
@@ -177,7 +175,7 @@ def newton_classifier_step(
     def grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         probs = softmax(A @ x[:, :F].T + x[:, F])
         d = (probs - onehot) / m
-        g_w = d.T @ A + lam * _laplacian_flat(x[:, :F], w_shape)
+        g_w = d.T @ A + lam * _smooth_grad(x[:, :F].reshape(w_shape)).reshape(L, F)
         return np.concatenate([g_w, d.sum(axis=0)[:, None]], axis=1), probs
 
     direction = _newton_solver(A, lam, w_shape)
@@ -220,28 +218,25 @@ def _contrast_basis(L: int) -> np.ndarray:
 
 
 def _contrast_hessian(
-    A: np.ndarray, probs: np.ndarray, lam: float, w_shape: tuple[int, ...]
+    A1: np.ndarray, probs: np.ndarray, Q: np.ndarray, penalty: np.ndarray | None
 ) -> np.ndarray:
     """The Hessian restricted to class contrasts, as a dense matrix.
 
     Unknown layout: for each column ``q_a`` of :func:`_contrast_basis`, the
     contrast of the weights, then of the offsets (``F + 1`` entries).  Block
-    ``(a, b)`` is ``Ã^T diag(s_ab) Ã`` with ``Ã = [A, 1]`` and per-sample
+    ``(a, b)`` is ``A1^T diag(s_ab) A1`` with ``A1 = [A, 1]`` and per-sample
     weights ``s_ab = q_a^T (diag p - p p^T) q_b / m``, the covariance of the
     contrasts ``q_a`` and ``q_b`` under the class distribution ``p``.  Taken
     in that form, the diagonal weights are nonnegative sums of squares, so
     a diagonal block is one symmetric rank-``m`` product; only the blocks
     ``a <= b`` are computed, the others are their mirror.  The penalty and
     the jitter act on each class alike, so they enter every diagonal block
-    unchanged.
+    unchanged.  ``A1``, ``Q`` and the ``F x F`` penalty block (``None``
+    without a penalty) are built once per Newton call; each step only
+    weights, mirrors and adds.
     """
     m, L = probs.shape
-    F = A.shape[1]
-    n = F + 1
-    Q = _contrast_basis(L)
-    A1 = np.empty((m, n))
-    A1[:, :F] = A
-    A1[:, F] = 1.0
+    n = A1.shape[1]
     dev = Q - (probs @ Q)[:, None, :]  # (m, L, L-1): contrasts minus their means
     H = np.empty(((L - 1) * n, (L - 1) * n))
     for a in range(L - 1):
@@ -252,20 +247,11 @@ def _contrast_hessian(
             if b == a:
                 root = A1 * np.sqrt(s)[:, None]
                 np.matmul(root.T, root, out=H[ra, ra])
+                if penalty is not None:  # on the weights, not the offset
+                    H[ra, ra][:-1, :-1] += penalty
             else:
                 np.matmul(A1.T, A1 * s[:, None], out=H[ra, rb])
                 H[rb, ra] = H[ra, rb].T
-    if lam > 0.0:
-        # The penalty's periodic 5-point operator: 8 on the diagonal, -2 per
-        # neighbour shift.  One statement per shift, so entries that coincide
-        # on grids narrower than 3 add up.
-        idx = np.arange(F).reshape(w_shape[1:])
-        neighbours = [np.roll(idx, s, axis=ax) for ax in (-1, -2) for s in (1, -1)]
-        for a in range(L - 1):
-            block = H[a * n : a * n + F, a * n : a * n + F]
-            block[idx, idx] += 8.0 * lam
-            for cols in neighbours:
-                block[idx, cols] -= 2.0 * lam
     H[np.diag_indices_from(H)] += NEWTON_JITTER
     return H
 
@@ -316,6 +302,7 @@ def _sample_solve(
     A: np.ndarray,
     kernel: tuple[np.ndarray, np.ndarray, np.ndarray],
     probs: np.ndarray,
+    Q: np.ndarray,
     b: np.ndarray,
     lam: float,
     field_shape: tuple[int, ...],
@@ -342,7 +329,6 @@ def _sample_solve(
     c = field_shape[0]
     pixels = F // c
     n = (L - 1) * m
-    Q = _contrast_basis(L)
     dev = Q - (probs @ Q)[:, None, :]
     cov = np.einsum("il,ila,ilb->iab", probs, dev, dev) / m
     evals, vecs = np.linalg.eigh(cov)
@@ -386,7 +372,7 @@ def _hessian_matvec(A: np.ndarray, probs: np.ndarray, lam: float, w_shape: tuple
     def hess_vec(v: np.ndarray) -> np.ndarray:
         scores = A @ v[:, :F].T + v[:, F]  # (m, L)
         t = probs * scores - probs * (probs * scores).sum(axis=1, keepdims=True)
-        h_w = (t.T @ A) / m + lam * _laplacian_flat(v[:, :F], w_shape)
+        h_w = (t.T @ A) / m + lam * _smooth_grad(v[:, :F].reshape(w_shape)).reshape(L, F)
         return np.concatenate([h_w, t.sum(axis=0)[:, None] / m], axis=1) + NEWTON_JITTER * v
 
     return hess_vec
@@ -446,12 +432,16 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
         kernel = _sample_kernel(A, lam, field_shape)
 
         def contrast_solve(probs: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return _sample_solve(A, kernel, probs, b, lam, field_shape)
+            return _sample_solve(A, kernel, probs, Q, b, lam, field_shape)
 
     elif route == "contrast":
+        A1 = np.concatenate([A, np.ones((m, 1))], axis=1)
+        penalty = None
+        if lam > 0.0:  # the penalty's matrix, column by column
+            penalty = lam * _smooth_grad(np.eye(F).reshape((F,) + field_shape)).reshape(F, F)
 
         def contrast_solve(probs: np.ndarray, b: np.ndarray) -> np.ndarray:
-            H = _contrast_hessian(A, probs, lam, w_shape)
+            H = _contrast_hessian(A1, probs, Q, penalty)
             return scipy.linalg.solve(H, b.reshape(-1), assume_a="sym").reshape(b.shape)
 
     else:
@@ -469,7 +459,7 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
     def direction(probs: np.ndarray, g: np.ndarray) -> np.ndarray | None:
         try:
             d_c = contrast_solve(probs, Q.T @ -g)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+        except (np.linalg.LinAlgError, ValueError):
             return None
         d = Q @ d_c
         d[:, :F] += _penalty_solve(-g[:, :F].mean(axis=0), lam, field_shape)

@@ -227,6 +227,52 @@ def naive_cross_entropy(z: np.ndarray, label: int) -> float:
     return float(np.log(np.exp(zs).sum()) - zs[label])
 
 
+def scatter_five_point(block: np.ndarray, lam: float, field_shape: tuple) -> np.ndarray:
+    """Add the periodic 5-point penalty ``lam * 2 D^T D`` to the ``(F, F)``
+    block in place: ``8 lam`` on the diagonal, then ``-2 lam`` per neighbour
+    shift, one shift at a time, so neighbours that coincide on a grid 2
+    cells wide add up."""
+    idx = np.arange(block.shape[0]).reshape(field_shape)
+    block[idx, idx] += 8.0 * lam
+    for axis in (-1, -2):
+        for shift in (1, -1):
+            block[idx, np.roll(idx, shift, axis=axis)] -= 2.0 * lam
+    return block
+
+
+# ---------------------------------------------------------------------------
+# synthetic images
+
+
+def naive_synthetic(kind: str, n: int, ny: int, nx: int, seed: int, noise: float) -> np.ndarray:
+    """The toy images one at a time, drawing each image's jitter in turn;
+    labels alternate 0, 1, 0, ..."""
+    rng = np.random.default_rng(seed)
+    images = np.zeros((n, ny, nx))
+    rows = np.arange(ny)[:, None]
+    cols = np.arange(nx)[None, :]
+    for i in range(n):
+        lab = i % 2
+        if kind == "bars":
+            rowsign = np.where((rows // 2) % 2 == 0, 1.0, -1.0)
+            colsign = np.where((cols // 2) % 2 == 0, 1.0, -1.0)
+            base = 0.5 + rng.uniform(-0.15, 0.15)
+            t = rng.uniform(0.1, 0.2)
+            images[i] = base + t * (rowsign if lab == 0 else colsign)
+        elif kind == "blobs":
+            cy, cx = ((0.3 * ny, 0.3 * nx), (0.7 * ny, 0.7 * nx))[lab]
+            cy += rng.uniform(-1.0, 1.0)
+            cx += rng.uniform(-1.0, 1.0)
+            width = 0.12 * min(ny, nx)
+            images[i] = np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2.0 * width**2))
+        else:
+            raise ValueError(kind)
+    if noise:
+        images += noise * rng.standard_normal(images.shape)
+        np.clip(images, 0.0, 1.0, out=images)
+    return images
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 

@@ -296,6 +296,20 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_adapt_below_the_stencil_width_is_nonzero(self, tmp_path, capsys):
+        # 4x4 coarsens to 2x2, where no 3x3 stencil fits: the model could
+        # not run, so it is refused before anything is written.
+        model_path = tmp_path / "small.bin"
+        params = random_network_params(channels=2, num_layers=2, final_time=1.0)
+        save_model(str(model_path),
+                   ModelFile(params, zero_classifier(Grid2D(4, 4, 1.0), 2, 2)))
+        out = tmp_path / "o"
+        code = main(["adapt", "--model", str(model_path), "--direction", "coarsen",
+                     "--out", str(out)])
+        assert code == 1
+        assert "grid 2x2 is smaller than the 3x3 stencil" in capsys.readouterr().err
+        assert not (out / "model.bin").exists()
+
 
 class TestTrainCommand:
     def test_outputs_and_row_count(self, tmp_path):

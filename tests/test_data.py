@@ -30,7 +30,7 @@ from mgcnn.grid import Grid2D
 from mgcnn.network import Classifier, random_network_params, zero_classifier
 from mgcnn.training import BcdConfig, RegConfig, bcd_train, evaluate
 
-from oracles import write_idx_images, write_idx_labels
+from oracles import naive_synthetic, write_idx_images, write_idx_labels
 
 
 def idx_pair(tmp_path, images, labels):
@@ -151,6 +151,18 @@ class TestMakeSynthetic:
     def test_too_few_examples(self):
         with pytest.raises(ValueError):
             make_synthetic(SyntheticKind.BARS, 1, Grid2D(8, 8, 1.0))
+
+    @pytest.mark.parametrize("kind", list(SyntheticKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("shape", [(8, 8), (12, 12), (6, 10), (7, 5), (28, 28)])
+    def test_matches_the_per_image_reference(self, kind, shape):
+        # The generators draw every image's jitter in one call and build the
+        # images by broadcasting: same draws, same formula, same bytes.
+        ny, nx = shape
+        for seed in (0, 1, 7):
+            for noise in (0.0, 0.05, 0.4):
+                ds = make_synthetic(kind, 11, Grid2D(nx, ny, 1.0), seed=seed, noise=noise)
+                ref = naive_synthetic(kind.value, 11, ny, nx, seed, noise)
+                assert ds.images.tobytes() == ref.tobytes()
 
 
 class TestSplit:

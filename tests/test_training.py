@@ -36,7 +36,7 @@ from mgcnn.training import (
     reg_value_and_grad,
 )
 
-from oracles import fd_gradient, naive_logits, rel_err
+from oracles import fd_gradient, naive_logits, rel_err, scatter_five_point
 
 
 def varied_params(seed=0, num_layers=3):
@@ -290,7 +290,7 @@ def newton_gradient(A, probs, w_shape, lam, seed):
     L, m = w_shape[0], A.shape[0]
     w = rng.normal(size=(L, A.shape[1])) + rng.normal(size=A.shape[1])
     resid = (probs - np.eye(L)[rng.integers(0, L, m)]) / m
-    g_w = resid.T @ A + lam * training_mod._laplacian_flat(w, w_shape)
+    g_w = resid.T @ A + lam * network_mod._smooth_grad(w.reshape(w_shape)).reshape(w.shape)
     return np.concatenate([g_w, resid.sum(axis=0)[:, None]], axis=1)
 
 
@@ -300,26 +300,91 @@ def routed_direction(monkeypatch, route, A, probs, g, lam, w_shape):
     return training_mod._newton_solver(A, lam, w_shape)(probs, g)
 
 
+def contrast_setup(monkeypatch, A, probs, lam, w_shape):
+    """What the contrast solve builds once per Newton call, as it reaches
+    ``_contrast_hessian``: ``A1 = [A | 1]``, the contrast basis ``Q`` and the
+    penalty block."""
+    seen = []
+    original = training_mod._contrast_hessian
+
+    def spy(A1, probs, Q, penalty):
+        seen.append((A1, Q, penalty))
+        return original(A1, probs, Q, penalty)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(training_mod, "_contrast_hessian", spy)
+        g = np.zeros((w_shape[0], A.shape[1] + 1))
+        routed_direction(mp, "contrast", A, probs, g, lam, w_shape)
+    (setup,) = seen
+    return setup
+
+
 class TestNewtonAssembly:
     # (2, 4, 5) has full 5-point rows; (1, 2, 3) has a side of 2, where the
     # periodic neighbours coincide and their entries add.
     @pytest.mark.parametrize("field_shape", [(2, 4, 5), (1, 2, 3)])
-    def test_dense_hessian_matches_matrix_free_product(self, field_shape):
+    def test_dense_hessian_matches_matrix_free_product(self, monkeypatch, field_shape):
         # The dense system is the full Hessian seen through the contrast
         # basis Q: column (a, f) is Q^T H (Q e_(a, f)), class by class.
         lam = 0.3
         for L in (2, 3):
             A, probs, w_shape = newton_problem(40, field_shape, L=L)
-            Q = training_mod._contrast_basis(L)
+            A1, Q, penalty = contrast_setup(monkeypatch, A, probs, lam, w_shape)
+            np.testing.assert_array_equal(A1, np.hstack([A, np.ones((A.shape[0], 1))]))
             np.testing.assert_allclose(Q.T @ Q, np.eye(L - 1), atol=1e-15)
             assert np.abs(Q.sum(axis=0)).max() <= 1e-15
-            H = training_mod._contrast_hessian(A, probs, lam, w_shape)
+            H = training_mod._contrast_hessian(A1, probs, Q, penalty)
             hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
             columns = []
             for e in np.eye(H.shape[0]):
                 columns.append((Q.T @ hess_vec(Q @ e.reshape(L - 1, -1))).reshape(-1))
             columns = np.stack(columns, axis=1)
             assert np.abs(H - columns).max() <= 1e-12 * max(1.0, np.abs(H).max())
+
+    # (2, 4, 5) and (3, 7, 7) have full 5-point rows; on (1, 2, 3) the two
+    # neighbours along the side of 2 are one cell.
+    @pytest.mark.parametrize("field_shape, bitwise", [
+        ((2, 4, 5), True), ((3, 7, 7), True), ((1, 2, 3), False),
+    ])
+    def test_penalty_block_is_the_five_point_stencil(self, monkeypatch, field_shape, bitwise):
+        # The dense penalty is lam * 2 D^T D: 8 lam on the diagonal and -2 lam
+        # per periodic neighbour, coinciding neighbours summed.  Added to a
+        # data block in one addition per entry, it matches the scatter that
+        # adds one neighbour shift at a time bit for bit, except where two
+        # neighbours coincide: there -4 lam once differs from -2 lam twice
+        # by rounding.
+        lam = 0.3
+        A, probs, w_shape = newton_problem(51, field_shape)
+        _, _, penalty = contrast_setup(monkeypatch, A, probs, lam, w_shape)
+        F = A.shape[1]
+        zero_ref = scatter_five_point(np.zeros((F, F)), lam, field_shape)
+        np.testing.assert_array_equal(penalty, zero_ref)
+        data = A.T @ A / A.shape[0]
+        ref = scatter_five_point(data.copy(), lam, field_shape)
+        if bitwise:
+            assert (data + penalty).tobytes() == ref.tobytes()
+        else:
+            assert np.abs(data + penalty - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert contrast_setup(monkeypatch, A, probs, 0.0, w_shape)[2] is None
+
+    @pytest.mark.parametrize("route", ["sample", "contrast", "cg"])
+    def test_contrast_basis_built_once_per_call(self, monkeypatch, route):
+        # The basis depends on the class count alone, so one Newton call
+        # builds it once, however many inner steps it takes.
+        calls = []
+        original = training_mod._contrast_basis
+        monkeypatch.setattr(training_mod, "_contrast_basis",
+                            lambda L: calls.append(L) or original(L))
+        monkeypatch.setattr(training_mod, "_newton_route", lambda *args: route)
+        rng = np.random.default_rng(52)
+        features = rng.normal(size=(12, 2, 4, 4))
+        labels = rng.integers(0, 3, 12)
+        clf = zero_classifier(Grid2D(4, 4, 1.0), 2, 3)
+        reg = RegConfig(0.05, 0.0)
+        res = newton_classifier_step(features, labels, clf, reg, steps=4)
+        objectives = [classifier_objective(features, labels, clf, reg)] + res.objectives
+        assert all(b < a for a, b in zip(objectives, objectives[1:]))  # every step moved
+        assert calls == [3]
 
     @pytest.mark.parametrize("L", [2, 3])
     @pytest.mark.parametrize("lam", [0.3, 0.0])
