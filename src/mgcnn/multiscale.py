@@ -183,6 +183,11 @@ def multilevel_train(
     fresh model for the reference initial loss recorded per level; without
     it that column is NaN.  With zero coarse levels this reduces exactly to
     one :func:`bcd_train` call.
+
+    The refined classifier sets each finer level's recorded warm initial
+    loss and the first propagation step of its :func:`bcd_train` call.  That
+    call's first Newton fit starts from the zero classifier, since the
+    refined one can be saturated on the level's features.
     """
     if len(schedule.configs) != pyramid.levels:
         raise ValueError(
@@ -281,6 +286,10 @@ def shallow_to_deep_train(
     previous solution prolonged in time.  Later depths also train a cold
     control for comparison; its history is recorded but does not feed the
     chain.
+
+    The carried classifier sets each later depth's recorded warm initial
+    loss and the first propagation step of its :func:`bcd_train` call.  That
+    call's first Newton fit starts from the zero classifier.
     """
     if not depths:
         raise ValueError("need at least one depth")

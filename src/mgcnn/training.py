@@ -8,6 +8,13 @@ subproblem is multinomial logistic regression with a quadratic smoothness
 penalty, so it is convex and Newton's method with step halving is both safe
 and fast.
 
+The first Newton call of each :func:`bcd_train` call starts from the zero
+classifier; later ones start from the previous iterate.  A classifier carried
+over from another resolution or depth can be saturated on the new features,
+and from it the few Newton steps taken stay orders of magnitude above what
+they reach from zero.  The given classifier still drives the first
+propagation step.
+
 The Newton system uses the exact softmax Gauss-Newton Hessian, on one
 ``(L, F+1)`` array of rows ``[w_j | mu_j]`` for ``L`` classes and ``F``
 features per class.  Softmax logits are invariant to adding the same vector
@@ -53,6 +60,7 @@ from .network import (
     propagate_final,
     reg_value_and_grad,
     softmax,
+    zero_classifier,
     _check_labels,
     _cross_entropy,
     _embed,
@@ -546,6 +554,18 @@ def bcd_train(
     per call, and every gradient pass, Armijo trial and fresh pass on those
     images starts from it.  With minibatches every pass embeds its images,
     so no whole-set embedding stays in memory.
+
+    The first iteration's Newton call starts from the zero classifier,
+    whatever ``clf`` is, and every later one from the previous iterate.
+    ``clf`` still drives the first iteration's propagation gradient and its
+    Armijo test.  A classifier carried to a new resolution or depth by
+    :mod:`mgcnn.multiscale` can be saturated on the new features; from
+    there the ``newton_steps`` damped steps are mostly rejected or halved
+    and end far above what the same steps reach from zero.  From zero the
+    classifier objective starts at ``log L`` and Newton never raises it, so
+    the first history row's data term is at most ``log L``.  A cold start
+    passes the zero classifier anyway.  With ``newton_steps = 0`` the given
+    classifier is kept.
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
@@ -590,6 +610,8 @@ def bcd_train(
             features = propagate_final(train.images, params, workers=workers, embedded=train_y0)
         del accepted  # only `states` carries the trajectory to the next gradient pass
         if cfg.newton_steps > 0:
+            if it == 1:  # the first fit starts from zero, as the docstring explains
+                clf = zero_classifier(clf.grid, clf.weights.shape[1], clf.num_classes)
             clf = newton_classifier_step(
                 features, train.labels, clf, reg, cfg.newton_steps
             ).classifier

@@ -1,5 +1,6 @@
 """Resolution adaptation, multilevel training, and depth prolongation."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,18 @@ def varied_params(seed=0, num_layers=2, channels=2):
     p.embed.weights[:] = rng.normal(0.0, 0.3, p.embed.weights.shape)
     p.biases[:] = rng.normal(0.0, 0.3, p.biases.shape)
     return p
+
+
+def block_classes(n, num_classes, side, seed=0):
+    """One random pattern of 4x4-pixel blocks per class, with pixel noise;
+    two 2x coarsenings keep one cell per block, so the classes stay apart."""
+    rng = np.random.default_rng(seed)
+    protos = rng.random((num_classes, side // 4, side // 4)) < 0.5
+    labels = np.arange(n) % num_classes
+    pixels = np.kron(protos[labels].astype(float), np.ones((4, 4)))
+    values = 0.25 + 0.4 * pixels + 0.05 * rng.standard_normal(pixels.shape)
+    return LabeledDataset(Grid2D(side, side, 1.0), np.clip(values, 0.0, 1.0), labels,
+                          num_classes)
 
 
 def identity_params(channels=2, num_layers=2, k=3):
@@ -255,6 +268,22 @@ class TestMultilevelTrain:
         assert all(np.isfinite(lv.init_loss_cold) for lv in res.levels)
         assert all(np.isfinite(lv.init_loss_warm) for lv in res.levels)
         assert res.classifier.grid.shape == (8, 8)
+
+    def test_bilinear_levels_start_below_the_uniform_loss(self):
+        # The coarse fit, refined by bilinear transfer, is saturated on each
+        # finer level's features.  Each level's first Newton fit starts from
+        # the zero classifier, whose objective is log L, and never rises.
+        L = 4
+        pyr = ResolutionPyramid.build(block_classes(40, L, 16, seed=3), 2, FW)
+        init = (random_network_params(channels=2, num_layers=2, final_time=2.0, seed=0,
+                                      init_scale=0.1),
+                zero_classifier(pyr.datasets[2].grid, 2, L))
+        res = multilevel_train(pyr, LevelSchedule.uniform(BcdConfig(outer_iters=1), 3), init,
+                               RegConfig(1e-3, 1e-2))
+        assert [lv.level for lv in res.levels] == [2, 1, 0]
+        assert max(lv.init_loss_warm for lv in res.levels[1:]) > 100.0 * math.log(L)
+        for lv in res.levels:
+            assert lv.history[0].data_term < math.log(L)
 
     def test_cold_column_nan_without_provider(self):
         ds = make_synthetic(SyntheticKind.BARS, 20, Grid2D(8, 8, 1.0), seed=8)

@@ -637,6 +637,44 @@ class TestBcdTrain:
                       RegConfig(), BcdConfig(outer_iters=1))
 
 
+class TestFirstNewtonStart:
+    """Iteration 1's Newton call starts from the zero classifier; the given
+    classifier only drives that iteration's propagation step."""
+
+    def setup_problem(self, lambda_theta):
+        ds, val = blob_set(n=30, seed=16), blob_set(n=10, seed=17)
+        params = varied_params(18, num_layers=2)
+        reg = RegConfig(0.02, lambda_theta)
+        zero = zero_classifier(ds.grid, 2, 2)
+        fitted = newton_classifier_step(propagate_final(ds.images, params), ds.labels,
+                                        zero, reg).classifier
+        return ds, val, params, reg, zero, fitted
+
+    def test_given_classifier_does_not_seed_the_first_fit(self):
+        # FixedStep(0.0) freezes the propagation parameters, so the two calls
+        # can differ only through the classifier their Newton call starts from.
+        ds, val, params, reg, zero, fitted = self.setup_problem(0.05)
+        saturated = Classifier(ds.grid, 50.0 * fitted.weights, 50.0 * fitted.mu)
+        cfg = BcdConfig(outer_iters=1, newton_steps=3, prop_step_rule=FixedStep(0.0))
+        given = bcd_train(ds, params, saturated, reg, cfg, val=val)
+        cold = bcd_train(ds, params, zero, reg, cfg, val=val)
+        assert given.history == cold.history
+        np.testing.assert_array_equal(given.classifier.weights, cold.classifier.weights)
+        np.testing.assert_array_equal(given.classifier.mu, cold.classifier.mu)
+
+    def test_given_classifier_drives_the_first_propagation_step(self):
+        # Without the theta penalty, the zero classifier's propagation
+        # gradient is exactly zero, so only the given classifier moves params.
+        ds, val, params, reg, zero, fitted = self.setup_problem(0.0)
+        cfg = BcdConfig(outer_iters=1, newton_steps=3)
+        moved = bcd_train(ds, params, fitted, reg, cfg).params
+        still = bcd_train(ds, params, zero, reg, cfg).params
+        assert any(not np.array_equal(b0.weights, b1.weights)
+                   for b0, b1 in zip(params.banks, moved.banks))
+        for b0, b1 in zip(params.banks, still.banks):
+            np.testing.assert_array_equal(b0.weights, b1.weights)
+
+
 class SearchSpy:
     """Records every BCD iteration of ``bcd_train``: the point and loss report
     it starts from, and each propagation step tried with the trial's total
