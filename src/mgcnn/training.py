@@ -29,7 +29,10 @@ sample-space form of ``(L-1)(m+c+1)`` unknowns, because the data term has
 rank at most ``m(L-1)`` and the penalty is diagonal under the FFT (the
 sample path).  The smaller of the two is solved directly if it has at most
 ``DENSE_NEWTON_LIMIT`` unknowns, the sample form only when ``lambda > 0``;
-otherwise conjugate gradients solve the contrast system matrix-free.  All
+otherwise conjugate gradients solve the contrast system matrix-free, as an
+inexact Newton method: each solve stops at the relative residual ``min(0.01,
+||g||)`` (the forcing term ``NEWTON_FORCING``), so far from the optimum a
+rough direction is enough and near it the steps regain Newton's speed.  All
 three are deterministic.  A singular or non-descent system falls back to a
 gradient step with Armijo search and flags the step report.  The contrast
 basis, ``[A | 1]``, the penalty block and the sample kernel are built once
@@ -94,6 +97,10 @@ DENSE_NEWTON_LIMIT = 3000
 # and the CG operator definite where the data term is flat.  The class-mean
 # block is left at zero where the jitter would be its only curvature.
 NEWTON_JITTER = 1e-10
+# Forcing term of the CG route: each inner step's solve stops at the relative
+# residual min(NEWTON_FORCING, ||g||) (Dembo, Eisenstat and Steihaug, SIAM J.
+# Numer. Anal. 19, 1982).  The direct routes solve exactly.
+NEWTON_FORCING = 1e-2
 MAX_HALVINGS = 20
 
 
@@ -163,6 +170,12 @@ def newton_classifier_step(
     direction and takes the first that lowers the objective.  A singular or
     non-descent system, or a direction no trial accepts, triggers an Armijo
     gradient step over the same trials instead and sets ``used_fallback``.
+
+    On the CG route each step's solve is inexact: it stops once its relative
+    residual is at most the forcing term ``min(NEWTON_FORCING, ||g||)``, with
+    ``||g||`` the 2-norm of that step's gradient, or at 200 iterations.  So
+    the first steps take cheap rough directions and the last ones, near the
+    optimum, nearly exact ones.  The direct routes ignore the forcing term.
     """
     labels = _check_labels(labels, clf.num_classes)
     m = labels.size
@@ -196,7 +209,7 @@ def newton_classifier_step(
     for _ in range(steps):
         g, probs = grad(x)
         if float(np.abs(g).max()) >= 1e-13:
-            d = direction(probs, g)
+            d = direction(probs, g, min(NEWTON_FORCING, float(np.linalg.norm(g))))
             descent = d is not None and float((d * g).sum()) < 0.0
             for t in trials if descent else ():
                 new_obj = classifier_objective(features, labels, unpack(x + t * d), reg)
@@ -406,9 +419,9 @@ def _newton_route(m: int, w_shape: tuple[int, ...], lam: float) -> str:
 
 
 def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
-    """The map ``(probs, g) -> d`` solving ``H d = -g`` for the softmax
-    Gauss-Newton Hessian on the fixed features ``A``; ``g`` and ``d`` are
-    ``(L, F+1)`` rows ``[w_j | mu_j]``.
+    """The map ``(probs, g, rtol=1e-8) -> d`` solving ``H d = -g`` for the
+    softmax Gauss-Newton Hessian on the fixed features ``A``; ``g`` and ``d``
+    are ``(L, F+1)`` rows ``[w_j | mu_j]``.
 
     The data term of ``H`` acts on each sample through ``diag p - p p^T``,
     which annihilates the all-ones class vector, while the penalty and the
@@ -425,7 +438,10 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
       unknowns (:func:`_sample_solve`); its kernel depends on ``A`` alone
       and is built here, once.
     - **CG**: conjugate gradients on the matrix-free operator ``v -> Q^T
-      H (Q v)`` (:func:`_hessian_matvec`).
+      H (Q v)`` (:func:`_hessian_matvec`), from zero, stopping at ``||r|| <=
+      rtol ||b||`` for the contrast right-hand side ``b = Q^T (-g)`` or at
+      200 iterations.  :func:`newton_classifier_step` passes its forcing
+      term as ``rtol``; the direct routes ignore it.
 
     The map returns ``None`` when the solve fails so the caller can fall
     back.
@@ -439,7 +455,7 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
     if route == "sample":
         kernel = _sample_kernel(A, lam, field_shape)
 
-        def contrast_solve(probs: np.ndarray, b: np.ndarray) -> np.ndarray:
+        def contrast_solve(probs: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
             return _sample_solve(A, kernel, probs, Q, b, lam, field_shape)
 
     elif route == "contrast":
@@ -448,25 +464,25 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
         if lam > 0.0:  # the penalty's matrix, column by column
             penalty = lam * _smooth_grad(np.eye(F).reshape((F,) + field_shape)).reshape(F, F)
 
-        def contrast_solve(probs: np.ndarray, b: np.ndarray) -> np.ndarray:
+        def contrast_solve(probs: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
             H = _contrast_hessian(A1, probs, Q, penalty)
             return scipy.linalg.solve(H, b.reshape(-1), assume_a="sym").reshape(b.shape)
 
     else:
 
-        def contrast_solve(probs: np.ndarray, b: np.ndarray) -> np.ndarray:
+        def contrast_solve(probs: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
             hess_vec = _hessian_matvec(A, probs, lam, w_shape)
             op = scipy.sparse.linalg.LinearOperator(
                 (b.size, b.size), matvec=lambda v: Q.T @ hess_vec(Q @ v.reshape(b.shape))
             )
-            d, info = scipy.sparse.linalg.cg(op, b.reshape(-1), maxiter=200, atol=0.0, rtol=1e-8)
+            d, info = scipy.sparse.linalg.cg(op, b.reshape(-1), maxiter=200, atol=0.0, rtol=rtol)
             if info < 0 or not np.all(np.isfinite(d)):
                 raise np.linalg.LinAlgError(f"CG failed (info={info})")
             return d.reshape(b.shape)
 
-    def direction(probs: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    def direction(probs: np.ndarray, g: np.ndarray, rtol: float = 1e-8) -> np.ndarray | None:
         try:
-            d_c = contrast_solve(probs, Q.T @ -g)
+            d_c = contrast_solve(probs, Q.T @ -g, rtol)
         except (np.linalg.LinAlgError, ValueError):
             return None
         d = Q @ d_c

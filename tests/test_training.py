@@ -229,7 +229,7 @@ class TestNewtonClassifierStep:
     ], ids=["no-solve", "ascent", "too-long"])
     def test_unusable_direction_takes_armijo_gradient_steps(self, monkeypatch, direction):
         monkeypatch.setattr(training_mod, "_newton_solver",
-                            lambda *args: lambda probs, g: direction(g))
+                            lambda *args: lambda probs, g, rtol=1e-8: direction(g))
         rng = np.random.default_rng(8)
         grid = Grid2D(4, 4, 1.0)
         features = rng.normal(size=(10, 2, 4, 4))
@@ -477,8 +477,9 @@ class TestSampleSpaceNewton:
 
     @staticmethod
     def wide_problem():
-        # 30 examples against 1200 unknowns per class at h = 1/20, where the
-        # 200-iteration CG stops short of convergence.
+        # 30 examples against 1200 unknowns per class at h = 1/20.  Routed to
+        # CG, each inner step stops at the forcing tolerance or, short of it,
+        # at 200 iterations.
         rng = np.random.default_rng(9)
         features = rng.normal(size=(30, 3, 20, 20))
         labels = rng.integers(0, 10, 30)
@@ -492,6 +493,67 @@ class TestSampleSpaceNewton:
         cg = newton_classifier_step(features, labels, clf, reg, steps=5)
         assert not sample.used_fallback
         assert sample.objectives[-1] <= cg.objectives[-1]
+
+    @staticmethod
+    def recorded_cg_steps(monkeypatch, features, labels, clf, reg, steps):
+        """A CG-routed Newton call, and per CG solve its ``rtol``, its
+        right-hand side, the residual of its answer and its iteration count."""
+        solves = []
+        original = training_mod.scipy.sparse.linalg.cg
+
+        def recording_cg(op, b, **kwargs):
+            iters = []
+            d, info = original(op, b, callback=iters.append, **kwargs)
+            solves.append({"rtol": kwargs["rtol"], "b": np.linalg.norm(b),
+                           "residual": np.linalg.norm(op.matvec(d) - b),
+                           "iters": len(iters), "info": info})
+            return d, info
+
+        with monkeypatch.context() as mp:
+            mp.setattr(training_mod, "_newton_route", lambda *args: "cg")
+            mp.setattr(training_mod.scipy.sparse.linalg, "cg", recording_cg)
+            return newton_classifier_step(features, labels, clf, reg, steps=steps), solves
+
+    def test_cg_stops_at_the_forcing_tolerance(self, monkeypatch):
+        features, labels, clf, reg = self.wide_problem()
+        steps = 5
+        res, solves = self.recorded_cg_steps(monkeypatch, features, labels, clf, reg, steps)
+        assert len(solves) == steps
+
+        # Each step's gradient norm, recomputed in full at the iterate the
+        # same call reaches after the steps before it.
+        m, L = labels.size, clf.num_classes
+        h2 = clf.grid.h**2
+        A = h2 * features.reshape(m, -1)
+        onehot = np.eye(L)[labels]
+        lam = reg.lambda_w * h2
+        for k, solve in enumerate(solves):
+            at = clf if k == 0 else self.recorded_cg_steps(
+                monkeypatch, features, labels, clf, reg, k)[0].classifier
+            f = at.weights
+            z = A @ f.reshape(L, -1).T + at.mu
+            p = np.exp(z - z.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            d = (p - onehot) / m
+            laplacian = 2.0 * (4.0 * f
+                               - np.roll(f, 1, -1) - np.roll(f, -1, -1)
+                               - np.roll(f, 1, -2) - np.roll(f, -1, -2))
+            g_norm = math.sqrt(((d.T @ A + lam * laplacian.reshape(L, -1))**2).sum()
+                               + (d.sum(axis=0)**2).sum())
+            assert solve["rtol"] == pytest.approx(min(training_mod.NEWTON_FORCING, g_norm),
+                                                  rel=1e-12)
+            assert (solve["residual"] <= solve["rtol"] * solve["b"]
+                    or (solve["info"] > 0 and solve["iters"] == 200))
+
+        objectives = [classifier_objective(features, labels, clf, reg)] + res.objectives
+        assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+
+    def test_forcing_takes_fewer_cg_iterations_than_an_exact_solve(self, monkeypatch):
+        features, labels, clf, reg = self.wide_problem()
+        _, forced = self.recorded_cg_steps(monkeypatch, features, labels, clf, reg, 5)
+        monkeypatch.setattr(training_mod, "NEWTON_FORCING", 1e-8)
+        _, exact = self.recorded_cg_steps(monkeypatch, features, labels, clf, reg, 5)
+        assert sum(s["iters"] for s in forced) < sum(s["iters"] for s in exact)
 
     def test_bit_identical_replay(self, monkeypatch):
         features, labels, clf, reg = self.wide_problem()
