@@ -29,14 +29,14 @@ sample-space form of ``(L-1)(m+c+1)`` unknowns, because the data term has
 rank at most ``m(L-1)`` and the penalty is diagonal under the FFT (the
 sample path).  The smaller of the two is solved directly if it has at most
 ``DENSE_NEWTON_LIMIT`` unknowns, the sample form only when ``lambda > 0``;
-otherwise conjugate gradients solve the contrast system matrix-free, as an
-inexact Newton method: each solve stops at the relative residual ``min(0.01,
-||g||)`` (the forcing term ``NEWTON_FORCING``), so far from the optimum a
-rough direction is enough and near it the steps regain Newton's speed.  All
-three are deterministic.  A singular or non-descent system falls back to a
-gradient step with Armijo search and flags the step report.  The contrast
-basis, ``[A | 1]``, the penalty block and the sample kernel are built once
-per Newton call; each inner step builds only what the probabilities move.
+otherwise conjugate gradients solve the contrast system matrix-free, each
+solve stopping at the relative residual ``min(0.01, ||g||)`` (the forcing
+term, ``NEWTON_FORCING``), which makes Newton inexact far from the optimum
+and tightens as the gradient shrinks.  All three are deterministic.  A
+singular or non-descent system falls back to a gradient step with Armijo
+search and flags the step report.  The contrast basis, ``[A | 1]``, the
+penalty block and the sample kernel are built once per Newton call; each
+inner step builds only what the probabilities move.
 
 The smoothness penalties are those of :func:`mgcnn.network.loss`.
 """
@@ -173,9 +173,9 @@ def newton_classifier_step(
 
     On the CG route each step's solve is inexact: it stops once its relative
     residual is at most the forcing term ``min(NEWTON_FORCING, ||g||)``, with
-    ``||g||`` the 2-norm of that step's gradient, or at 200 iterations.  So
-    the first steps take cheap rough directions and the last ones, near the
-    optimum, nearly exact ones.  The direct routes ignore the forcing term.
+    ``||g||`` the 2-norm of that step's gradient, or at 200 iterations, so
+    far from the optimum it stops early.  The direct routes ignore the
+    forcing term.
     """
     labels = _check_labels(labels, clf.num_classes)
     m = labels.size
