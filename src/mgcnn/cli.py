@@ -119,7 +119,9 @@ class RunConfig:
     step_rule: str = _key("armijo", "propagation step rule: armijo or fixed")
     step_size: float = _key(1.0, "step size (fixed), or the first iteration's trial step "
                                  "and the cap on later ones (armijo)")
-    armijo_beta: float = _key(0.5, "backtracking shrink factor")
+    armijo_beta: float = _key(0.5, "backtracking shrink factor; a rejected trial skips the "
+                                   "grid points a quadratic model rules out, up to a 10x "
+                                   "shrink")
     armijo_c: float = _key(1e-4, "Armijo sufficient-decrease constant")
     batch_size: int = _key(0, "propagation-step batch size, 0 = full batch")
     levels: int = _key(1, "resolution coarsenings below the finest grid")

@@ -2,11 +2,11 @@
 
 Each outer iteration takes one first-order step on the propagation
 parameters (a fixed step size, or Armijo backtracking that starts from the
-step accepted last) and then a handful of damped Newton steps on the
-classifier.  With the propagation parameters frozen, the classifier
-subproblem is multinomial logistic regression with a quadratic smoothness
-penalty, so it is convex and Newton's method with step halving is both safe
-and fast.
+step accepted last and skips the trials a quadratic model rules out) and
+then a handful of damped Newton steps on the classifier.  With the
+propagation parameters frozen, the classifier subproblem is multinomial
+logistic regression with a quadratic smoothness penalty, so it is convex and
+Newton's method with step halving is both safe and fast.
 
 The first Newton call of each :func:`bcd_train` call starts from the zero
 classifier; later ones start from the previous iterate.  A classifier carried
@@ -101,30 +101,65 @@ NEWTON_JITTER = 1e-10
 # residual min(NEWTON_FORCING, ||g||) (Dembo, Eisenstat and Steihaug, SIAM J.
 # Numer. Anal. 19, 1982).  The direct routes solve exactly.
 NEWTON_FORCING = 1e-2
+# Smallest factor by which one rejected Armijo trial may shrink the next:
+# the quadratic-model skip moves at most to t * beta^k with beta^k >= this.
+ARMIJO_SKIP_FLOOR = 0.1
 MAX_HALVINGS = 20
+
+
+def _check_step_size(step_size: float) -> None:
+    if not (math.isfinite(step_size) and step_size > 0.0):
+        raise ValueError(f"step_size must be finite and > 0, got {step_size!r}")
 
 
 @dataclass(frozen=True)
 class FixedStep:
     step_size: float
 
+    def __post_init__(self) -> None:
+        _check_step_size(self.step_size)
+
 
 @dataclass(frozen=True)
 class ArmijoBacktracking:
     """Backtracking line search with the sufficient-decrease test.
 
-    Each search tries ``t, beta * t, beta^2 * t, ...`` for at most
-    ``max_backtracks`` trials.  Within one :func:`bcd_train` call the first
-    search starts at ``step_size``; each later one warm-starts one expansion
-    above the step accepted last, ``min(step_size, t_last / beta)``, so
-    ``step_size`` also caps every step.  After a search that accepts no step,
-    the next one starts where that one started.
+    Each search tries a decreasing subsequence of ``t, beta * t, beta^2 * t,
+    ...`` for at most ``max_backtracks`` trials.  A rejected trial at ``t``
+    fixes the quadratic model through the current loss ``f0``, with slope
+    ``-||g||^2``, and through the trial's loss ``f(t)``.  That model passes
+    the test only for steps up to ``(1 - c) ||g||^2 t^2 / (f(t) - f0 +
+    ||g||^2 t)``, so the next trial is ``beta^k t`` for the smallest ``k >= 1``
+    that reaches it, with ``beta^k >= ARMIJO_SKIP_FLOOR`` (0.1): at most a
+    tenfold shrink per trial (safeguarded interpolation, Nocedal and Wright,
+    *Numerical Optimization*, section 3.5; Dennis and Schnabel, 1983,
+    A6.3.1).  Every trial is formed by repeated multiplication by ``beta``,
+    so it is bit for bit a point plain backtracking would try: the search
+    accepts the step plain backtracking accepts whenever the skipped points
+    fail, and otherwise a smaller grid step, never a larger one.
+
+    Within one :func:`bcd_train` call the first search starts at
+    ``step_size``; each later one warm-starts one expansion above the step
+    accepted last, ``min(step_size, t_last / beta)``, so ``step_size`` also
+    caps every step.  After a search that accepts no step, the next one
+    starts where that one started.  ``beta`` and ``c`` must lie strictly
+    between 0 and 1, ``step_size`` must be finite and > 0, and
+    ``max_backtracks`` at least 1.
     """
 
     step_size: float = 1.0
     beta: float = 0.5
     c: float = 1e-4
     max_backtracks: int = 30
+
+    def __post_init__(self) -> None:
+        _check_step_size(self.step_size)
+        for name in ("beta", "c"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie strictly between 0 and 1, "
+                                 f"got {getattr(self, name)!r}")
+        if self.max_backtracks < 1:
+            raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks!r}")
 
 
 @dataclass
@@ -547,14 +582,16 @@ def bcd_train(
 
     Each iteration steps the propagation parameters along the batch's
     negative gradient.  ``FixedStep`` steps by ``step_size``.  Armijo
-    backtracks by ``beta`` from ``t0`` and takes the first trial that passes
-    the sufficient-decrease test; ``t0`` is ``step_size`` at first, then
-    ``min(step_size, t_last / beta)`` from the step accepted last (Nocedal
-    and Wright, *Numerical Optimization*, section 3.5), so a search does
-    not pay again for the rejected trials above the last step.  A search
-    that accepts nothing keeps the point and ``t0``.  A zero gradient's
-    first trial is the current point, whose loss equals the gradient pass's
-    total to the bit, so it is accepted at ``t0``.
+    tries a decreasing subsequence of ``t0, beta t0, beta^2 t0, ...`` and
+    takes the first trial that passes the sufficient-decrease test; each
+    rejected trial skips the grid points its quadratic model rules out, as
+    :class:`ArmijoBacktracking` describes.  ``t0`` is ``step_size`` at
+    first, then ``min(step_size, t_last / beta)`` from the step accepted
+    last (Nocedal and Wright, *Numerical Optimization*, section 3.5), so a
+    search does not pay again for the rejected trials above the last step.
+    A search that accepts nothing keeps the point and ``t0``.  A zero
+    gradient's first trial is the current point, whose loss equals the
+    gradient pass's total to the bit, so it is accepted at ``t0``.
 
     In full-batch mode each Armijo iterate is propagated once.  The
     accepted trial has already run the whole training set through the new
@@ -617,8 +654,16 @@ def bcd_train(
                 if accepted.total <= report.total - rule.c * t * sq:
                     params, t0 = trial, min(rule.step_size, t / rule.beta)
                     break
+                # skip the grid points above the quadratic model's limit (see
+                # ArmijoBacktracking) in product form, which divides by nothing:
+                # s is skipped while s (f(t) - f0 + sq t) > (1 - c) sq t^2, so a
+                # NaN trial loss skips nothing and an infinite one skips to the floor
+                excess = accepted.total - report.total + sq * t
+                bound = (1.0 - rule.c) * sq * t * t
                 accepted = None  # a rejected trajectory goes before the next trial runs
-                t *= rule.beta
+                t, shrink = t * rule.beta, rule.beta
+                while t * excess > bound and shrink * rule.beta >= ARMIJO_SKIP_FLOOR:
+                    t, shrink = t * rule.beta, shrink * rule.beta
         if full_batch and accepted is not None:
             features, states = accepted.features, accepted.states
         else:

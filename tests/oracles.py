@@ -277,6 +277,18 @@ def naive_synthetic(kind: str, n: int, ny: int, nx: int, seed: int, noise: float
 # finite differences
 
 
+def geometric_armijo(f, f0: float, sq: float, t0: float, beta: float, c: float,
+                     max_trials: int):
+    """Plain backtracking: the first of t0, beta*t0, beta^2*t0, ... (at most
+    max_trials of them) with f(t) <= f0 - c*t*sq, or None."""
+    t = t0
+    for _ in range(max_trials):
+        if f(t) <= f0 - c * t * sq:
+            return t
+        t *= beta
+    return None
+
+
 def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of scalar f at array x, entry by entry."""
     g = np.zeros_like(x, dtype=float)

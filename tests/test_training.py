@@ -36,7 +36,7 @@ from mgcnn.training import (
     reg_value_and_grad,
 )
 
-from oracles import fd_gradient, naive_logits, rel_err, scatter_five_point
+from oracles import fd_gradient, geometric_armijo, naive_logits, rel_err, scatter_five_point
 
 
 def varied_params(seed=0, num_layers=3):
@@ -712,12 +712,14 @@ class TestFirstNewtonStart:
                                         zero, reg).classifier
         return ds, val, params, reg, zero, fitted
 
-    def test_given_classifier_does_not_seed_the_first_fit(self):
-        # FixedStep(0.0) freezes the propagation parameters, so the two calls
-        # can differ only through the classifier their Newton call starts from.
+    def test_given_classifier_does_not_seed_the_first_fit(self, monkeypatch):
+        # A propagation step that returns its input freezes the propagation
+        # parameters, so the two calls can differ only through the classifier
+        # their Newton call starts from.
+        monkeypatch.setattr(training_mod, "_prop_step", lambda params, grads, t: params)
         ds, val, params, reg, zero, fitted = self.setup_problem(0.05)
         saturated = Classifier(ds.grid, 50.0 * fitted.weights, 50.0 * fitted.mu)
-        cfg = BcdConfig(outer_iters=1, newton_steps=3, prop_step_rule=FixedStep(0.0))
+        cfg = BcdConfig(outer_iters=1, newton_steps=3, prop_step_rule=FixedStep(0.05))
         given = bcd_train(ds, params, saturated, reg, cfg, val=val)
         cold = bcd_train(ds, params, zero, reg, cfg, val=val)
         assert given.history == cold.history
@@ -742,9 +744,11 @@ class SearchSpy:
     it starts from, and each propagation step tried with the trial's total
     (``None`` when no trial loss was computed).  Trial losses of the
     iterations in ``reject`` are replaced by infinity, so their searches
-    accept nothing."""
+    accept nothing.  With ``fake``, every trial's total is replaced by
+    ``fake(f0, sq, t)`` of the iteration's total, squared gradient norm and
+    step."""
 
-    def __init__(self, monkeypatch, reject=()):
+    def __init__(self, monkeypatch, reject=(), fake=None):
         self.iters = []
         loss_grad, trial_loss, prop_step = (
             training_mod.loss_and_gradient, training_mod.loss, training_mod._prop_step)
@@ -761,9 +765,13 @@ class SearchSpy:
 
         def spy_loss(*args, **kwargs):
             report = trial_loss(*args, **kwargs)
+            it = self.iters[-1]
             if len(self.iters) in reject:
                 report = dataclasses.replace(report, total=math.inf)
-            self.iters[-1]["trials"][-1][1] = report.total
+            elif fake is not None:
+                report = dataclasses.replace(
+                    report, total=fake(it["total"], it["sq"], it["trials"][-1][0]))
+            it["trials"][-1][1] = report.total
             return report
 
         monkeypatch.setattr(training_mod, "loss_and_gradient", spy_loss_grad)
@@ -778,6 +786,18 @@ class SearchSpy:
             return None
         assert passes.index(True) == len(passes) - 1
         return it["trials"][-1][0]
+
+
+def skip_next(t, total, f0, sq, rule):
+    """The trial after a rejected trial at ``t`` with loss ``total``: the
+    first point ``t * beta^k``, ``k >= 1``, at or below the limit of the
+    quadratic through ``f0`` (slope ``-sq``) and ``total``, with ``beta^k``
+    kept at or above 0.1."""
+    limit = (1 - rule.c) * sq * t * t / (total - f0 + sq * t)
+    step, k = t * rule.beta, 1
+    while step > limit and rule.beta ** (k + 1) >= 0.1:
+        step, k = step * rule.beta, k + 1
+    return step
 
 
 class TestArmijoWarmStart:
@@ -795,12 +815,16 @@ class TestArmijoWarmStart:
         for it in spy.iters:
             steps = [t for t, _ in it["trials"]]
             assert steps[0] == start
-            for a, b in zip(steps, steps[1:]):
-                assert b == a * rule.beta
+            for (a, total), b in zip(it["trials"], steps[1:]):
+                assert b == skip_next(a, total, it["total"], it["sq"], rule)
             t = spy.accepted(it, rule)
             assert t is not None and t <= rule.step_size
             accepted.append(t)
             start = min(rule.step_size, t / rule.beta)
+        # a rejected trial skipped grid points with beta = 0.5; with 0.3 none
+        # can, since 0.3^2 < 0.1
+        assert any(b < a * rule.beta for it in spy.iters
+                   for (a, _), (b, _) in zip(it["trials"], it["trials"][1:])) == (beta == 0.5)
         # both branches of the start were taken: the cap, and a warm start
         # below step_size
         assert max(accepted) / rule.beta > rule.step_size
@@ -849,6 +873,88 @@ class TestArmijoWarmStart:
             assert (row.data_term, row.reg_term) == (data_term, reg_term)
         np.testing.assert_array_equal(res.params.biases, p.biases)
         np.testing.assert_array_equal(res.classifier.weights, clf.weights)
+
+
+class TestArmijoSkip:
+    """A rejected trial skips the grid points its quadratic model rules out."""
+
+    @pytest.mark.parametrize("kind", [SyntheticKind.BARS, SyntheticKind.BLOBS])
+    def test_skip_changes_no_byte_and_saves_trials(self, monkeypatch, kind):
+        ds = make_synthetic(kind, 30, Grid2D(6, 6, 1.0), seed=3, noise=0.05)
+        rule = ArmijoBacktracking()
+
+        def run():
+            spy = SearchSpy(monkeypatch)
+            res = bcd_train(ds, varied_params(10, num_layers=2), zero_classifier(ds.grid, 2, 2),
+                            RegConfig(0.02, 0.05),
+                            BcdConfig(outer_iters=8, newton_steps=3, prop_step_rule=rule))
+            monkeypatch.undo()
+            return res, sum(len(it["trials"]) for it in spy.iters)
+
+        skip, skip_trials = run()
+        monkeypatch.setattr(training_mod, "ARMIJO_SKIP_FLOOR", 1.0)  # beta^k >= 1: no skip
+        plain, plain_trials = run()
+        assert_same_run(skip, plain)
+        assert skip_trials < plain_trials
+
+    @pytest.mark.parametrize("passing, max_backtracks, steps, plain", [
+        # 1/2 passes but is skipped: the search takes the smaller grid step 1/8
+        (0.5, 30, [1.0, 0.125], 0.5),
+        # the skips land on the largest passing point, in 5 trials, not 13
+        (2.0**-12, 30, [1.0, 2.0**-3, 2.0**-6, 2.0**-9, 2.0**-12], 2.0**-12),
+        # four trials accept nothing, as plain backtracking's four do not
+        (2.0**-12, 4, [1.0, 2.0**-3, 2.0**-6, 2.0**-9], None),
+    ])
+    def test_search_never_accepts_a_larger_step(self, monkeypatch, passing, max_backtracks,
+                                                steps, plain):
+        # every step up to `passing` meets the test, every larger one fails it badly
+        def fake(f0, sq, t):
+            return f0 - sq * t if t <= passing else f0 + 1e6 * sq * t
+
+        rule = ArmijoBacktracking(max_backtracks=max_backtracks)
+        spy = SearchSpy(monkeypatch, fake=fake)
+        ds = blob_set(n=30, seed=3)
+        bcd_train(ds, varied_params(10, num_layers=2), zero_classifier(ds.grid, 2, 2),
+                  RegConfig(0.02, 0.05),
+                  BcdConfig(outer_iters=1, newton_steps=2, prop_step_rule=rule))
+        (it,) = spy.iters
+        f0, sq = it["total"], it["sq"]
+        assert sq > 0.0
+        assert geometric_armijo(lambda t: fake(f0, sq, t), f0, sq, rule.step_size, rule.beta,
+                                rule.c, rule.max_backtracks) == plain
+        assert [t for t, _ in it["trials"]] == steps
+        assert len(steps) <= rule.max_backtracks
+        grid = [rule.step_size]  # the points plain backtracking tries, bit for bit
+        while len(grid) < 100:
+            grid.append(grid[-1] * rule.beta)
+        assert set(steps) <= set(grid)
+        accepted = spy.accepted(it, rule)
+        assert accepted == (steps[-1] if plain is not None else None)
+        if plain is not None:
+            assert accepted <= plain
+
+
+class TestStepRuleValidation:
+    @pytest.mark.parametrize("kwargs", [
+        dict(beta=0.0), dict(beta=1.0), dict(beta=1.5), dict(beta=-0.5), dict(beta=math.nan),
+        dict(c=0.0), dict(c=1.0), dict(c=math.nan),
+        dict(step_size=0.0), dict(step_size=-1.0), dict(step_size=math.nan),
+        dict(step_size=math.inf),
+        dict(max_backtracks=0), dict(max_backtracks=-1),
+    ])
+    def test_armijo_refuses_bad_values(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            ArmijoBacktracking(**kwargs)
+
+    @pytest.mark.parametrize("step_size", [0.0, -1.0, math.nan, math.inf])
+    def test_fixed_step_refuses_bad_values(self, step_size):
+        with pytest.raises(ValueError, match="step_size"):
+            FixedStep(step_size)
+
+    def test_defaults_and_edge_values_accepted(self):
+        ArmijoBacktracking()
+        ArmijoBacktracking(step_size=1e300, beta=1e-300, c=0.999, max_backtracks=1)
+        FixedStep(1e-300)
 
 
 def assert_same_run(a, b):
