@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mgcnn.network as network_mod
 import mgcnn.training as training_mod
+from mgcnn.cli import _load_dataset, parse_config
 from mgcnn.data import LabeledDataset, SyntheticKind, make_synthetic
 from mgcnn.errors import DivergenceError
 from mgcnn.grid import Grid2D
@@ -37,6 +39,8 @@ from mgcnn.training import (
 )
 
 from oracles import fd_gradient, geometric_armijo, naive_logits, rel_err, scatter_five_point
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def varied_params(seed=0, num_layers=3):
@@ -562,6 +566,68 @@ class TestSampleSpaceNewton:
         again = newton_classifier_step(features, labels, clf, reg, steps=3)
         np.testing.assert_array_equal(first.classifier.weights, again.classifier.weights)
         np.testing.assert_array_equal(first.classifier.mu, again.classifier.mu)
+
+
+class TestDenseNewtonLimit:
+    def test_ten_class_7x7_contrast_system_takes_cg(self):
+        # mnist.cfg's coarsest level: 9 * (3 * 49 + 1) = 1332 contrast
+        # unknowns against 9 * (540 + 3 + 1) sample ones.
+        assert training_mod._newton_route(540, (10, 3, 7, 7), 1e-3) == "cg"
+
+    def test_ninety_example_28x28_sample_system_stays_direct(self):
+        # 9 * (90 + 3 + 1) = 846 sample unknowns against 9 * 2353 contrast ones
+        assert training_mod._newton_route(90, (10, 3, 28, 28), 1e-3) == "sample"
+
+    @pytest.mark.parametrize("name, routes", [
+        ("bars.cfg", ["contrast", "contrast"]),  # 289 and 73 contrast unknowns
+        ("blobs.cfg", ["sample", "contrast"]),  # 244 sample, then 193 contrast
+    ])
+    def test_bundled_configs_keep_their_direct_routes(self, name, routes):
+        cfg = parse_config(str(CONFIG_DIR / name))
+        train, _ = _load_dataset(cfg)
+        w_shapes = [(train.num_classes, cfg.channels, cfg.grid_ny >> k, cfg.grid_nx >> k)
+                     for k in range(cfg.levels + 1)]
+        assert [training_mod._newton_route(len(train), w, cfg.lambda_w) for w in w_shapes] == routes
+
+    @staticmethod
+    def boundary(branch, extra):
+        """``(m, w_shape, lam)`` of a two-class system with
+        ``DENSE_NEWTON_LIMIT + extra`` unknowns on ``branch``."""
+        n = training_mod.DENSE_NEWTON_LIMIT
+        if branch == "contrast":  # F + 1 unknowns; without the penalty, never the sample form
+            return 6, (2, 1, 1, n - 1 + extra), 0.0
+        return n - 2 + extra, (2, 1, 1, n), 0.3  # m + c + 1 unknowns, below F + 1
+
+    @pytest.mark.parametrize("branch", ["contrast", "sample"])
+    def test_the_limit_is_the_largest_direct_size(self, branch):
+        assert training_mod._newton_route(*self.boundary(branch, 0)) == branch
+        assert training_mod._newton_route(*self.boundary(branch, 1)) == "cg"
+
+    @pytest.mark.parametrize("branch", ["contrast", "sample"])
+    def test_limit_sized_system_is_solved_directly(self, monkeypatch, branch):
+        m, shape, lam = self.boundary(branch, 0)
+        A, probs, w_shape = newton_problem(51, shape[1:], m=m, L=2)
+        g = newton_gradient(A, probs, w_shape, lam, seed=52)
+        monkeypatch.setattr(training_mod.scipy.sparse.linalg, "cg", refuse)
+        assert np.all(np.isfinite(training_mod._newton_solver(A, lam, w_shape)(probs, g)))
+
+    @pytest.mark.parametrize("branch", ["contrast", "sample"])
+    def test_one_unknown_more_goes_to_cg(self, monkeypatch, branch):
+        m, shape, lam = self.boundary(branch, 1)
+        A, probs, w_shape = newton_problem(53, shape[1:], m=m, L=2)
+        g = newton_gradient(A, probs, w_shape, lam, seed=54)
+        for name in ("_contrast_hessian", "_sample_kernel", "_sample_solve"):
+            monkeypatch.setattr(training_mod, name, refuse)
+        solves = []
+        original = training_mod.scipy.sparse.linalg.cg
+
+        def counting_cg(op, b, **kwargs):
+            solves.append(b.size)
+            return original(op, b, **kwargs)
+
+        monkeypatch.setattr(training_mod.scipy.sparse.linalg, "cg", counting_cg)
+        assert np.all(np.isfinite(training_mod._newton_solver(A, lam, w_shape)(probs, g)))
+        assert solves == [math.prod(shape[1:]) + 1]
 
 
 def blob_set(n=40, seed=0, noise=0.05):
