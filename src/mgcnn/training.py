@@ -92,12 +92,13 @@ __all__ = [
 
 # Direct Newton solve up to this many unknowns in the system solved:
 # (L-1)(F+1) on the contrast path, (L-1)(m+c+1) on the sample path.  CG beyond.
-# The dense factorisation grows as n^3.  Measured at 1 BLAS thread on the
-# mnist.cfg stand-in: the 10-class 7x7 contrast system (1332 unknowns) took
-# 113 ms per Newton step dense (47 ms assembly, 63 ms solve) and 11-15 CG
-# iterations at the forcing tolerance, 7 ms; the 90-example 28x28 sample
-# system (846 unknowns) took 39 ms per step direct, while CG hit its
-# 200-iteration cap on 3 of 5 steps and took 3.7 times as long.
+# The dense factorisation grows as n^3.  Measured on a 2-core machine at 1
+# BLAS thread, mnist.cfg on its stand-in: the 10-class 7x7 contrast system
+# (1332 unknowns) took 113 ms per Newton step dense (47 ms assembly, 63 ms
+# solve) and 11-15 CG iterations at the forcing tolerance, 7 ms; the
+# 90-example 28x28 sample system (846 unknowns) took 39 ms per step direct,
+# while CG hit its 200-iteration cap on 3 of 5 steps and took 3.7 times as
+# long.
 DENSE_NEWTON_LIMIT = 1000
 # Tikhonov jitter on the Hessian diagonal, which keeps the contrast system
 # and the CG operator definite where the data term is flat.  The class-mean
