@@ -28,15 +28,16 @@ path).  With ``m`` examples and ``c`` channels that system also has an exact
 sample-space form of ``(L-1)(m+c+1)`` unknowns, because the data term has
 rank at most ``m(L-1)`` and the penalty is diagonal under the FFT (the
 sample path).  The smaller of the two is solved directly if it has at most
-``DENSE_NEWTON_LIMIT`` (1000) unknowns, the sample form only when
-``lambda > 0``; otherwise conjugate gradients solve the contrast system
-matrix-free, each solve stopping at the relative residual ``min(0.01,
-||g||)`` (the forcing term, ``NEWTON_FORCING``), which makes Newton inexact
-far from the optimum and tightens as the gradient shrinks.  All three are deterministic.  A
-singular or non-descent system falls back to a gradient step with Armijo
-search and flags the step report.  The contrast basis, ``[A | 1]``, the
-penalty block and the sample kernel are built once per Newton call; each
-inner step builds only what the probabilities move.
+``DENSE_NEWTON_LIMIT`` unknowns, the sample form only when ``lambda > 0``,
+and the contrast form only while its dense assembly is cheap next to CG
+(``CONTRAST_WORK_LIMIT``); otherwise conjugate gradients solve the contrast
+system matrix-free, each solve stopping at the relative residual
+``min(0.01, ||g||)`` (the forcing term, ``NEWTON_FORCING``), which makes
+Newton inexact far from the optimum and tightens as the gradient shrinks.
+All three are deterministic.  A singular or non-descent system falls back to
+a gradient step with Armijo search and flags the step report.  The contrast
+basis, ``[A | 1]``, the penalty block and the sample kernel are built once
+per Newton call; each inner step builds only what the probabilities move.
 
 The smoothness penalties are those of :func:`mgcnn.network.loss`.
 """
@@ -92,14 +93,17 @@ __all__ = [
 
 # Direct Newton solve up to this many unknowns in the system solved:
 # (L-1)(F+1) on the contrast path, (L-1)(m+c+1) on the sample path.  CG beyond.
-# The dense factorisation grows as n^3.  Measured on a 2-core machine at 1
-# BLAS thread, mnist.cfg on its stand-in: the 10-class 7x7 contrast system
-# (1332 unknowns) took 113 ms per Newton step dense (47 ms assembly, 63 ms
-# solve) and 11-15 CG iterations at the forcing tolerance, 7 ms; the
-# 90-example 28x28 sample system (846 unknowns) took 39 ms per step direct,
-# while CG hit its 200-iteration cap on 3 of 5 steps and took 3.7 times as
-# long.
-DENSE_NEWTON_LIMIT = 1000
+DENSE_NEWTON_LIMIT = 3000
+# The contrast path also gives way to CG where L(L-1)(F+1), its unknowns times
+# the L classes, exceeds this.  That is the dense step's flops per entry of
+# [A | 1]: the assembly multiplies [A | 1] with itself once per pair of class
+# contrasts, while each CG iteration passes over it a fixed few times.  On a
+# 2-core machine at 1 BLAS thread, replaying the calls of six-iteration
+# trainings (one cold Newton call, five warm), CG took 1.2-3.1 times as long
+# as the dense solve at L(L-1)(F+1) = 2050-6216 (2, 3, 5 and 7 classes) and
+# 0.15-0.73 times at 7860-26550 (5, 7 and 10 classes; mnist.cfg's 10-class
+# 7x7 level, 1332 unknowns, 0.30-0.37).
+CONTRAST_WORK_LIMIT = 7000
 # Tikhonov jitter on the Hessian diagonal, which keeps the contrast system
 # and the CG operator definite where the data term is flat.  The class-mean
 # block is left at zero where the jitter would be its only curvature.
@@ -446,18 +450,19 @@ def _newton_route(m: int, w_shape: tuple[int, ...], lam: float) -> str:
 
     The sample system has ``(L-1)(m+c+1)`` unknowns and the contrast system
     ``(L-1)(F+1)``.  The smaller one is solved directly if it fits under
-    ``DENSE_NEWTON_LIMIT`` (1000), otherwise CG runs: the 10-class contrast
-    system at 7x7 (1332 unknowns) takes CG, the 90-example 28x28 sample
-    system (846) stays direct.  Without the penalty every unknown's only
-    curvature outside the data term is the jitter, so ``lam = 0`` never
-    takes the sample path.
+    ``DENSE_NEWTON_LIMIT``, the contrast one only if ``L`` times its
+    unknowns also fits under ``CONTRAST_WORK_LIMIT``; otherwise CG runs.  So
+    a 2-class contrast system stays direct up to 3000 unknowns and a
+    10-class one up to 700: mnist.cfg's 7x7 level (1332) takes CG.  Without
+    the penalty every unknown's only curvature outside the data term is the
+    jitter, so ``lam = 0`` never takes the sample path.
     """
     L, c = w_shape[0], w_shape[1]
     contrast = (L - 1) * (math.prod(w_shape[1:]) + 1)
     sample = (L - 1) * (m + c + 1)
     if lam > 0.0 and sample < contrast and sample <= DENSE_NEWTON_LIMIT:
         return "sample"
-    if contrast <= DENSE_NEWTON_LIMIT:
+    if contrast <= DENSE_NEWTON_LIMIT and L * contrast <= CONTRAST_WORK_LIMIT:
         return "contrast"
     return "cg"
 

@@ -569,14 +569,19 @@ class TestSampleSpaceNewton:
 
 
 class TestDenseNewtonLimit:
-    def test_ten_class_7x7_contrast_system_takes_cg(self):
-        # mnist.cfg's coarsest level: 9 * (3 * 49 + 1) = 1332 contrast
-        # unknowns against 9 * (540 + 3 + 1) sample ones.
-        assert training_mod._newton_route(540, (10, 3, 7, 7), 1e-3) == "cg"
-
-    def test_ninety_example_28x28_sample_system_stays_direct(self):
-        # 9 * (90 + 3 + 1) = 846 sample unknowns against 9 * 2353 contrast ones
-        assert training_mod._newton_route(90, (10, 3, 28, 28), 1e-3) == "sample"
+    @pytest.mark.parametrize("m, w_shape, lam, route", [
+        (540, (10, 3, 7, 7), 1e-3, "cg"),  # mnist.cfg's 7x7 level: 1332 contrast unknowns
+        (540, (10, 2, 7, 7), 1e-3, "cg"),  # 891, still 10 classes
+        (540, (5, 6, 7, 7), 1e-3, "contrast"),  # 1180, 5 classes
+        (1473, (2, 3, 22, 22), 1e-3, "contrast"),  # 1453, 2 classes with m >= F
+        (320, (2, 3, 28, 28), 0.0, "contrast"),  # 2353, no penalty
+        (90, (10, 3, 28, 28), 1e-3, "sample"),  # 846 sample unknowns
+        (108, (10, 3, 28, 28), 1e-3, "sample"),  # 1008
+        (329, (10, 3, 28, 28), 1e-3, "sample"),  # 2997
+        (329, (10, 3, 14, 14), 1e-3, "sample"),  # 2997
+    ])
+    def test_routes_of_measured_systems(self, m, w_shape, lam, route):
+        assert training_mod._newton_route(m, w_shape, lam) == route
 
     @pytest.mark.parametrize("name, routes", [
         ("bars.cfg", ["contrast", "contrast"]),  # 289 and 73 contrast unknowns
@@ -603,31 +608,12 @@ class TestDenseNewtonLimit:
         assert training_mod._newton_route(*self.boundary(branch, 0)) == branch
         assert training_mod._newton_route(*self.boundary(branch, 1)) == "cg"
 
-    @pytest.mark.parametrize("branch", ["contrast", "sample"])
-    def test_limit_sized_system_is_solved_directly(self, monkeypatch, branch):
-        m, shape, lam = self.boundary(branch, 0)
-        A, probs, w_shape = newton_problem(51, shape[1:], m=m, L=2)
-        g = newton_gradient(A, probs, w_shape, lam, seed=52)
-        monkeypatch.setattr(training_mod.scipy.sparse.linalg, "cg", refuse)
-        assert np.all(np.isfinite(training_mod._newton_solver(A, lam, w_shape)(probs, g)))
-
-    @pytest.mark.parametrize("branch", ["contrast", "sample"])
-    def test_one_unknown_more_goes_to_cg(self, monkeypatch, branch):
-        m, shape, lam = self.boundary(branch, 1)
-        A, probs, w_shape = newton_problem(53, shape[1:], m=m, L=2)
-        g = newton_gradient(A, probs, w_shape, lam, seed=54)
-        for name in ("_contrast_hessian", "_sample_kernel", "_sample_solve"):
-            monkeypatch.setattr(training_mod, name, refuse)
-        solves = []
-        original = training_mod.scipy.sparse.linalg.cg
-
-        def counting_cg(op, b, **kwargs):
-            solves.append(b.size)
-            return original(op, b, **kwargs)
-
-        monkeypatch.setattr(training_mod.scipy.sparse.linalg, "cg", counting_cg)
-        assert np.all(np.isfinite(training_mod._newton_solver(A, lam, w_shape)(probs, g)))
-        assert solves == [math.prod(shape[1:]) + 1]
+    @pytest.mark.parametrize("L", [3, 5, 10])
+    def test_the_work_limit_bounds_the_contrast_path(self, L):
+        # the widest class block F + 1 with L (L-1) (F+1) within the limit
+        width = training_mod.CONTRAST_WORK_LIMIT // (L * (L - 1))
+        assert training_mod._newton_route(6, (L, 1, 1, width - 1), 0.0) == "contrast"
+        assert training_mod._newton_route(6, (L, 1, 1, width), 0.0) == "cg"
 
 
 def blob_set(n=40, seed=0, noise=0.05):
