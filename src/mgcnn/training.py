@@ -31,9 +31,10 @@ sample path).  The smaller of the two is solved directly if it has at most
 ``DENSE_NEWTON_LIMIT`` unknowns, the sample form only when ``lambda > 0``,
 and the contrast form only while its dense assembly is cheap next to CG
 (``CONTRAST_WORK_LIMIT``); otherwise conjugate gradients solve the contrast
-system matrix-free, each solve stopping at the relative residual
-``min(0.01, ||g||)`` (the forcing term, ``NEWTON_FORCING``), which makes
-Newton inexact far from the optimum and tightens as the gradient shrinks.
+system matrix-free, each product one pass over the features in cache-sized
+row blocks, and each solve stopping at the relative residual ``min(0.01,
+||g||)`` (the forcing term, ``NEWTON_FORCING``), which makes Newton inexact
+far from the optimum and tightens as the gradient shrinks.
 All three are deterministic.  A singular or non-descent system falls back to
 a gradient step with Armijo search and flags the step report.  The contrast
 basis, ``[A | 1]``, the penalty block and the sample kernel are built once
@@ -104,6 +105,11 @@ DENSE_NEWTON_LIMIT = 3000
 # 0.15-0.73 times at 7860-26550 (5, 7 and 10 classes; mnist.cfg's 10-class
 # 7x7 level, 1332 unknowns, 0.30-0.37).
 CONTRAST_WORK_LIMIT = 7000
+# Bytes of the features A per block of the CG route's Hessian product: a
+# block's scores go back through the block while it is still in a core's L2
+# cache.  Fixed, so the product's summation order is too.  512 KB was the
+# fastest size at both 28x28 and 14x14 on a 2-core machine at 1 BLAS thread.
+_CG_BLOCK_BYTES = 512 * 1024
 # Tikhonov jitter on the Hessian diagonal, which keeps the contrast system
 # and the CG operator definite where the data term is flat.  The class-mean
 # block is left at zero where the jitter would be its only curvature.
@@ -396,9 +402,7 @@ def _sample_solve(
     c = field_shape[0]
     pixels = F // c
     n = (L - 1) * m
-    dev = Q - (probs @ Q)[:, None, :]
-    cov = np.einsum("il,ila,ilb->iab", probs, dev, dev) / m
-    evals, vecs = np.linalg.eigh(cov)
+    evals, vecs = np.linalg.eigh(_contrast_covariance(probs, Q))
     root = (vecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :]) @ vecs.transpose(0, 2, 1)
     rows = root.transpose(1, 0, 2).reshape(n, L - 1)  # row (a, i): S_i^½[a, :]
 
@@ -426,23 +430,43 @@ def _sample_solve(
     return x
 
 
-def _hessian_matvec(A: np.ndarray, probs: np.ndarray, lam: float, w_shape: tuple[int, ...]):
-    """The product with the softmax Gauss-Newton Hessian plus penalty and
-    jitter, without forming it.
+def _contrast_covariance(probs: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Each sample's ``(L-1) x (L-1)`` contrast covariance ``S_i = Q^T (diag
+    p_i - p_i p_i^T) Q / m``, as an ``(m, L-1, L-1)`` array."""
+    dev = Q - (probs @ Q)[:, None, :]
+    return np.einsum("il,ila,ilb->iab", probs, dev, dev) / probs.shape[0]
 
-    Unknown layout: ``(L, F+1)`` rows ``[w_j | mu_j]``, one per class, for
-    both the argument and the result.
+
+def _contrast_matvec(A: np.ndarray, probs: np.ndarray, Q: np.ndarray, lam: float,
+                     w_shape: tuple[int, ...]):
+    """The product with the contrast system of :func:`_contrast_hessian`,
+    without forming it: ``v -> A1^T S A1 v + lam * 2 D^T D v_w + jitter v``
+    on ``(L-1, F+1)`` rows ``[w_a | mu_a]``, one per contrast.
+
+    It sweeps ``A`` once per product, in blocks of ``_CG_BLOCK_BYTES``
+    rows: each block's scores ``A_blk v_w^T + v_mu``, weighted by each
+    sample's covariance ``S_i`` (:func:`_contrast_covariance`), go straight
+    back through ``A_blk^T``, so the block is read from cache the second
+    time.  The blocks, and so the summation order, depend on ``F`` alone.
     """
-    m, L = probs.shape
-    F = A.shape[1]
+    m, F = A.shape
+    cov = _contrast_covariance(probs, Q)
+    rows = max(1, _CG_BLOCK_BYTES // A[0].nbytes)
+    blocks = [slice(r, min(r + rows, m)) for r in range(0, m, rows)]
+    field = (Q.shape[1],) + w_shape[1:]
 
-    def hess_vec(v: np.ndarray) -> np.ndarray:
-        scores = A @ v[:, :F].T + v[:, F]  # (m, L)
-        t = probs * scores - probs * (probs * scores).sum(axis=1, keepdims=True)
-        h_w = (t.T @ A) / m + lam * _smooth_grad(v[:, :F].reshape(w_shape)).reshape(L, F)
-        return np.concatenate([h_w, t.sum(axis=0)[:, None] / m], axis=1) + NEWTON_JITTER * v
+    def matvec(v: np.ndarray) -> np.ndarray:
+        v = v.reshape(Q.shape[1], F + 1)
+        out = NEWTON_JITTER * v
+        out[:, :F] += lam * _smooth_grad(v[:, :F].reshape(field)).reshape(-1, F)
+        w_t, part = np.ascontiguousarray(v[:, :F].T), np.empty_like(out[:, :F])
+        for blk in blocks:
+            t = np.einsum("iab,ib->ia", cov[blk], A[blk] @ w_t + v[:, F])
+            out[:, :F] += np.matmul(t.T, A[blk], out=part)
+            out[:, F] += t.sum(axis=0)
+        return out.reshape(-1)
 
-    return hess_vec
+    return matvec
 
 
 def _newton_route(m: int, w_shape: tuple[int, ...], lam: float) -> str:
@@ -486,11 +510,12 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
     - **Sample** (direct): the same system in ``(L-1)(m+c+1)`` sample-space
       unknowns (:func:`_sample_solve`); its kernel depends on ``A`` alone
       and is built here, once.
-    - **CG**: conjugate gradients on the matrix-free operator ``v -> Q^T
-      H (Q v)`` (:func:`_hessian_matvec`), from zero, stopping at ``||r|| <=
-      rtol ||b||`` for the contrast right-hand side ``b = Q^T (-g)`` or at
-      200 iterations.  :func:`newton_classifier_step` passes its forcing
-      term as ``rtol``; the direct routes ignore it.
+    - **CG**: conjugate gradients on the matrix-free contrast system
+      (:func:`_contrast_matvec`, one blocked pass over ``A`` per product),
+      from zero, stopping at ``||r|| <= rtol ||b||`` for the contrast
+      right-hand side ``b = Q^T (-g)`` or at 200 iterations.
+      :func:`newton_classifier_step` passes its forcing term as ``rtol``;
+      the direct routes ignore it.
 
     The map returns ``None`` when the solve fails so the caller can fall
     back.
@@ -520,10 +545,8 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
     else:
 
         def contrast_solve(probs: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
-            hess_vec = _hessian_matvec(A, probs, lam, w_shape)
-            op = scipy.sparse.linalg.LinearOperator(
-                (b.size, b.size), matvec=lambda v: Q.T @ hess_vec(Q @ v.reshape(b.shape))
-            )
+            matvec = _contrast_matvec(A, probs, Q, lam, w_shape)
+            op = scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=matvec)
             d, info = scipy.sparse.linalg.cg(op, b.reshape(-1), maxiter=200, atol=0.0, rtol=rtol)
             if info < 0 or not np.all(np.isfinite(d)):
                 raise np.linalg.LinAlgError(f"CG failed (info={info})")
@@ -612,9 +635,12 @@ def bcd_train(
     parameters: its final states serve as the Newton features, and its
     trajectory, which the classifier update leaves valid, replaces the
     forward pass of the next iteration's gradient.  A frozen embedding gets
-    no gradient.  With minibatches, with ``FixedStep``, and after a search
-    that accepts no step, the features come from a fresh pass and the next
-    gradient runs its own forward pass.
+    no gradient.  With minibatches the accepted trial has propagated only
+    the batch: its final states are spliced with a fresh pass over the other
+    examples, bit for bit the features of a whole fresh pass, since each
+    example propagates on its own.  With ``FixedStep``, and after a search
+    that accepts no step, the features come from a fresh pass over the whole
+    set.  In these three cases the next gradient runs its own forward pass.
 
     A frozen embedding never changes, so in full-batch mode ``y_0 = L x``
     of the training and of the validation set is formed and checked once
@@ -678,11 +704,16 @@ def bcd_train(
                 t, shrink = t * rule.beta, rule.beta
                 while t * excess > bound and shrink * rule.beta >= ARMIJO_SKIP_FLOOR:
                     t, shrink = t * rule.beta, shrink * rule.beta
-        if full_batch and accepted is not None:
-            features, states = accepted.features, accepted.states
-        else:
-            accepted = None  # a minibatch trial's final states go before the fresh pass
+        if accepted is None:
             features = propagate_final(train.images, params, workers=workers, embedded=train_y0)
+        elif full_batch:
+            features, states = accepted.features, accepted.states
+        else:  # the batch's final states from the trial, a fresh pass over the rest
+            features = np.empty((m,) + accepted.features.shape[1:])
+            features[idx] = accepted.features
+            accepted = None  # the trial's copy goes before the fresh pass
+            rest = np.setdiff1d(np.arange(m), idx)
+            features[rest] = propagate_final(train.images[rest], params, workers=workers)
         del accepted  # only `states` carries the trajectory to the next gradient pass
         if cfg.newton_steps > 0:
             if it == 1:  # the first fit starts from zero, as the docstring explains

@@ -240,6 +240,32 @@ def scatter_five_point(block: np.ndarray, lam: float, field_shape: tuple) -> np.
     return block
 
 
+def hessian_matvec(A: np.ndarray, probs: np.ndarray, lam: float, w_shape: tuple,
+                   jitter: float = 1e-10):
+    """The product with the full ``L``-class classifier Hessian, without
+    forming it: the softmax Gauss-Newton data term on the features ``A``
+    (``m x F``) at the probabilities ``probs``, the periodic 5-point penalty
+    ``lam * 2 D^T D`` on each class's weights, and ``jitter`` (the
+    package's ``NEWTON_JITTER``) on the diagonal.
+
+    Unknown layout: ``(L, F+1)`` rows ``[w_j | mu_j]``, one per class, for
+    both the argument and the result.
+    """
+    m, L = probs.shape
+    F = A.shape[1]
+
+    def laplacian(w):
+        return 2.0 * sum(w - np.roll(w, shift, axis=axis) for axis in (-1, -2) for shift in (1, -1))
+
+    def hess_vec(v: np.ndarray) -> np.ndarray:
+        scores = A @ v[:, :F].T + v[:, F]  # (m, L)
+        t = probs * scores - probs * (probs * scores).sum(axis=1, keepdims=True)
+        h_w = (t.T @ A) / m + lam * laplacian(v[:, :F].reshape(w_shape)).reshape(L, F)
+        return np.concatenate([h_w, t.sum(axis=0)[:, None] / m], axis=1) + jitter * v
+
+    return hess_vec
+
+
 # ---------------------------------------------------------------------------
 # synthetic images
 

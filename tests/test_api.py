@@ -30,7 +30,7 @@ REMOVED = {
     "mgcnn.stencils": ["Stencil", "Symbol", "conv_apply", "coarsen_stencil", "refine_stencil"],
     "mgcnn.network": ["Trajectory", "gradient", "classify", "forward_propagate",
                       "_reg_parts"],
-    "mgcnn.training": ["StepRule", "_laplacian_flat"],
+    "mgcnn.training": ["StepRule", "_laplacian_flat", "_hessian_matvec"],
     "mgcnn.cli": ["_step_rule"],
     "mgcnn": ["Image"],
 }

@@ -38,7 +38,9 @@ from mgcnn.training import (
     reg_value_and_grad,
 )
 
-from oracles import fd_gradient, geometric_armijo, naive_logits, rel_err, scatter_five_point
+from oracles import (
+    fd_gradient, geometric_armijo, hessian_matvec, naive_logits, rel_err, scatter_five_point,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -338,7 +340,7 @@ class TestNewtonAssembly:
             np.testing.assert_allclose(Q.T @ Q, np.eye(L - 1), atol=1e-15)
             assert np.abs(Q.sum(axis=0)).max() <= 1e-15
             H = training_mod._contrast_hessian(A1, probs, Q, penalty)
-            hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
+            hess_vec = hessian_matvec(A, probs, lam, w_shape)
             columns = []
             for e in np.eye(H.shape[0]):
                 columns.append((Q.T @ hess_vec(Q @ e.reshape(L - 1, -1))).reshape(-1))
@@ -401,13 +403,13 @@ class TestNewtonAssembly:
             g_w = g[:, :-1]
             assert np.linalg.norm(g_w.mean(axis=0)) >= 0.1 * np.linalg.norm(g_w)
         d = routed_direction(monkeypatch, "contrast", A, probs, g, lam, w_shape)
-        hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
+        hess_vec = hessian_matvec(A, probs, lam, w_shape)
         assert np.linalg.norm(hess_vec(d) + g) <= 1e-9 * np.linalg.norm(g)
 
     def test_cg_branch_solves_the_same_system(self, monkeypatch):
         A, probs, w_shape = newton_problem(41, (2, 4, 5))
         lam = 0.3
-        hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
+        hess_vec = hessian_matvec(A, probs, lam, w_shape)
         L = w_shape[0]
         size = L * (A.shape[1] + 1)
         H = np.stack([hess_vec(e.reshape(L, -1)).reshape(-1) for e in np.eye(size)], axis=1)
@@ -427,6 +429,61 @@ class TestNewtonAssembly:
         cg = training_mod._newton_solver(A, lam, w_shape)(probs, g)
         for d in (dense, cg):
             assert np.linalg.norm(H @ d.reshape(-1) - rhs) <= 1e-6 * np.linalg.norm(rhs)
+
+
+class TestContrastOperator:
+    """The CG route's product with the contrast system, taken in row blocks
+    of the features."""
+
+    @staticmethod
+    def problem(field_shape=(2, 4, 5), m=7, L=3, lam=0.3):
+        A, probs, w_shape = newton_problem(53, field_shape, m=m, L=L)
+        Q = training_mod._contrast_basis(L)
+        return A, probs, Q, lam, w_shape
+
+    @staticmethod
+    def matrix(matvec, n):
+        return np.stack([matvec(e) for e in np.eye(n)], axis=1)
+
+    # (1, 2, 3) has a side of 2, where the periodic neighbours coincide.
+    @pytest.mark.parametrize("field_shape", [(2, 4, 5), (1, 2, 3)])
+    @pytest.mark.parametrize("L", [2, 3, 10])
+    @pytest.mark.parametrize("lam", [0.3, 0.0])
+    def test_columns_match_the_full_hessian_and_the_dense_system(
+            self, monkeypatch, field_shape, L, lam):
+        A, probs, Q, lam, w_shape = self.problem(field_shape, L=L, lam=lam)
+        n = (L - 1) * (A.shape[1] + 1)
+        op = self.matrix(training_mod._contrast_matvec(A, probs, Q, lam, w_shape), n)
+        hess_vec = hessian_matvec(A, probs, lam, w_shape)
+        lifted = self.matrix(lambda e: (Q.T @ hess_vec(Q @ e.reshape(L - 1, -1))).reshape(-1), n)
+        A1, _, penalty = contrast_setup(monkeypatch, A, probs, lam, w_shape)
+        dense = training_mod._contrast_hessian(A1, probs, Q, penalty)
+        for ref in (lifted, dense):
+            assert np.abs(op - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_symmetric_to_rounding(self):
+        A, probs, Q, lam, w_shape = self.problem((3, 6, 6), m=40, L=10)
+        matvec = training_mod._contrast_matvec(A, probs, Q, lam, w_shape)
+        rng = np.random.default_rng(54)
+        for _ in range(5):
+            u, v = rng.normal(size=(2, 9 * (A.shape[1] + 1)))
+            hv = matvec(v)
+            assert abs(u @ hv - v @ matvec(u)) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(hv)
+
+    def test_block_sizes_agree(self, monkeypatch):
+        # 40 rows of 108 features: one row per block (also below one row's
+        # bytes), blocks of 6 with a ragged last block of 4, and one block
+        # holding every row, exactly or with room to spare
+        A, probs, Q, lam, w_shape = self.problem((3, 6, 6), m=40, L=10)
+        v = np.random.default_rng(55).normal(size=9 * (A.shape[1] + 1))
+        row = A[0].nbytes
+        products = []
+        for block_bytes in (1, row, 6 * row, 40 * row, 1 << 30):
+            monkeypatch.setattr(training_mod, "_CG_BLOCK_BYTES", block_bytes)
+            products.append(training_mod._contrast_matvec(A, probs, Q, lam, w_shape)(v))
+        whole = products[-1]
+        for p in products:
+            assert np.linalg.norm(p - whole) <= 1e-12 * np.linalg.norm(whole)
 
 
 def refuse(*args, **kwargs):
@@ -454,7 +511,7 @@ class TestSampleSpaceNewton:
         lam = 0.3
         g = newton_gradient(A, probs, w_shape, lam, seed=48)
         d = routed_direction(monkeypatch, "sample", A, probs, g, lam, w_shape)
-        hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
+        hess_vec = hessian_matvec(A, probs, lam, w_shape)
         assert np.linalg.norm(hess_vec(d) + g) <= 1e-9 * np.linalg.norm(g)
 
     def test_many_features_take_the_sample_path(self, monkeypatch):
@@ -467,7 +524,7 @@ class TestSampleSpaceNewton:
         monkeypatch.setattr(training_mod, "_contrast_hessian", refuse)
         monkeypatch.setattr(training_mod.scipy.sparse.linalg, "cg", refuse)
         d = training_mod._newton_solver(A, lam, w_shape)(probs, g)
-        hess_vec = training_mod._hessian_matvec(A, probs, lam, w_shape)
+        hess_vec = hessian_matvec(A, probs, lam, w_shape)
         assert np.linalg.norm(hess_vec(d) + g) <= 1e-9 * np.linalg.norm(g)
 
     def test_no_penalty_never_takes_the_sample_path(self, monkeypatch):
@@ -1100,6 +1157,59 @@ class TestTrajectoryReuse:
         runs = [bcd_train(ds, params, clf, RegConfig(0.02, 0.05), cfg, workers=w)
                 for w in (1, 2)]
         assert_same_run(*runs)
+
+
+class TestMinibatchFeatures:
+    """Minibatch BCD splices the accepted trial's final states of the batch
+    with a fresh pass over the rest."""
+
+    @staticmethod
+    def run(ds, workers=1):
+        # a batch of 280 spans two chunks of the trial's pass
+        params, clf = TestTrajectoryReuse.start(ds)
+        return bcd_train(ds, params, clf, RegConfig(0.02, 0.05),
+                         BcdConfig(outer_iters=3, newton_steps=2, batch_size=280),
+                         workers=workers)
+
+    def test_newton_gets_the_features_of_a_fresh_pass(self, monkeypatch):
+        ds = blob_set(n=300, seed=24)
+        trial_loss, final = training_mod.loss, training_mod.propagate_final
+        newton = training_mod.newton_classifier_step
+        trials, fresh_sizes, compared = [], [], []
+
+        def spy_loss(images, labels, params, *args, **kwargs):
+            trials.append(params)
+            return trial_loss(images, labels, params, *args, **kwargs)
+
+        def spy_final(images, *args, **kwargs):
+            fresh_sizes.append(len(images))
+            return final(images, *args, **kwargs)
+
+        def spy_newton(features, *args, **kwargs):
+            fresh = final(ds.images, trials[-1])  # the accepted trial is the last one
+            assert features.tobytes() == fresh.tobytes()
+            compared.append(1)
+            return newton(features, *args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "loss", spy_loss)
+        monkeypatch.setattr(training_mod, "propagate_final", spy_final)
+        monkeypatch.setattr(training_mod, "newton_classifier_step", spy_newton)
+        res = self.run(ds)
+        assert len(res.history) == len(compared) == 3
+        assert fresh_sizes == [20, 20, 20]  # every search accepted, so only the rest ran
+
+    def test_cg_route_on_two_workers_matches_one(self, monkeypatch):
+        monkeypatch.setattr(training_mod, "_newton_route", lambda *args: "cg")
+        ds = blob_set(n=300, seed=25)
+        runs = [self.run(ds, workers=w) for w in (1, 2)]
+        assert runs[0].history == runs[1].history
+
+        def arrays(res):
+            p, c = res.params, res.classifier
+            return [a.tobytes() for a in (*(b.weights for b in p.banks), p.biases,
+                                          p.embed.weights, c.weights, c.mu)]
+
+        assert arrays(runs[0]) == arrays(runs[1])
 
 
 class TestReportLifetimes:
