@@ -195,6 +195,10 @@ def multilevel_train(
         )
     if val_pyramid is not None and val_pyramid.levels != pyramid.levels:
         raise ValueError("validation pyramid depth does not match")
+    if init[1].grid != pyramid.datasets[-1].grid:
+        raise ValueError(
+            f"init lives on {init[1].grid}, not on the coarsest grid {pyramid.datasets[-1].grid}"
+        )
     cmap = build_coarsen_map(init[0].kernel_size, pyramid.pair)
     params, clf = init[0].copy(), init[1].copy()
     results: list[LevelResult] = []
@@ -280,7 +284,8 @@ def shallow_to_deep_train(
 ) -> ShallowToDeepResult:
     """Train a chain of networks of increasing depth with warm starts.
 
-    ``depths`` must be increasing with each entry a multiple of the last.
+    ``depths`` must be increasing with each entry a multiple of the last, so
+    every depth that another follows is at least 1.
     ``make_model(depth, seed)`` draws a cold model at a given depth; the
     chain's first depth starts cold, every later depth starts from the
     previous solution prolonged in time.  Later depths also train a cold
@@ -294,7 +299,7 @@ def shallow_to_deep_train(
     if not depths:
         raise ValueError("need at least one depth")
     for a, b in zip(depths, depths[1:]):
-        if b <= a or b % a:
+        if a < 1 or b <= a or b % a:
             raise ValueError(f"depths must increase by integer factors, got {a} -> {b}")
 
     results: list[DepthResult] = []

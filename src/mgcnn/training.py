@@ -35,10 +35,13 @@ system matrix-free, each product one pass over the features in cache-sized
 row blocks, and each solve stopping at the relative residual ``min(0.01,
 ||g||)`` (the forcing term, ``NEWTON_FORCING``), which makes Newton inexact
 far from the optimum and tightens as the gradient shrinks.
-All three are deterministic.  A singular or non-descent system falls back to
-a gradient step with Armijo search and flags the step report.  The contrast
-basis, ``[A | 1]``, the penalty block and the sample kernel are built once
-per Newton call; each inner step builds only what the probabilities move.
+All three are deterministic.  A step that gets no descent direction (a
+singular or non-descent system), or whose direction no halving accepts, ends
+the call where it stands and flags the result.  The subproblem is convex, so
+Newton with step halving needs no second search; on every measured workload
+such a stop came where rounding had ended the decrease.  The contrast basis,
+``[A | 1]``, the penalty block and the sample kernel are built once per
+Newton call; each inner step builds only what the probabilities move.
 
 The smoothness penalties are those of :func:`mgcnn.network.loss`.
 """
@@ -202,6 +205,15 @@ def classifier_objective(
 
 @dataclass
 class NewtonResult:
+    """The classifier after a :func:`newton_classifier_step` call, and the
+    objective after each of its ``steps`` steps.
+
+    ``used_fallback`` is set when a step got no usable direction or no
+    halving of it lowered the objective; that step ended the call, and the
+    objectives after it repeat the last value.  A gradient below ``1e-13``
+    in every entry also ends the call, as converged, without the flag.
+    """
+
     classifier: Classifier
     objectives: list[float]
     used_fallback: bool = False
@@ -214,14 +226,17 @@ def newton_classifier_step(
     reg: RegConfig,
     steps: int = 5,
 ) -> NewtonResult:
-    """``steps`` damped Newton iterations on the classifier subproblem.
+    """At most ``steps`` damped Newton iterations on the classifier subproblem.
 
     ``features`` are the fixed final states, shape ``(m, c, ny, nx)``.  The
     objective is monotonically non-increasing across the inner steps.  Each
     step tries ``t = 1, 1/2, ...`` (``MAX_HALVINGS`` trials) along the Newton
     direction and takes the first that lowers the objective.  A singular or
-    non-descent system, or a direction no trial accepts, triggers an Armijo
-    gradient step over the same trials instead and sets ``used_fallback``.
+    non-descent system, or a direction no trial accepts, ends the call at the
+    current iterate and sets ``used_fallback``.  A gradient below ``1e-13``
+    in every entry counts as converged and ends the call without the flag.
+    ``objectives`` always has ``steps`` entries, the last value repeated
+    after the call ends.
 
     On the CG route each step's solve is inexact: it stops once its relative
     residual is at most the forcing term ``min(NEWTON_FORCING, ||g||)``, with
@@ -239,46 +254,43 @@ def newton_classifier_step(
     A = h2 * features.reshape(m, -1)  # logits = A @ W_flat.T + mu
     F = A.shape[1]
     lam = reg.lambda_w * h2
-    onehot = np.zeros((m, L))
-    onehot[np.arange(m), labels] = 1.0
 
-    def unpack(x: np.ndarray) -> Classifier:
-        return Classifier(clf.grid, x[:, :F].reshape(w_shape), x[:, F].copy())
-
-    def grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        probs = softmax(A @ x[:, :F].T + x[:, F])
-        d = (probs - onehot) / m
-        g_w = d.T @ A + lam * _smooth_grad(x[:, :F].reshape(w_shape)).reshape(L, F)
-        return np.concatenate([g_w, d.sum(axis=0)[:, None]], axis=1), probs
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
+        """:func:`classifier_objective` at rows ``[w_j | mu_j]``, and the logits."""
+        logits = A @ x[:, :F].T + x[:, F]
+        ce = float(_cross_entropy(logits, labels).mean())
+        return ce + lam * _smooth_sq(x[:, :F].reshape(w_shape)), logits
 
     direction = _newton_solver(A, lam, w_shape)
     x = np.concatenate([clf.weights.reshape(L, F), clf.mu[:, None]], axis=1)  # rows [w_j | mu_j]
-    obj = classifier_objective(features, labels, unpack(x), reg)
+    obj, logits = evaluate(x)
     objectives: list[float] = []
     used_fallback = False
     trials = [0.5**i for i in range(MAX_HALVINGS)]
 
     for _ in range(steps):
-        g, probs = grad(x)
-        if float(np.abs(g).max()) >= 1e-13:
-            d = direction(probs, g, min(NEWTON_FORCING, float(np.linalg.norm(g))))
-            descent = d is not None and float((d * g).sum()) < 0.0
-            for t in trials if descent else ():
-                new_obj = classifier_objective(features, labels, unpack(x + t * d), reg)
-                if new_obj < obj:
-                    x, obj = x + t * d, new_obj
-                    break
-            else:  # no Newton trial accepted: Armijo gradient fallback
-                used_fallback = True
-                g_sq = float((g**2).sum())
-                for t in trials:
-                    new_obj = classifier_objective(features, labels, unpack(x - t * g), reg)
-                    if new_obj <= obj - 1e-4 * t * g_sq:
-                        x, obj = x - t * g, new_obj
-                        break
+        probs = softmax(logits)
+        resid = (probs - (labels[:, None] == np.arange(L))) / m
+        g_w = resid.T @ A + lam * _smooth_grad(x[:, :F].reshape(w_shape)).reshape(L, F)
+        g = np.concatenate([g_w, resid.sum(axis=0)[:, None]], axis=1)
+        if float(np.abs(g).max()) < 1e-13:
+            break
+        d = direction(probs, g, min(NEWTON_FORCING, float(np.linalg.norm(g))))
+        descent = d is not None and float((d * g).sum()) < 0.0
+        for t in trials if descent else ():
+            trial = x + t * d
+            new_obj, new_logits = evaluate(trial)
+            if new_obj < obj:
+                x, obj, logits = trial, new_obj, new_logits
+                break
+        else:
+            used_fallback = True
+            break
         objectives.append(obj)
 
-    return NewtonResult(classifier=unpack(x), objectives=objectives, used_fallback=used_fallback)
+    objectives += [obj] * (steps - len(objectives))
+    weights = x[:, :F].reshape(w_shape)
+    return NewtonResult(Classifier(clf.grid, weights, x[:, F].copy()), objectives, used_fallback)
 
 
 def _contrast_basis(L: int) -> np.ndarray:
@@ -290,33 +302,30 @@ def _contrast_basis(L: int) -> np.ndarray:
     return np.ascontiguousarray(scipy.linalg.helmert(L).T)
 
 
-def _contrast_hessian(
-    A1: np.ndarray, probs: np.ndarray, Q: np.ndarray, penalty: np.ndarray | None
-) -> np.ndarray:
+def _contrast_hessian(A1: np.ndarray, cov: np.ndarray, penalty: np.ndarray | None) -> np.ndarray:
     """The Hessian restricted to class contrasts, as a dense matrix.
 
     Unknown layout: for each column ``q_a`` of :func:`_contrast_basis`, the
     contrast of the weights, then of the offsets (``F + 1`` entries).  Block
     ``(a, b)`` is ``A1^T diag(s_ab) A1`` with ``A1 = [A, 1]`` and per-sample
-    weights ``s_ab = q_a^T (diag p - p p^T) q_b / m``, the covariance of the
-    contrasts ``q_a`` and ``q_b`` under the class distribution ``p``.  Taken
-    in that form, the diagonal weights are nonnegative sums of squares, so
-    a diagonal block is one symmetric rank-``m`` product; only the blocks
-    ``a <= b`` are computed, the others are their mirror.  The penalty and
-    the jitter act on each class alike, so they enter every diagonal block
-    unchanged.  ``A1``, ``Q`` and the ``F x F`` penalty block (``None``
-    without a penalty) are built once per Newton call; each step only
-    weights, mirrors and adds.
+    weights ``s_ab = cov[:, a, b]``, the covariance of the contrasts ``q_a``
+    and ``q_b`` under each sample's class distribution
+    (:func:`_contrast_covariance`).  The diagonal weights are nonnegative
+    sums of squares, so a diagonal block is one symmetric rank-``m``
+    product; only the blocks ``a <= b`` are computed, the others are their
+    mirror.  The penalty and the jitter act on each class alike, so they
+    enter every diagonal block unchanged.  ``A1`` and the ``F x F`` penalty
+    block (``None`` without a penalty) are built once per Newton call; each
+    step only weights, mirrors and adds.
     """
-    m, L = probs.shape
+    contrasts = cov.shape[1]
     n = A1.shape[1]
-    dev = Q - (probs @ Q)[:, None, :]  # (m, L, L-1): contrasts minus their means
-    H = np.empty(((L - 1) * n, (L - 1) * n))
-    for a in range(L - 1):
+    H = np.empty((contrasts * n, contrasts * n))
+    for a in range(contrasts):
         ra = slice(a * n, (a + 1) * n)
-        for b in range(a, L - 1):
+        for b in range(a, contrasts):
             rb = slice(b * n, (b + 1) * n)
-            s = (probs * dev[:, :, a] * dev[:, :, b]).sum(axis=1) / m
+            s = cov[:, a, b]
             if b == a:
                 root = A1 * np.sqrt(s)[:, None]
                 np.matmul(root.T, root, out=H[ra, ra])
@@ -374,8 +383,7 @@ def _sample_kernel(A: np.ndarray, lam: float, field_shape: tuple[int, ...]):
 def _sample_solve(
     A: np.ndarray,
     kernel: tuple[np.ndarray, np.ndarray, np.ndarray],
-    probs: np.ndarray,
-    Q: np.ndarray,
+    cov: np.ndarray,
     b: np.ndarray,
     lam: float,
     field_shape: tuple[int, ...],
@@ -385,9 +393,10 @@ def _sample_solve(
 
     Per contrast, ``x = x_p + U z``: ``x_p`` is the part the penalty ``D``
     acts on and ``z`` the ``k = c + 1`` null coordinates, where only the
-    jitter acts.  With ``S_i`` the ``(L-1) x (L-1)`` contrast covariance of
-    sample ``i`` and ``t = S^½ [A, 1] x``, eliminating ``x_p`` leaves the
-    symmetric bordered system of ``(L-1)(m + k)`` unknowns
+    jitter acts.  With ``S_i = cov[i]`` the ``(L-1) x (L-1)`` contrast
+    covariance of sample ``i`` (:func:`_contrast_covariance`) and ``t = S^½
+    [A, 1] x``, eliminating ``x_p`` leaves the symmetric bordered system of
+    ``(L-1)(m + k)`` unknowns
 
         [[I + S^½ (I ⊗ K) S^½, -S^½ C], [-C^T S^½, -jitter I]] [t; z]
             = [S^½ (I ⊗ A D^-1) b_w; -U^T b],
@@ -397,12 +406,12 @@ def _sample_solve(
     inside an inverse.
     """
     X, K, C = kernel
-    m, L = probs.shape
+    m, L = cov.shape[0], cov.shape[1] + 1
     F = A.shape[1]
     c = field_shape[0]
     pixels = F // c
     n = (L - 1) * m
-    evals, vecs = np.linalg.eigh(_contrast_covariance(probs, Q))
+    evals, vecs = np.linalg.eigh(cov)
     root = (vecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :]) @ vecs.transpose(0, 2, 1)
     rows = root.transpose(1, 0, 2).reshape(n, L - 1)  # row (a, i): S_i^½[a, :]
 
@@ -437,26 +446,24 @@ def _contrast_covariance(probs: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.einsum("il,ila,ilb->iab", probs, dev, dev) / probs.shape[0]
 
 
-def _contrast_matvec(A: np.ndarray, probs: np.ndarray, Q: np.ndarray, lam: float,
-                     w_shape: tuple[int, ...]):
+def _contrast_matvec(A: np.ndarray, cov: np.ndarray, lam: float, w_shape: tuple[int, ...]):
     """The product with the contrast system of :func:`_contrast_hessian`,
     without forming it: ``v -> A1^T S A1 v + lam * 2 D^T D v_w + jitter v``
     on ``(L-1, F+1)`` rows ``[w_a | mu_a]``, one per contrast.
 
     It sweeps ``A`` once per product, in blocks of ``_CG_BLOCK_BYTES``
     rows: each block's scores ``A_blk v_w^T + v_mu``, weighted by each
-    sample's covariance ``S_i`` (:func:`_contrast_covariance`), go straight
-    back through ``A_blk^T``, so the block is read from cache the second
-    time.  The blocks, and so the summation order, depend on ``F`` alone.
+    sample's covariance ``S_i = cov[i]`` (:func:`_contrast_covariance`), go
+    straight back through ``A_blk^T``, so the block is read from cache the
+    second time.  The blocks, and so the summation order, depend on ``F`` alone.
     """
     m, F = A.shape
-    cov = _contrast_covariance(probs, Q)
     rows = max(1, _CG_BLOCK_BYTES // A[0].nbytes)
     blocks = [slice(r, min(r + rows, m)) for r in range(0, m, rows)]
-    field = (Q.shape[1],) + w_shape[1:]
+    field = (cov.shape[1],) + w_shape[1:]
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        v = v.reshape(Q.shape[1], F + 1)
+        v = v.reshape(cov.shape[1], F + 1)
         out = NEWTON_JITTER * v
         out[:, :F] += lam * _smooth_grad(v[:, :F].reshape(field)).reshape(-1, F)
         w_t, part = np.ascontiguousarray(v[:, :F].T), np.empty_like(out[:, :F])
@@ -517,8 +524,10 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
       :func:`newton_classifier_step` passes its forcing term as ``rtol``;
       the direct routes ignore it.
 
-    The map returns ``None`` when the solve fails so the caller can fall
-    back.
+    Each call computes the per-sample contrast covariances
+    (:func:`_contrast_covariance`) once and hands them to the route.  The
+    map returns ``None`` when the solve fails, and
+    :func:`newton_classifier_step` then ends its call.
     """
     m, F = A.shape
     L = w_shape[0]
@@ -529,8 +538,8 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
     if route == "sample":
         kernel = _sample_kernel(A, lam, field_shape)
 
-        def contrast_solve(probs: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
-            return _sample_solve(A, kernel, probs, Q, b, lam, field_shape)
+        def contrast_solve(cov: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
+            return _sample_solve(A, kernel, cov, b, lam, field_shape)
 
     elif route == "contrast":
         A1 = np.concatenate([A, np.ones((m, 1))], axis=1)
@@ -538,14 +547,14 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
         if lam > 0.0:  # the penalty's matrix, column by column
             penalty = lam * _smooth_grad(np.eye(F).reshape((F,) + field_shape)).reshape(F, F)
 
-        def contrast_solve(probs: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
-            H = _contrast_hessian(A1, probs, Q, penalty)
+        def contrast_solve(cov: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
+            H = _contrast_hessian(A1, cov, penalty)
             return scipy.linalg.solve(H, b.reshape(-1), assume_a="sym").reshape(b.shape)
 
     else:
 
-        def contrast_solve(probs: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
-            matvec = _contrast_matvec(A, probs, Q, lam, w_shape)
+        def contrast_solve(cov: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
+            matvec = _contrast_matvec(A, cov, lam, w_shape)
             op = scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=matvec)
             d, info = scipy.sparse.linalg.cg(op, b.reshape(-1), maxiter=200, atol=0.0, rtol=rtol)
             if info < 0 or not np.all(np.isfinite(d)):
@@ -554,7 +563,7 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
 
     def direction(probs: np.ndarray, g: np.ndarray, rtol: float = 1e-8) -> np.ndarray | None:
         try:
-            d_c = contrast_solve(probs, Q.T @ -g, rtol)
+            d_c = contrast_solve(_contrast_covariance(probs, Q), Q.T @ -g, rtol)
         except (np.linalg.LinAlgError, ValueError):
             return None
         d = Q @ d_c

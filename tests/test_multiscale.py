@@ -312,6 +312,14 @@ class TestMultilevelTrain:
                 (varied_params(12), zero_classifier(pyr.datasets[1].grid, 2, 2)),
                 RegConfig(), val_pyramid=vpyr)
 
+    def test_init_on_a_finer_grid_rejected(self):
+        ds = make_synthetic(SyntheticKind.BARS, 10, Grid2D(8, 8, 1.0), seed=10)
+        pyr = ResolutionPyramid.build(ds, 1, CA)
+        with pytest.raises(ValueError, match=r"nx=8.*nx=4"):
+            multilevel_train(
+                pyr, LevelSchedule.uniform(BcdConfig(outer_iters=1), 2),
+                (varied_params(12), zero_classifier(ds.grid, 2, 2)), RegConfig())
+
 
 class TestProlongDepth:
     def test_constant_parameters_stay_constant(self):
@@ -407,6 +415,10 @@ class TestShallowToDeep:
             shallow_to_deep_train(ds, [4, 2], cfg, RegConfig(), mk)
         with pytest.raises(ValueError):
             shallow_to_deep_train(ds, [2, 3], cfg, RegConfig(), mk)
+        for depths in ([0, 2], [-1, 2]):
+            with pytest.raises(ValueError, match="integer factors"):
+                shallow_to_deep_train(ds, depths, cfg, RegConfig(), mk)
+        assert [d.depth for d in shallow_to_deep_train(ds, [0], cfg, RegConfig(), mk).depths] == [0]
 
     def test_warm_start_beats_cold_at_next_depth(self):
         # One-seed version of the depth-continuation experiment; the 5-seed
