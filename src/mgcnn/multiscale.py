@@ -179,10 +179,11 @@ def multilevel_train(
 ) -> MultilevelResult:
     """Train coarsest to finest, refining the model between levels.
 
-    ``init`` must live on the coarsest grid.  ``cold_init(level)`` supplies a
-    fresh model for the reference initial loss recorded per level; without
-    it that column is NaN.  With zero coarse levels this reduces exactly to
-    one :func:`bcd_train` call.
+    ``init`` must live on the coarsest grid, and each level of
+    ``val_pyramid`` on the grid of the same training level.
+    ``cold_init(level)`` supplies a fresh model for the reference initial
+    loss recorded per level; without it that column is NaN.  With zero
+    coarse levels this reduces exactly to one :func:`bcd_train` call.
 
     The refined classifier sets each finer level's recorded warm initial
     loss and the first propagation step of its :func:`bcd_train` call.  That
@@ -193,8 +194,12 @@ def multilevel_train(
         raise ValueError(
             f"schedule covers {len(schedule.configs)} levels, pyramid has {pyramid.levels}"
         )
-    if val_pyramid is not None and val_pyramid.levels != pyramid.levels:
-        raise ValueError("validation pyramid depth does not match")
+    if val_pyramid is not None:
+        if val_pyramid.levels != pyramid.levels:
+            raise ValueError("validation pyramid depth does not match")
+        for level, (ds, val) in enumerate(zip(pyramid.datasets, val_pyramid.datasets)):
+            if val.grid != ds.grid:
+                raise ValueError(f"validation level {level} lives on {val.grid}, not on {ds.grid}")
     if init[1].grid != pyramid.datasets[-1].grid:
         raise ValueError(
             f"init lives on {init[1].grid}, not on the coarsest grid {pyramid.datasets[-1].grid}"

@@ -27,7 +27,10 @@ form one system of ``(L-1)(F+1)`` unknowns, solved directly (the contrast
 path).  With ``m`` examples and ``c`` channels that system also has an exact
 sample-space form of ``(L-1)(m+c+1)`` unknowns, because the data term has
 rank at most ``m(L-1)`` and the penalty is diagonal under the FFT (the
-sample path).  The smaller of the two is solved directly if it has at most
+sample path).  Its ``(L-1)m`` sample block is the identity plus a positive
+semidefinite kernel, so Cholesky factors it, and the ``(L-1)(c+1)``
+coordinates the penalty leaves free follow from a small Schur complement
+system.  The smaller of the two is solved directly if it has at most
 ``DENSE_NEWTON_LIMIT`` unknowns, the sample form only when ``lambda > 0``,
 and the contrast form only while its dense assembly is cheap next to CG
 (``CONTRAST_WORK_LIMIT``); otherwise conjugate gradients solve the contrast
@@ -401,9 +404,15 @@ def _sample_solve(
         [[I + S^½ (I ⊗ K) S^½, -S^½ C], [-C^T S^½, -jitter I]] [t; z]
             = [S^½ (I ⊗ A D^-1) b_w; -U^T b],
 
-    after which ``x_p = D^-1 (b_w - A^T S^½ t)``.  The top-left block has
-    every eigenvalue at least 1, and ``z`` is never divided by the jitter
-    inside an inverse.
+    after which ``x_p = D^-1 (b_w - A^T S^½ t)``.  The top-left block ``T``
+    has every eigenvalue at least 1, so it is factored by Cholesky, which
+    meets no indefinite pivot.  The border ``B = -S^½ C`` leaves through its
+    Schur complement: with ``[Y_B, y_t] = T^-1 [B, b_t]`` for the top
+    right-hand side ``b_t``, ``z`` solves the ``(L-1)k`` unknowns of
+
+        (B^T Y_B + jitter I) z = B^T y_t + U^T b,
+
+    whose conditioning is that of the bordered system, and ``t = y_t - Y_B z``.
     """
     X, K, C = kernel
     m, L = cov.shape[0], cov.shape[1] + 1
@@ -415,22 +424,29 @@ def _sample_solve(
     root = (vecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :]) @ vecs.transpose(0, 2, 1)
     rows = root.transpose(1, 0, 2).reshape(n, L - 1)  # row (a, i): S_i^½[a, :]
 
-    # entry ((a, i), (b, j)) of S^½ (I ⊗ K) S^½ is (S_i^½ S_j^½)[a, b] K[i, j]
-    top = rows @ rows.T
-    top.reshape(L - 1, m, L - 1, m)[...] *= K[:, None, :]
+    # Entry ((a, i), (b, j)) of S^½ (I ⊗ K) S^½ is (S_i^½ S_j^½)[a, b] K[i, j].
+    # syrk fills only the upper triangle, in Fortran order, which is all that
+    # Cholesky reads, so the factorisation runs in place; K enters through the
+    # transposed, C-ordered view.
+    top = scipy.linalg.blas.dsyrk(1.0, rows)
+    top.T.reshape(L - 1, m, L - 1, m)[...] *= K.T[:, None, :]
     top[np.diag_indices(n)] += 1.0
     border = -(rows[:, :, None] * np.tile(C, (L - 1, 1))[:, None, :]).reshape(n, -1)
-    system = np.block([[top, border], [border.T, -NEWTON_JITTER * np.eye(border.shape[1])]])
 
     b_w = b[:, :F]
     b_null = np.empty((L - 1, c + 1))  # U^T b
     b_null[:, :c] = b_w.reshape(L - 1, c, pixels).sum(axis=2) / math.sqrt(pixels)
     b_null[:, c] = b[:, F]
     b_t = np.einsum("iab,bi->ai", root, b_w @ X.T)  # S^½ (I ⊗ A D^-1) b_w
-    sol = scipy.linalg.solve(
-        system, np.concatenate([b_t.reshape(-1), -b_null.reshape(-1)]), assume_a="sym"
-    )
-    t, z = sol[:n].reshape(L - 1, m), sol[n:].reshape(L - 1, c + 1)
+
+    factor = scipy.linalg.cho_factor(top, overwrite_a=True)
+    y = scipy.linalg.cho_solve(factor, np.column_stack([border, b_t.reshape(-1)]))
+    y_border, y_t = y[:, :-1], y[:, -1]
+    schur = border.T @ y_border
+    schur[np.diag_indices_from(schur)] += NEWTON_JITTER
+    z = scipy.linalg.solve(schur, border.T @ y_t + b_null.reshape(-1), assume_a="sym")
+    t = (y_t - y_border @ z).reshape(L - 1, m)
+    z = z.reshape(L - 1, c + 1)
 
     x = np.empty_like(b)
     x[:, :F] = _penalty_solve(b_w - np.einsum("iab,bi->ai", root, t) @ A, lam, field_shape)
@@ -515,8 +531,8 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
 
     - **Contrast** (direct): the dense matrix of :func:`_contrast_hessian`.
     - **Sample** (direct): the same system in ``(L-1)(m+c+1)`` sample-space
-      unknowns (:func:`_sample_solve`); its kernel depends on ``A`` alone
-      and is built here, once.
+      unknowns (:func:`_sample_solve`, Cholesky and a Schur complement); its
+      kernel depends on ``A`` alone and is built here, once.
     - **CG**: conjugate gradients on the matrix-free contrast system
       (:func:`_contrast_matvec`, one blocked pass over ``A`` per product),
       from zero, stopping at ``||r|| <= rtol ||b||`` for the contrast

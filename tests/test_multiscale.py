@@ -312,6 +312,17 @@ class TestMultilevelTrain:
                 (varied_params(12), zero_classifier(pyr.datasets[1].grid, 2, 2)),
                 RegConfig(), val_pyramid=vpyr)
 
+    def test_val_pyramid_on_other_grids_rejected(self):
+        ds = make_synthetic(SyntheticKind.BARS, 10, Grid2D(8, 8, 1.0), seed=10)
+        val = make_synthetic(SyntheticKind.BARS, 10, Grid2D(16, 16, 0.5), seed=11)
+        pyr = ResolutionPyramid.build(ds, 1, CA)
+        vpyr = ResolutionPyramid.build(val, 1, CA)
+        with pytest.raises(ValueError, match=r"level 0 .*nx=16.*nx=8"):
+            multilevel_train(
+                pyr, LevelSchedule.uniform(BcdConfig(outer_iters=1), 2),
+                (varied_params(12), zero_classifier(pyr.datasets[1].grid, 2, 2)),
+                RegConfig(), val_pyramid=vpyr)
+
     def test_init_on_a_finer_grid_rejected(self):
         ds = make_synthetic(SyntheticKind.BARS, 10, Grid2D(8, 8, 1.0), seed=10)
         pyr = ResolutionPyramid.build(ds, 1, CA)

@@ -288,10 +288,10 @@ class TestNewtonClassifierStep:
         assert abs(res.objectives[-1] - ref) <= rtol * ref
 
 
-def newton_problem(seed, field_shape, m=7, L=3):
+def newton_problem(seed, field_shape, m=7, L=3, scale=1.0):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(m, int(np.prod(field_shape))))
-    logits = rng.normal(size=(m, L))
+    logits = scale * rng.normal(size=(m, L))
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     return A, probs, (L,) + field_shape
 
@@ -524,6 +524,21 @@ class TestSampleSpaceNewton:
         d = routed_direction(monkeypatch, "sample", A, probs, g, lam, w_shape)
         hess_vec = hessian_matvec(A, probs, lam, w_shape)
         assert np.linalg.norm(hess_vec(d) + g) <= 1e-9 * np.linalg.norm(g)
+
+    # Logits scaled by 30 or 100 saturate the probabilities, so the border of
+    # the sample system carries almost no curvature and the jitter holds the
+    # null coordinates nearly alone.
+    @pytest.mark.parametrize("scale", [30.0, 100.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_saturated_probabilities_solve_like_the_contrast_route(self, monkeypatch, seed, scale):
+        A, probs, w_shape = newton_problem(seed, (2, 4, 5), scale=scale)
+        lam = 0.3
+        g = newton_gradient(A, probs, w_shape, lam, seed=seed + 100)
+        hess_vec = hessian_matvec(A, probs, lam, w_shape)
+        residual = {route: np.linalg.norm(
+            hess_vec(routed_direction(monkeypatch, route, A, probs, g, lam, w_shape)) + g)
+            for route in ("sample", "contrast")}
+        assert residual["sample"] <= 10.0 * residual["contrast"]
 
     def test_many_features_take_the_sample_path(self, monkeypatch):
         # 6 examples against 288 unknowns per class: the sample system has
