@@ -48,6 +48,10 @@ that gradient needs.  ``embedded=`` on :func:`loss`,
 :func:`loss_and_gradient` and :func:`propagate_final` takes ``y_0 = L x``
 of the batch, formed once by the caller, in place of embedding again.
 Either way the result is the same to the bit.
+
+A classifier whose weights are all zero reads no features: its logits are
+its offsets ``mu``.  :func:`offset_loss` gives its loss without a forward
+pass, and :func:`loss_and_gradient` skips the reverse sweep for it.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ __all__ = [
     "forward_step",
     "loss",
     "loss_and_gradient",
+    "offset_loss",
     "propagate_final",
     "random_network_params",
     "reg_value_and_grad",
@@ -391,6 +396,16 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return lse - shifted[np.arange(labels.size), labels]
 
 
+def _mean_cross_entropy(labels: np.ndarray, chunk_logits) -> float:
+    """Mean cross-entropy of ``chunk_logits(s)`` against ``labels[s]``: summed
+    per ``CHUNK``, the chunk sums added in chunk order, divided by the count."""
+    m = labels.size
+    data = 0.0
+    for s in _chunks(m):
+        data += float(_cross_entropy(chunk_logits(s), labels[s]).sum())
+    return data / m if m else 0.0
+
+
 @dataclass(frozen=True)
 class LossReport:
     """Loss value and its two parts.
@@ -511,14 +526,31 @@ def loss(
     """
     labels = _check_labels(labels, clf.num_classes)
     y_out, states = _propagate_batch(images, params, workers, keep, embedded)
-    m = labels.size
-    data = 0.0
-    for s in _chunks(m):
-        data += float(_cross_entropy(_logits(y_out[s], clf), labels[s]).sum())
-    data = data / m if m else 0.0
+    data = _mean_cross_entropy(labels, lambda s: _logits(y_out[s], clf))
     reg_value, _ = reg_value_and_grad(params, clf, reg)
     return LossReport(total=data + reg_value, data_term=data, reg_term=reg_value,
                       features=y_out, states=states)
+
+
+def offset_loss(
+    labels: np.ndarray, params: NetworkParams, clf: Classifier, reg: RegConfig = RegConfig()
+) -> LossReport:
+    """:func:`loss` of a classifier whose weights are all zero, without a
+    forward pass.
+
+    Such a classifier's logits are its offsets ``mu`` whatever the
+    features, so every example's logit row is ``mu`` and the report is
+    that of :func:`loss` on any images to the bit, without features.  No
+    image is read, so no :class:`~mgcnn.errors.DivergenceError` can arise.
+    """
+    if clf.weights.any():
+        raise ValueError("offset_loss needs a classifier whose weights are all zero")
+    labels = _check_labels(labels, clf.num_classes)
+    data = _mean_cross_entropy(
+        labels, lambda s: np.broadcast_to(clf.mu, (s.stop - s.start, clf.num_classes))
+    )
+    reg_value, _ = reg_value_and_grad(params, clf, reg)
+    return LossReport(total=data + reg_value, data_term=data, reg_term=reg_value)
 
 
 def _adjoint_weights(weights: np.ndarray) -> np.ndarray:
@@ -552,6 +584,14 @@ def loss_and_gradient(
     With ``embed_grad=False`` the sweep stops at layer 0's stencil gradient,
     without layer 0's adjoint application and the embedding's tap gradient,
     and ``grads.embed`` is ``None``.
+
+    A classifier whose weights are all zero passes an adjoint of exactly
+    +-0 into the sweep, so every tap gradient, bias sum and adjoint
+    application would add only signed zeros.  The sweep is then skipped,
+    and the forward pass keeps only the final states, which the classifier
+    gradient reads: the bank, bias and embedding gradients are the
+    penalty's (:func:`reg_value_and_grad`; zero for the embedding) to the
+    bit.
     """
     images = np.asarray(images, dtype=np.float64)
     _check_embedded(embedded, images, params)
@@ -566,13 +606,14 @@ def loss_and_gradient(
         raise ValueError(f"states must hold {n} states for each of {len(slices)} chunks")
     else:
         chunks = list(zip(slices, states))
+    sweep = bool(clf.weights.any())
 
     def run(chunk: tuple[slice, list[np.ndarray] | None]):
         s, kept = chunk
         x = images[s]
         y0 = None if embedded is None else embedded[s]
         if kept is None:
-            trajectory = _propagate(x, params, keep=True, y0=y0)
+            trajectory = _propagate(x, params, keep=sweep, y0=y0)
         else:
             trajectory = [embed_input(x, params) if y0 is None else y0] + kept
         logits = _logits(trajectory[-1], clf)
@@ -584,10 +625,12 @@ def loss_and_gradient(
 
         g_mu = d_logit.sum(axis=0)
         g_w = h2 * np.einsum("ml,mcyx->lcyx", d_logit, trajectory[-1], optimize=True)
-        dy = h2 * np.einsum("ml,lcyx->mcyx", d_logit, clf.weights, optimize=True)
-
         g_banks = np.zeros((n, c, c, k, k))
         g_biases = np.zeros((n, c))
+        if not sweep:  # dy is exactly +-0: the sweep would add only signed zeros
+            return ce_sum, g_banks, g_biases, g_w, g_mu, None
+
+        dy = h2 * np.einsum("ml,lcyx->mcyx", d_logit, clf.weights, optimize=True)
         for i in range(n - 1, -1, -1):
             y_next = trajectory.pop()
             u = params.dt * dy * _act_deriv(trajectory[i], y_next, params)
@@ -612,7 +655,7 @@ def loss_and_gradient(
         grads.biases += g_biases
         grads.weights += g_w
         grads.mu += g_mu
-        if embed_grad:
+        if g_embed is not None:
             grads.embed += g_embed
     data = data / m if m else 0.0
 

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mgcnn import multiscale as multiscale_mod
+from mgcnn import network as network_mod
 from mgcnn.data import LabeledDataset, SyntheticKind, make_synthetic, split
 from mgcnn.errors import DimensionError
 from mgcnn.grid import (
@@ -28,6 +30,7 @@ from mgcnn.network import (
     Activation,
     Classifier,
     NetworkInit,
+    loss,
     propagate_final,
     random_network_params,
     zero_classifier,
@@ -37,6 +40,7 @@ from mgcnn.training import (
     ArmijoBacktracking,
     BcdConfig,
     RegConfig,
+    TrainResult,
     bcd_train,
     evaluate,
 )
@@ -446,3 +450,89 @@ class TestShallowToDeep:
         assert len(d4.cold_history) == 10
         assert d4.init_loss_warm < d4.init_loss_cold
         assert res.params.num_layers == 4
+
+
+class TestZeroClassifierInitialLoss:
+    """A classifier whose weights are all zero sees only its offsets: its
+    initial loss takes no forward pass and keeps the bits of ``loss``."""
+
+    @staticmethod
+    def model(seed, grid, L, num_layers=2):
+        # per-layer banks, so the path penalty is not zero; offsets not zero
+        mu = np.random.default_rng(seed).normal(0.0, 2.0, L)
+        return varied_params(seed, num_layers), Classifier(grid, np.zeros((L, 2) + grid.shape), mu)
+
+    @staticmethod
+    def untrained(monkeypatch):
+        """Count forward steps, and train nothing: every stage returns its
+        model as given, so only the initial losses could propagate."""
+        steps = []
+        step = network_mod.forward_step
+
+        def counted(*args, **kwargs):
+            steps.append(args[0].shape[0])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(network_mod, "forward_step", counted)
+        monkeypatch.setattr(multiscale_mod, "_train_stage", lambda ds, p, c, *rest:
+                            (TrainResult(p, c, []), math.nan, 0.0))
+        monkeypatch.setattr(multiscale_mod, "bcd_train", lambda ds, p, c, *rest, **kw:
+                            TrainResult(p, c, []))
+        return steps
+
+    @pytest.mark.parametrize("m", [7, 90, 300, 540])  # below, between, above CHUNK multiples
+    @pytest.mark.parametrize("L", [2, 10])
+    def test_multilevel_cold_and_coarsest_warm(self, monkeypatch, m, L):
+        rng = np.random.default_rng(m + L)
+        ds = LabeledDataset(Grid2D(8, 8, 1.0), rng.random((m, 8, 8)), np.arange(m) % L, L)
+        pyr = ResolutionPyramid.build(ds, 1, FW)
+        reg = RegConfig(lambda_w=0.1, lambda_theta=0.05)
+
+        def cold(level):
+            return self.model(20 + level, pyr.datasets[level].grid, L)
+
+        steps = self.untrained(monkeypatch)
+        res = multilevel_train(pyr, LevelSchedule.uniform(BcdConfig(outer_iters=1), 2), cold(1),
+                               reg, cold_init=cold)
+        assert steps == []
+        assert [lv.level for lv in res.levels] == [1, 0]
+        for lv in res.levels:
+            level = pyr.datasets[lv.level]
+            assert lv.init_loss_cold == loss(level.images, level.labels, *cold(lv.level), reg).total
+        assert res.levels[0].init_loss_warm == res.levels[0].init_loss_cold
+
+    @pytest.mark.parametrize("m, L", [(7, 10), (300, 2)])
+    def test_shallow_to_deep_cold(self, monkeypatch, m, L):
+        rng = np.random.default_rng(m)
+        ds = LabeledDataset(Grid2D(6, 6, 1.0), rng.random((m, 6, 6)), np.arange(m) % L, L)
+        reg = RegConfig(lambda_w=0.1, lambda_theta=0.05)
+
+        def make(depth, seed):
+            return self.model(seed, ds.grid, L, num_layers=depth)
+
+        steps = self.untrained(monkeypatch)
+        cfg = BcdConfig(outer_iters=1, seed=5)
+        res = shallow_to_deep_train(ds, [2, 4], cfg, reg, make)
+        assert steps == []
+        for pos, dep in enumerate(res.depths):
+            want = loss(ds.images, ds.labels, *make(dep.depth, cfg.seed + pos), reg).total
+            assert dep.init_loss_cold == want
+
+    def test_a_trained_classifier_still_goes_through_loss(self, monkeypatch):
+        seen = []
+        real = multiscale_mod.loss
+
+        def counted(images, labels, params, clf, *args, **kwargs):
+            seen.append(bool(clf.weights.any()))
+            return real(images, labels, params, clf, *args, **kwargs)
+
+        monkeypatch.setattr(multiscale_mod, "loss", counted)
+        ds = make_synthetic(SyntheticKind.BARS, 20, Grid2D(8, 8, 1.0), seed=8)
+        pyr = ResolutionPyramid.build(ds, 1, CA, blur_sigma=0.0)
+
+        def cold(level):
+            return varied_params(30 + level), zero_classifier(pyr.datasets[level].grid, 2, 2)
+
+        multilevel_train(pyr, LevelSchedule.uniform(BcdConfig(outer_iters=1, newton_steps=1), 2),
+                         cold(1), RegConfig(0.01, 0.01), cold_init=cold)
+        assert seen == [True]  # only the fine level's warm loss, from the refined fit

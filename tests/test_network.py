@@ -23,8 +23,10 @@ from mgcnn.network import (
     forward_step,
     loss,
     loss_and_gradient,
+    offset_loss,
     propagate_final,
     random_network_params,
+    reg_value_and_grad,
     softmax,
     zero_classifier,
     _logits,
@@ -672,3 +674,90 @@ class TestEmbeddingReuse:
                 loss(imgs, labels, p, clf, reg, embedded=bad)
             with pytest.raises(ValueError, match="embedded"):
                 loss_and_gradient(imgs, labels, p, clf, reg, embedded=bad)
+
+
+class TestZeroWeightClassifier:
+    """Zero classifier weights: every logit row is the offsets, and the
+    adjoint entering the reverse sweep is exactly +-0."""
+
+    @staticmethod
+    def problem(m=300, L=3, seed=50):
+        rng = np.random.default_rng(seed)
+        p = scramble_in_time(small_params(num_layers=3), seed=seed + 1)
+        p.embed_learnable = True
+        clf = Classifier(Grid2D(6, 6, 0.8), np.zeros((L, 2, 6, 6)), rng.normal(0.0, 2.0, L))
+        imgs = rng.random((m, 6, 6))  # two chunks at m = 300
+        return imgs, np.arange(m) % L, p, clf, RegConfig(lambda_w=0.05, lambda_theta=0.02)
+
+    @staticmethod
+    def count_taps(monkeypatch):
+        calls = []
+        tap = network_mod.tap_gradient
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return tap(*args, **kwargs)
+
+        monkeypatch.setattr(network_mod, "tap_gradient", counted)
+        return calls
+
+    @pytest.mark.parametrize("m, L", [(7, 10), (540, 2)])  # one and three chunks
+    def test_offset_loss_is_the_loss_to_the_bit(self, m, L):
+        imgs, labels, p, clf, reg = self.problem(m, L, seed=m + L)
+        got, want = offset_loss(labels, p, clf, reg), loss(imgs, labels, p, clf, reg)
+        assert (got.total, got.data_term, got.reg_term) == (want.total, want.data_term,
+                                                            want.reg_term)
+        assert got.reg_term > 0.0
+        assert got.features is None and got.states is None
+
+    def test_offset_loss_refuses_non_zero_weights(self):
+        _, labels, p, clf, reg = self.problem(m=7)
+        clf.weights[1, 0, 2, 3] = 1e-300
+        with pytest.raises(ValueError, match="zero"):
+            offset_loss(labels, p, clf, reg)
+
+    def test_gradient_skips_the_sweep(self, monkeypatch):
+        imgs, labels, p, clf, reg = self.problem()
+        # references: scalar-loop propagation, softmax and cross-entropy
+        m, L, h = labels.size, clf.num_classes, clf.grid.h
+        d = np.zeros((m, L))
+        want_w = np.zeros_like(clf.weights)
+        ce = []
+        for i in range(m):
+            y = naive_forward(imgs[i], p.embed.weights, [b.weights for b in p.banks],
+                              p.biases, p.dt, "tanh", p.act_gain)[-1]
+            z = naive_logits(y, clf.weights, clf.mu, h)
+            ce.append(naive_cross_entropy(z, int(labels[i])))
+            d[i] = naive_softmax(z)
+            d[i, labels[i]] -= 1.0
+            want_w += h * h * d[i][:, None, None, None] * y / m
+        banks = np.stack([b.weights for b in p.banks])
+        path = sum(float(((th[1:] - th[:-1]) ** 2).sum()) for th in (banks, p.biases))
+        want_total = np.mean(ce) + reg.lambda_theta * path / p.dt
+        _, want = reg_value_and_grad(p, clf, reg)
+        kept = loss(imgs, labels, p, clf, reg, keep=True).states
+
+        taps = self.count_taps(monkeypatch)
+        for states in (None, kept):
+            for embed_grad in (True, False):
+                for workers in (1, 2):
+                    report, grads = loss_and_gradient(imgs, labels, p, clf, reg, workers=workers,
+                                                      states=states, embed_grad=embed_grad)
+                    assert grads.banks.tobytes() == want.banks.tobytes()
+                    assert grads.biases.tobytes() == want.biases.tobytes()
+                    if embed_grad:
+                        assert grads.embed.tobytes() == np.zeros((2, 1, 3, 3)).tobytes()
+                    else:
+                        assert grads.embed is None
+                    assert abs(report.total - want_total) <= 1e-12
+                    assert rel_err(grads.weights, want_w) <= 1e-12
+                    assert rel_err(grads.mu, d.mean(axis=0)) <= 1e-12
+        assert taps == []
+
+    def test_one_tiny_weight_runs_the_full_sweep(self, monkeypatch):
+        imgs, labels, p, clf, reg = self.problem()
+        clf.weights[1, 0, 2, 3] = 1e-300
+        taps = self.count_taps(monkeypatch)
+        loss_and_gradient(imgs, labels, p, clf, reg)
+        # per chunk: one tap gradient per layer and one for the embedding
+        assert taps == [256] * 4 + [44] * 4
