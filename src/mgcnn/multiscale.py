@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .grid import TransferPair, gaussian_blur_values, prolong_values, restrict_values
-from .network import Classifier, NetworkParams, loss, offset_loss
+from .network import Classifier, NetworkParams, loss
 from .stencils import (
     CoarsenMap,
     StencilBank,
@@ -151,17 +151,6 @@ def _train_stage(
     return res, acc.accuracy, wall
 
 
-def _initial_loss(
-    ds: LabeledDataset, params: NetworkParams, clf: Classifier, reg: RegConfig, workers: int
-) -> float:
-    """Total loss of a model on ``ds`` before training.  A classifier whose
-    weights are all zero reads no features, so its loss takes no forward
-    pass (:func:`~mgcnn.network.offset_loss`, the same bits)."""
-    if clf.weights.any():
-        return loss(ds.images, ds.labels, params, clf, reg, workers=workers).total
-    return offset_loss(ds.labels, params, clf, reg).total
-
-
 @dataclass
 class LevelResult:
     level: int
@@ -202,10 +191,8 @@ def multilevel_train(
     refined one can be saturated on the level's features.
 
     An initial loss whose classifier weights are all zero, as every cold
-    model's and a cold ``init``'s are, is computed without a forward pass:
-    its logits are the offsets whatever the features, so the value is
-    :func:`~mgcnn.network.loss`'s to the bit, and such a loss cannot raise
-    :class:`~mgcnn.errors.DivergenceError`.
+    model's and a cold ``init``'s are, takes no forward pass
+    (:func:`~mgcnn.network.loss`).
     """
     if len(schedule.configs) != pyramid.levels:
         raise ValueError(
@@ -230,10 +217,10 @@ def multilevel_train(
         cfg = schedule.configs[level]
         val = val_pyramid.datasets[level] if val_pyramid is not None else None
 
-        init_warm = _initial_loss(ds, params, clf, reg, workers)
+        init_warm = loss(ds.images, ds.labels, params, clf, reg, workers=workers).total
         init_cold = nan
         if cold_init is not None:
-            init_cold = _initial_loss(ds, *cold_init(level), reg, workers)
+            init_cold = loss(ds.images, ds.labels, *cold_init(level), reg, workers=workers).total
 
         res, final_acc, wall = _train_stage(ds, params, clf, reg, cfg, val, workers)
         params, clf = res.params, res.classifier
@@ -318,9 +305,8 @@ def shallow_to_deep_train(
     call's first Newton fit starts from the zero classifier.
 
     An initial loss whose classifier weights are all zero, as a cold
-    model's from ``make_model`` usually is, is computed without a forward
-    pass, to :func:`~mgcnn.network.loss`'s bits, so it cannot raise
-    :class:`~mgcnn.errors.DivergenceError`.
+    model's from ``make_model`` usually is, takes no forward pass
+    (:func:`~mgcnn.network.loss`).
     """
     if not depths:
         raise ValueError("need at least one depth")
@@ -333,14 +319,14 @@ def shallow_to_deep_train(
     clf: Classifier | None = None
     for pos, depth in enumerate(depths):
         cold_p, cold_c = make_model(depth, cfg.seed + pos)
-        init_cold = _initial_loss(train, cold_p, cold_c, reg, workers)
+        init_cold = loss(train.images, train.labels, cold_p, cold_c, reg, workers=workers).total
         cold_history: list[HistoryRow] | None = None
         if pos == 0:
             init_warm = nan
             params, clf = cold_p, cold_c
         else:
             params = prolong_depth(params, depth // depths[pos - 1])
-            init_warm = _initial_loss(train, params, clf, reg, workers)
+            init_warm = loss(train.images, train.labels, params, clf, reg, workers=workers).total
             cold_history = bcd_train(train, cold_p, cold_c, reg, cfg, val=val, workers=workers).history
 
         res, final_acc, wall = _train_stage(train, params, clf, reg, cfg, val, workers)

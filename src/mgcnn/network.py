@@ -50,8 +50,8 @@ of the batch, formed once by the caller, in place of embedding again.
 Either way the result is the same to the bit.
 
 A classifier whose weights are all zero reads no features: its logits are
-its offsets ``mu``.  :func:`offset_loss` gives its loss without a forward
-pass, and :func:`loss_and_gradient` skips the reverse sweep for it.
+its offsets ``mu``.  :func:`loss` then takes no forward pass unless asked to
+keep the trajectory, and :func:`loss_and_gradient` skips the reverse sweep.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ __all__ = [
     "forward_step",
     "loss",
     "loss_and_gradient",
-    "offset_loss",
     "propagate_final",
     "random_network_params",
     "reg_value_and_grad",
@@ -523,34 +522,25 @@ def loss(
     With ``keep`` the report also holds every chunk's trajectory
     (``LossReport.states``) for a gradient pass at the same point.
     ``embedded`` is as in :func:`propagate_final`.
+
+    A classifier whose weights are all zero has the logit row ``mu`` for
+    every example, whatever the features.  Without ``keep`` its loss is
+    then formed from ``mu`` alone, to the same bits: no image is read, the
+    report's ``features`` and ``states`` are ``None``, and no
+    :class:`~mgcnn.errors.DivergenceError` can arise.
     """
     labels = _check_labels(labels, clf.num_classes)
-    y_out, states = _propagate_batch(images, params, workers, keep, embedded)
-    data = _mean_cross_entropy(labels, lambda s: _logits(y_out[s], clf))
+    if keep or clf.weights.any():
+        y_out, states = _propagate_batch(images, params, workers, keep, embedded)
+        data = _mean_cross_entropy(labels, lambda s: _logits(y_out[s], clf))
+    else:
+        y_out = states = None
+        data = _mean_cross_entropy(
+            labels, lambda s: np.broadcast_to(clf.mu, (s.stop - s.start, clf.num_classes))
+        )
     reg_value, _ = reg_value_and_grad(params, clf, reg)
     return LossReport(total=data + reg_value, data_term=data, reg_term=reg_value,
                       features=y_out, states=states)
-
-
-def offset_loss(
-    labels: np.ndarray, params: NetworkParams, clf: Classifier, reg: RegConfig = RegConfig()
-) -> LossReport:
-    """:func:`loss` of a classifier whose weights are all zero, without a
-    forward pass.
-
-    Such a classifier's logits are its offsets ``mu`` whatever the
-    features, so every example's logit row is ``mu`` and the report is
-    that of :func:`loss` on any images to the bit, without features.  No
-    image is read, so no :class:`~mgcnn.errors.DivergenceError` can arise.
-    """
-    if clf.weights.any():
-        raise ValueError("offset_loss needs a classifier whose weights are all zero")
-    labels = _check_labels(labels, clf.num_classes)
-    data = _mean_cross_entropy(
-        labels, lambda s: np.broadcast_to(clf.mu, (s.stop - s.start, clf.num_classes))
-    )
-    reg_value, _ = reg_value_and_grad(params, clf, reg)
-    return LossReport(total=data + reg_value, data_term=data, reg_term=reg_value)
 
 
 def _adjoint_weights(weights: np.ndarray) -> np.ndarray:

@@ -60,6 +60,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .data import LabeledDataset
+from .errors import DivergenceError
 from .network import (
     Classifier,
     Gradients,
@@ -651,9 +652,12 @@ def bcd_train(
     first, then ``min(step_size, t_last / beta)`` from the step accepted
     last (Nocedal and Wright, *Numerical Optimization*, section 3.5), so a
     search does not pay again for the rejected trials above the last step.
-    A search that accepts nothing keeps the point and ``t0``.  A zero
-    gradient's first trial is the current point, whose loss equals the
-    gradient pass's total to the bit, so it is accepted at ``t0``.
+    A trial whose forward pass diverges counts as an infinite loss, so it
+    is rejected; the gradient pass at the current point still raises
+    :class:`~mgcnn.errors.DivergenceError`.  A search that accepts nothing
+    keeps the point and ``t0``.  A zero gradient's first trial is the
+    current point, whose loss equals the gradient pass's total to the bit,
+    so it is accepted at ``t0``.
 
     In full-batch mode each Armijo iterate is propagated once.  The
     accepted trial has already run the whole training set through the new
@@ -663,9 +667,11 @@ def bcd_train(
     no gradient.  With minibatches the accepted trial has propagated only
     the batch: its final states are spliced with a fresh pass over the other
     examples, bit for bit the features of a whole fresh pass, since each
-    example propagates on its own.  With ``FixedStep``, and after a search
-    that accepts no step, the features come from a fresh pass over the whole
-    set.  In these three cases the next gradient runs its own forward pass.
+    example propagates on its own.  With ``FixedStep``, after a search that
+    accepts no step, and after a minibatch trial of a classifier whose
+    weights are all zero, which :func:`~mgcnn.network.loss` forms without
+    features, they come from a fresh pass over the whole set.  In these
+    cases the next gradient runs its own forward pass.
 
     A frozen embedding never changes, so in full-batch mode ``y_0 = L x``
     of the training and of the validation set is formed and checked once
@@ -714,22 +720,27 @@ def bcd_train(
             t, sq = t0, grads.prop_sq_norm(params.embed_learnable)
             for _ in range(rule.max_backtracks):
                 trial = _prop_step(params, grads, t)
-                accepted = loss(images, labels, trial, clf, reg, workers=workers,
-                                keep=full_batch, embedded=train_y0)
-                if accepted.total <= report.total - rule.c * t * sq:
+                try:
+                    accepted = loss(images, labels, trial, clf, reg, workers=workers,
+                                    keep=full_batch, embedded=train_y0)
+                    total = accepted.total
+                except DivergenceError:  # rejected as an infinite loss
+                    total = math.inf
+                if total <= report.total - rule.c * t * sq:
                     params, t0 = trial, min(rule.step_size, t / rule.beta)
                     break
                 # skip the grid points above the quadratic model's limit (see
                 # ArmijoBacktracking) in product form, which divides by nothing:
                 # s is skipped while s (f(t) - f0 + sq t) > (1 - c) sq t^2, so a
                 # NaN trial loss skips nothing and an infinite one skips to the floor
-                excess = accepted.total - report.total + sq * t
+                excess = total - report.total + sq * t
                 bound = (1.0 - rule.c) * sq * t * t
                 accepted = None  # a rejected trajectory goes before the next trial runs
                 t, shrink = t * rule.beta, rule.beta
                 while t * excess > bound and shrink * rule.beta >= ARMIJO_SKIP_FLOOR:
                     t, shrink = t * rule.beta, shrink * rule.beta
-        if accepted is None:
+        if accepted is None or accepted.features is None:
+            accepted = None  # a zero-weight trial's featureless report goes before the pass
             features = propagate_final(train.images, params, workers=workers, embedded=train_y0)
         elif full_batch:
             features, states = accepted.features, accepted.states

@@ -29,7 +29,8 @@ REMOVED = {
                    "verify_rp_identity", "_require_even"],
     "mgcnn.stencils": ["Stencil", "Symbol", "conv_apply", "coarsen_stencil", "refine_stencil"],
     "mgcnn.network": ["Trajectory", "gradient", "classify", "forward_propagate",
-                      "_reg_parts"],
+                      "_reg_parts", "offset_loss"],
+    "mgcnn.multiscale": ["_initial_loss"],
     "mgcnn.training": ["StepRule", "_laplacian_flat", "_hessian_matvec"],
     "mgcnn.cli": ["_step_rule"],
     "mgcnn": ["Image"],

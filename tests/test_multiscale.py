@@ -518,15 +518,22 @@ class TestZeroClassifierInitialLoss:
             want = loss(ds.images, ds.labels, *make(dep.depth, cfg.seed + pos), reg).total
             assert dep.init_loss_cold == want
 
-    def test_a_trained_classifier_still_goes_through_loss(self, monkeypatch):
-        seen = []
-        real = multiscale_mod.loss
+    def test_only_a_trained_classifier_propagates(self, monkeypatch):
+        steps, seen = [], []
+        step, real = network_mod.forward_step, multiscale_mod.loss
 
-        def counted(images, labels, params, clf, *args, **kwargs):
-            seen.append(bool(clf.weights.any()))
-            return real(images, labels, params, clf, *args, **kwargs)
+        def counted_step(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
 
-        monkeypatch.setattr(multiscale_mod, "loss", counted)
+        def counted_loss(images, labels, params, clf, *args, **kwargs):
+            before = len(steps)
+            out = real(images, labels, params, clf, *args, **kwargs)
+            seen.append((bool(clf.weights.any()), len(steps) > before))
+            return out
+
+        monkeypatch.setattr(network_mod, "forward_step", counted_step)
+        monkeypatch.setattr(multiscale_mod, "loss", counted_loss)
         ds = make_synthetic(SyntheticKind.BARS, 20, Grid2D(8, 8, 1.0), seed=8)
         pyr = ResolutionPyramid.build(ds, 1, CA, blur_sigma=0.0)
 
@@ -535,4 +542,5 @@ class TestZeroClassifierInitialLoss:
 
         multilevel_train(pyr, LevelSchedule.uniform(BcdConfig(outer_iters=1, newton_steps=1), 2),
                          cold(1), RegConfig(0.01, 0.01), cold_init=cold)
-        assert seen == [True]  # only the fine level's warm loss, from the refined fit
+        # coarse warm and cold, then the fine level's warm loss from the refined fit and its cold
+        assert seen == [(False, False), (False, False), (True, True), (False, False)]

@@ -23,7 +23,6 @@ from mgcnn.network import (
     forward_step,
     loss,
     loss_and_gradient,
-    offset_loss,
     propagate_final,
     random_network_params,
     reg_value_and_grad,
@@ -690,31 +689,34 @@ class TestZeroWeightClassifier:
         return imgs, np.arange(m) % L, p, clf, RegConfig(lambda_w=0.05, lambda_theta=0.02)
 
     @staticmethod
-    def count_taps(monkeypatch):
+    def count(monkeypatch, name):
+        """The leading dimension of the first argument of each call to ``name``."""
         calls = []
-        tap = network_mod.tap_gradient
+        fn = getattr(network_mod, name)
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape[0])
-            return tap(*args, **kwargs)
+            return fn(*args, **kwargs)
 
-        monkeypatch.setattr(network_mod, "tap_gradient", counted)
+        monkeypatch.setattr(network_mod, name, counted)
         return calls
 
-    @pytest.mark.parametrize("m, L", [(7, 10), (540, 2)])  # one and three chunks
-    def test_offset_loss_is_the_loss_to_the_bit(self, m, L):
+    @pytest.mark.parametrize("m", [7, 540])  # one and three chunks
+    @pytest.mark.parametrize("L", [2, 10])
+    def test_loss_reads_no_image_unless_kept(self, monkeypatch, m, L):
         imgs, labels, p, clf, reg = self.problem(m, L, seed=m + L)
-        got, want = offset_loss(labels, p, clf, reg), loss(imgs, labels, p, clf, reg)
+        steps = self.count(monkeypatch, "forward_step")
+        got = loss(imgs, labels, p, clf, reg)
+        assert steps == []
+        assert got.features is None and got.states is None
+        want = loss(imgs, labels, p, clf, reg, keep=True)
+        assert len(steps) == 3 * len(range(0, m, 256))  # keep propagates every chunk
         assert (got.total, got.data_term, got.reg_term) == (want.total, want.data_term,
                                                             want.reg_term)
         assert got.reg_term > 0.0
-        assert got.features is None and got.states is None
-
-    def test_offset_loss_refuses_non_zero_weights(self):
-        _, labels, p, clf, reg = self.problem(m=7)
-        clf.weights[1, 0, 2, 3] = 1e-300
-        with pytest.raises(ValueError, match="zero"):
-            offset_loss(labels, p, clf, reg)
+        # no image is read, so none can diverge
+        imgs[0, 2, 3] = np.inf
+        assert loss(imgs, labels, p, clf, reg) == got
 
     def test_gradient_skips_the_sweep(self, monkeypatch):
         imgs, labels, p, clf, reg = self.problem()
@@ -737,7 +739,7 @@ class TestZeroWeightClassifier:
         _, want = reg_value_and_grad(p, clf, reg)
         kept = loss(imgs, labels, p, clf, reg, keep=True).states
 
-        taps = self.count_taps(monkeypatch)
+        taps = self.count(monkeypatch, "tap_gradient")
         for states in (None, kept):
             for embed_grad in (True, False):
                 for workers in (1, 2):
@@ -757,7 +759,7 @@ class TestZeroWeightClassifier:
     def test_one_tiny_weight_runs_the_full_sweep(self, monkeypatch):
         imgs, labels, p, clf, reg = self.problem()
         clf.weights[1, 0, 2, 3] = 1e-300
-        taps = self.count_taps(monkeypatch)
+        taps = self.count(monkeypatch, "tap_gradient")
         loss_and_gradient(imgs, labels, p, clf, reg)
         # per chunk: one tap gradient per layer and one for the embedding
         assert taps == [256] * 4 + [44] * 4

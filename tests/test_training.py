@@ -1187,17 +1187,25 @@ class TestTrajectoryReuse:
 
 class TestMinibatchFeatures:
     """Minibatch BCD splices the accepted trial's final states of the batch
-    with a fresh pass over the rest."""
+    with a fresh pass over the rest.  A zero classifier's trial reads no
+    images, so a cold start's first features come from one whole pass."""
 
     @staticmethod
-    def run(ds, workers=1):
+    def run(ds, workers=1, cold=False):
         # a batch of 280 spans two chunks of the trial's pass
         params, clf = TestTrajectoryReuse.start(ds)
+        if cold:
+            clf = zero_classifier(ds.grid, 2, 2)
         return bcd_train(ds, params, clf, RegConfig(0.02, 0.05),
                          BcdConfig(outer_iters=3, newton_steps=2, batch_size=280),
                          workers=workers)
 
-    def test_newton_gets_the_features_of_a_fresh_pass(self, monkeypatch):
+    @pytest.mark.parametrize("cold, workers, sizes", [
+        (False, 1, [20, 20, 20]),  # every search accepted, so only the rest ran
+        (True, 1, [300, 20, 20]),
+        (True, 2, [300, 20, 20]),
+    ])
+    def test_newton_gets_the_features_of_a_fresh_pass(self, monkeypatch, cold, workers, sizes):
         ds = blob_set(n=300, seed=24)
         trial_loss, final = training_mod.loss, training_mod.propagate_final
         newton = training_mod.newton_classifier_step
@@ -1220,9 +1228,9 @@ class TestMinibatchFeatures:
         monkeypatch.setattr(training_mod, "loss", spy_loss)
         monkeypatch.setattr(training_mod, "propagate_final", spy_final)
         monkeypatch.setattr(training_mod, "newton_classifier_step", spy_newton)
-        res = self.run(ds)
+        res = self.run(ds, workers, cold)
         assert len(res.history) == len(compared) == 3
-        assert fresh_sizes == [20, 20, 20]  # every search accepted, so only the rest ran
+        assert fresh_sizes == sizes
 
     def test_cg_route_on_two_workers_matches_one(self, monkeypatch):
         monkeypatch.setattr(training_mod, "_newton_route", lambda *args: "cg")
@@ -1236,6 +1244,49 @@ class TestMinibatchFeatures:
                                           p.embed.weights, c.weights, c.mu)]
 
         assert arrays(runs[0]) == arrays(runs[1])
+
+
+class TestDivergingTrial:
+    """An Armijo trial whose forward pass diverges is rejected; a diverging
+    current point still raises."""
+
+    @staticmethod
+    def start(ds, bank_scale=1.0):
+        params = random_network_params(channels=2, num_layers=4, final_time=1.0, seed=28,
+                                       init_scale=0.3, activation=Activation.IDENTITY)
+        for b in params.banks:
+            b.weights *= bank_scale
+        rng = np.random.default_rng(29)
+        clf = Classifier(ds.grid, rng.normal(size=(2, 2) + ds.grid.shape), rng.normal(size=2))
+        return params, clf
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("batch_size", [None, 10])
+    def test_trial_is_rejected(self, monkeypatch, batch_size):
+        trial_loss, diverged = training_mod.loss, []
+
+        def spy_loss(*args, **kwargs):
+            try:
+                return trial_loss(*args, **kwargs)
+            except DivergenceError:
+                diverged.append(1)
+                raise
+
+        monkeypatch.setattr(training_mod, "loss", spy_loss)
+        ds = blob_set(n=30, seed=30)
+        res = bcd_train(ds, *self.start(ds), RegConfig(1e-3, 1e-3),
+                        BcdConfig(outer_iters=3, batch_size=batch_size,
+                                  prop_step_rule=ArmijoBacktracking(step_size=1e100)))
+        assert diverged
+        assert len(res.history) == 3
+        assert all(math.isfinite(row.loss) for row in res.history)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_point_still_raises(self):
+        ds = blob_set(n=30, seed=30)
+        with pytest.raises(DivergenceError, match="layer"):
+            bcd_train(ds, *self.start(ds, bank_scale=1e300), RegConfig(1e-3, 1e-3),
+                      BcdConfig(outer_iters=1))
 
 
 class TestReportLifetimes:
