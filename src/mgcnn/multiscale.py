@@ -143,12 +143,19 @@ def _train_stage(
     workers: int,
 ) -> tuple[TrainResult, float, float]:
     """One stage of a warm-started chain: the trained result, its accuracy
-    on ``val`` (on ``ds`` without one) and the seconds :func:`bcd_train` took."""
+    on ``val`` (on ``ds`` without one) and the seconds :func:`bcd_train` took.
+
+    The accuracy is the last history row's, which scored the result's
+    model; only a stage of no iteration calls :func:`evaluate` itself.
+    """
     start = time.perf_counter()
     res = bcd_train(ds, params, clf, reg, cfg, val=val, workers=workers)
     wall = time.perf_counter() - start
-    acc = evaluate(val if val is not None else ds, res.params, res.classifier, workers=workers)
-    return res, acc.accuracy, wall
+    if not res.history:
+        scored = val if val is not None else ds
+        return res, evaluate(scored, res.params, res.classifier, workers=workers).accuracy, wall
+    last = res.history[-1]
+    return res, last.val_acc if val is not None else last.train_acc, wall
 
 
 @dataclass
@@ -193,6 +200,12 @@ def multilevel_train(
     An initial loss whose classifier weights are all zero, as every cold
     model's and a cold ``init``'s are, takes no forward pass
     (:func:`~mgcnn.network.loss`).
+
+    A level's ``final_acc`` is its last history row's accuracy, on the
+    validation level (``val_acc``) or without one on the training level
+    (``train_acc``), so no level propagates its validation images once
+    more.  A level of zero iterations has no row and calls
+    :func:`~mgcnn.training.evaluate` on the model it was given.
     """
     if len(schedule.configs) != pyramid.levels:
         raise ValueError(
@@ -307,6 +320,10 @@ def shallow_to_deep_train(
     An initial loss whose classifier weights are all zero, as a cold
     model's from ``make_model`` usually is, takes no forward pass
     (:func:`~mgcnn.network.loss`).
+
+    A depth's ``final_acc`` is its last history row's accuracy: ``val_acc``,
+    or ``train_acc`` without ``val``.  With ``cfg.outer_iters = 0`` it is
+    :func:`~mgcnn.training.evaluate`'s accuracy of the untrained model.
     """
     if not depths:
         raise ValueError("need at least one depth")

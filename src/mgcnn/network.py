@@ -198,8 +198,7 @@ def zero_classifier(grid: Grid2D, channels: int, num_classes: int) -> Classifier
 
 @dataclass(frozen=True)
 class NetworkInit:
-    """Hyperparameters needed to draw a fresh network at a given depth; each
-    field is a keyword of :func:`random_network_params`."""
+    """Hyperparameters needed to draw a fresh network at a given depth."""
 
     channels: int
     kernel_size: int = 3
@@ -210,43 +209,31 @@ class NetworkInit:
     embed_learnable: bool = False
 
     def network_params(self, num_layers: int, seed: int) -> NetworkParams:
-        return random_network_params(num_layers=num_layers, seed=seed, **vars(self))
+        """Gaussian stencils, zero biases, channel-replicating embedding.
+
+        One bank is drawn and copied to every layer: the initial parameter
+        path is constant in time, which keeps the time-coupling penalty zero
+        at the start and makes depth prolongation of the init exact.
+        """
+        if num_layers < 0:
+            raise ValueError(f"layer count must be nonnegative, got {num_layers}")
+        c, k = self.channels, self.kernel_size
+        shared = np.random.default_rng(seed).normal(0.0, self.init_scale, (c, c, k, k))
+        return NetworkParams(
+            dt=self.final_time / num_layers if num_layers else 1.0,
+            final_time=self.final_time if num_layers else 0.0,
+            banks=[StencilBank(shared.copy()) for _ in range(num_layers)],
+            biases=np.zeros((num_layers, c)),
+            embed=StencilBank.replicate(c, k),
+            embed_learnable=self.embed_learnable,
+            activation=self.activation,
+            act_gain=self.act_gain,
+        )
 
 
-def random_network_params(
-    channels: int,
-    num_layers: int,
-    final_time: float,
-    kernel_size: int = 3,
-    seed: int = 0,
-    init_scale: float = 0.1,
-    activation: Activation = Activation.TANH,
-    act_gain: float = 1.0,
-    embed_learnable: bool = False,
-) -> NetworkParams:
-    """Gaussian stencils, zero biases, channel-replicating embedding.
-
-    One bank is drawn and copied to every layer: the initial parameter path
-    is constant in time, which keeps the time-coupling penalty zero at the
-    start and makes depth prolongation of the init exact.
-    """
-    if num_layers < 0:
-        raise ValueError(f"layer count must be nonnegative, got {num_layers}")
-    rng = np.random.default_rng(seed)
-    k = kernel_size
-    shared = rng.normal(0.0, init_scale, (channels, channels, k, k))
-    banks = [StencilBank(shared.copy()) for _ in range(num_layers)]
-    dt = final_time / num_layers if num_layers else 1.0
-    return NetworkParams(
-        dt=dt,
-        final_time=final_time if num_layers else 0.0,
-        banks=banks,
-        biases=np.zeros((num_layers, channels)),
-        embed=StencilBank.replicate(channels, k),
-        embed_learnable=embed_learnable,
-        activation=activation,
-        act_gain=act_gain,
-    )
+def random_network_params(num_layers: int, seed: int = 0, **init) -> NetworkParams:
+    """A fresh network; ``init`` holds the fields of :class:`NetworkInit`."""
+    return NetworkInit(**init).network_params(num_layers, seed)
 
 
 def embed_input(x: np.ndarray, params: NetworkParams) -> np.ndarray:
@@ -390,7 +377,15 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    """Per-row cross-entropy; a row with an infinite or NaN logit has loss
+    ``+inf``, and is left out of the arithmetic, so numpy warns of nothing."""
+    if not np.isfinite(logits).all():
+        finite = np.isfinite(logits).all(axis=-1)
+        out = np.full(labels.size, np.inf)
+        out[finite] = _cross_entropy(logits[finite], labels[finite])
+        return out
+    with np.errstate(over="ignore"):  # logits more than the float range apart: loss +inf
+        shifted = logits - logits.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1))
     return lse - shifted[np.arange(labels.size), labels]
 

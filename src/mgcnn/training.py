@@ -640,8 +640,10 @@ def bcd_train(
     """Run ``cfg.outer_iters`` BCD iterations; inputs are left untouched.
 
     Each history row reflects the full training set after that iteration's
-    propagation and classifier updates.  Replays are bit-identical for a
-    fixed config and seed.
+    propagation and classifier updates; its ``val_acc`` is :func:`evaluate`'s
+    accuracy on ``val``, NaN without one.  An empty ``train`` or ``val`` is
+    refused before any training.  Replays are bit-identical for a fixed
+    config and seed.
 
     Each iteration steps the propagation parameters along the batch's
     negative gradient.  ``FixedStep`` steps by ``step_size``.  Armijo
@@ -675,9 +677,9 @@ def bcd_train(
 
     A frozen embedding never changes, so in full-batch mode ``y_0 = L x``
     of the training and of the validation set is formed and checked once
-    per call, and every gradient pass, Armijo trial and fresh pass on those
-    images starts from it.  With minibatches every pass embeds its images,
-    so no whole-set embedding stays in memory.
+    per call, and every gradient pass, Armijo trial, fresh pass and
+    validation score on those images starts from it.  With minibatches
+    every pass embeds its images, so no whole-set embedding stays in memory.
 
     The first iteration's Newton call starts from the zero classifier,
     whatever ``clf`` is, and every later one from the previous iterate.
@@ -693,6 +695,8 @@ def bcd_train(
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
+    if val is not None and len(val) == 0:
+        raise ValueError("validation set is empty")
     params = params.copy()
     clf = clf.copy()
     history: list[HistoryRow] = []
@@ -765,9 +769,7 @@ def bcd_train(
         train_acc = float((logits.argmax(axis=1) == train.labels).mean())
         val_acc = math.nan
         if val is not None:
-            val_features = propagate_final(val.images, params, workers=workers, embedded=val_y0)
-            val_logits = _logits(val_features, clf)
-            val_acc = float((val_logits.argmax(axis=1) == val.labels).mean())
+            val_acc = evaluate(val, params, clf, workers, embedded=val_y0).accuracy
         history.append(
             HistoryRow(
                 iteration=it,
@@ -789,16 +791,19 @@ class EvalReport:
 
 
 def evaluate(
-    dataset: LabeledDataset, params: NetworkParams, clf: Classifier, workers: int = 1
+    dataset: LabeledDataset, params: NetworkParams, clf: Classifier, workers: int = 1,
+    embedded: np.ndarray | None = None,
 ) -> EvalReport:
     """Accuracy, mean cross-entropy and confusion matrix on a dataset.
 
     Predictions take the argmax; ties resolve to the lowest class index.
+    ``embedded`` is as in :func:`~mgcnn.network.propagate_final`.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
     labels = _check_labels(dataset.labels, clf.num_classes)
-    logits = _logits(propagate_final(dataset.images, params, workers=workers), clf)
+    features = propagate_final(dataset.images, params, workers=workers, embedded=embedded)
+    logits = _logits(features, clf)
     pred = logits.argmax(axis=1)
     L = clf.num_classes
     confusion = np.zeros((L, L), dtype=np.int64)

@@ -544,3 +544,91 @@ class TestZeroClassifierInitialLoss:
                          cold(1), RegConfig(0.01, 0.01), cold_init=cold)
         # coarse warm and cold, then the fine level's warm loss from the refined fit and its cold
         assert seen == [(False, False), (False, False), (True, True), (False, False)]
+
+
+class TestStageScoring:
+    """A stage's ``final_acc`` is its last history row's accuracy: each
+    iteration propagates the validation images once, and nothing more."""
+
+    @staticmethod
+    def passes_over(monkeypatch, image_sets):
+        """Count the propagations of each of ``image_sets``, by identity."""
+        counts = [0] * len(image_sets)
+        batch = network_mod._propagate_batch
+
+        def counted(images, *args, **kwargs):
+            for i, images_i in enumerate(image_sets):
+                counts[i] += images is images_i
+            return batch(images, *args, **kwargs)
+
+        monkeypatch.setattr(network_mod, "_propagate_batch", counted)
+        return counts
+
+    @staticmethod
+    def pyramids():
+        ds = make_synthetic(SyntheticKind.BARS, 40, Grid2D(8, 8, 1.0), seed=40)
+        val = make_synthetic(SyntheticKind.BARS, 16, Grid2D(8, 8, 1.0), seed=41)
+        pyr = ResolutionPyramid.build(ds, 1, CA, blur_sigma=0.0)
+        return pyr, ResolutionPyramid.build(val, 1, CA, blur_sigma=0.0)
+
+    @staticmethod
+    def multilevel(pyr, vpyr, iters, batch_size=None):
+        init = (varied_params(42), zero_classifier(pyr.datasets[1].grid, 2, 2))
+        sched = LevelSchedule([BcdConfig(outer_iters=n, newton_steps=2, batch_size=batch_size)
+                               for n in iters])
+        return multilevel_train(pyr, sched, init, RegConfig(0.01, 0.01), val_pyramid=vpyr)
+
+    @staticmethod
+    def deepen(ds, val, iters):
+        init = NetworkInit(channels=2, final_time=0.25, init_scale=0.3)
+        return shallow_to_deep_train(
+            ds, [1, 2], BcdConfig(outer_iters=iters, newton_steps=2), RegConfig(0.01, 0.01),
+            lambda depth, seed: (init.network_params(depth, seed), zero_classifier(ds.grid, 2, 2)),
+            val=val)
+
+    @pytest.mark.parametrize("batch_size", [None, 10])
+    def test_multilevel_propagates_each_validation_level_once_per_iteration(self, monkeypatch,
+                                                                            batch_size):
+        pyr, vpyr = self.pyramids()
+        counts = self.passes_over(monkeypatch, [v.images for v in vpyr.datasets])
+        res = self.multilevel(pyr, vpyr, [3, 2], batch_size)
+        assert [len(lv.history) for lv in res.levels] == [2, 3]
+        assert counts == [3, 2]
+        for lv in res.levels:
+            assert lv.final_acc == lv.history[-1].val_acc
+
+    def test_deepen_propagates_the_validation_set_once_per_iteration(self, monkeypatch):
+        pyr, vpyr = self.pyramids()
+        ds, val = pyr.datasets[0], vpyr.datasets[0]
+        counts = self.passes_over(monkeypatch, [val.images])
+        res = self.deepen(ds, val, 3)
+        # depth 1, then depth 2 and its cold control
+        assert counts == [3 * 3]
+        for dep in res.depths:
+            assert dep.final_acc == dep.history[-1].val_acc
+
+    def test_without_validation_final_acc_is_the_last_train_acc(self):
+        pyr, _ = self.pyramids()
+        res = self.multilevel(pyr, None, [3, 2])
+        for lv in res.levels:
+            assert lv.final_acc == lv.history[-1].train_acc
+        fine = pyr.datasets[0]
+        assert res.levels[-1].final_acc == evaluate(fine, res.params, res.classifier).accuracy
+        deep = self.deepen(fine, None, 2)
+        for dep in deep.depths:
+            assert dep.final_acc == dep.history[-1].train_acc
+        assert deep.depths[-1].final_acc == \
+            evaluate(fine, deep.params, deep.classifier).accuracy
+
+    @pytest.mark.parametrize("with_val", [False, True])
+    def test_a_stage_of_no_iteration_reports_evaluate(self, monkeypatch, with_val):
+        pyr, vpyr = self.pyramids()
+        vpyr = vpyr if with_val else None
+        scored = (vpyr or pyr).datasets[0]
+        counts = self.passes_over(monkeypatch, [scored.images])
+        res = self.multilevel(pyr, vpyr, [0, 2])  # level_iters = 0,2
+        fine = res.levels[-1]
+        assert fine.level == 0 and fine.history == []
+        # the fine level's one evaluate, after its warm initial loss on the training images
+        assert counts == [1 if with_val else 2]
+        assert fine.final_acc == evaluate(scored, res.params, res.classifier).accuracy

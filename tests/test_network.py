@@ -28,6 +28,7 @@ from mgcnn.network import (
     reg_value_and_grad,
     softmax,
     zero_classifier,
+    _cross_entropy,
     _logits,
 )
 from mgcnn.stencils import StencilBank, bank_apply, tap_gradient
@@ -363,6 +364,46 @@ class TestLoss:
         a = loss(imgs, labels, p, clf).total
         b = loss(imgs, perm[labels], p, permuted).total
         assert abs(a - b) <= 1e-12
+
+
+class TestNonFiniteLogits:
+    """A row with an infinite or NaN logit has cross-entropy ``+inf``, and
+    numpy warns of nothing (every warning is an error here)."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_cross_entropy_row_is_infinite(self, bad):
+        rng = np.random.default_rng(60)
+        logits = rng.normal(0.0, 3.0, (7, 4))
+        labels = np.arange(7) % 4
+        want = _cross_entropy(logits, labels)
+        logits[[1, 4], [2, 0]] = bad
+        got = _cross_entropy(logits, labels)
+        assert np.isposinf(got[[1, 4]]).all()
+        finite = [0, 2, 3, 5, 6]
+        np.testing.assert_array_equal(got[finite], want[finite])  # same bits
+        for i in finite:
+            assert abs(got[i] - naive_cross_entropy(logits[i], int(labels[i]))) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_cross_entropy_of_a_spread_beyond_the_float_range(self):
+        logits = np.array([[1e308, -1e308], [1e308, -1e308], [0.5, -0.25]])
+        got = _cross_entropy(logits, np.array([0, 1, 1]))
+        assert got[0] == 0.0 and np.isposinf(got[1])
+        assert got[2] == _cross_entropy(logits[2:], np.array([1]))[0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("weights", [False, True], ids=["zero-weights", "weights"])
+    def test_loss_is_infinite(self, bad, weights):
+        rng = np.random.default_rng(61)
+        p = scramble_in_time(small_params(), seed=62)
+        w = rng.normal(size=(3, 2, 6, 6)) if weights else np.zeros((3, 2, 6, 6))
+        mu = rng.normal(size=3)
+        mu[1] = bad
+        rep = loss(rng.random((5, 6, 6)), np.arange(5) % 3, p, Classifier(Grid2D(6, 6, 1.0), w, mu),
+                   RegConfig(0.01, 0.01))
+        assert np.isposinf(rep.data_term) and np.isposinf(rep.total)
 
 
 class TestGradient:

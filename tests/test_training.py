@@ -728,6 +728,13 @@ class TestBcdTrain:
         for b0, b1 in zip(p0.banks, res.params.banks):
             np.testing.assert_array_equal(b0.weights, b1.weights)
 
+    def test_empty_validation_set_refused_before_training(self, monkeypatch):
+        monkeypatch.setattr(training_mod, "loss_and_gradient", None)  # training would fail
+        ds = make_synthetic(SyntheticKind.BARS, 40, Grid2D(12, 12, 1.0), seed=3)
+        with pytest.raises(ValueError, match="validation set is empty"):
+            bcd_train(ds, varied_params(7, num_layers=2), zero_classifier(ds.grid, 2, 2),
+                      RegConfig(0.01, 0.01), BcdConfig(outer_iters=2), val=ds.subset([]))
+
     def test_inputs_left_untouched(self):
         ds = blob_set()
         p0 = varied_params(8, num_layers=2)
@@ -1434,6 +1441,35 @@ class TestEvaluate:
         params = random_network_params(channels=2, num_layers=0, final_time=1.0)
         with pytest.raises(ValueError):
             evaluate(ds, params, zero_classifier(ds.grid, 2, 2))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_embedded_gives_the_same_bits(self, monkeypatch, workers):
+        rng = np.random.default_rng(24)
+        ds = blob_set(n=300, seed=25)  # two chunks
+        params = varied_params(26, num_layers=2)
+        clf = Classifier(ds.grid, rng.normal(size=(2, 2, 6, 6)), rng.normal(size=2))
+        want = evaluate(ds, params, clf, workers)
+        y0 = network_mod.embed_input(ds.images, params)
+        monkeypatch.setattr(network_mod, "embed_input", None)  # embedding again would fail
+        got = evaluate(ds, params, clf, workers, embedded=y0)
+        assert (got.accuracy, got.mean_loss) == (want.accuracy, want.mean_loss)
+        np.testing.assert_array_equal(got.confusion, want.confusion)
+
+    def test_every_validation_score_is_evaluate(self, monkeypatch):
+        scores = []
+        real = training_mod.evaluate
+
+        def spy(*args, **kwargs):
+            report = real(*args, **kwargs)
+            scores.append(report.accuracy)
+            return report
+
+        monkeypatch.setattr(training_mod, "evaluate", spy)
+        ds = blob_set(n=30, seed=27, noise=0.5)
+        res = bcd_train(ds, varied_params(28, num_layers=2), zero_classifier(ds.grid, 2, 2),
+                        RegConfig(0.01, 0.01), BcdConfig(outer_iters=4, newton_steps=1),
+                        val=blob_set(n=25, seed=29, noise=0.5))
+        assert [row.val_acc for row in res.history] == scores
 
 
 class TestHistoryCsv:
