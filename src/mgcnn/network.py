@@ -59,7 +59,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -274,7 +274,8 @@ def _check_finite(y: np.ndarray, where: str) -> None:
 
 def _embed(x: np.ndarray, params: NetworkParams) -> np.ndarray:
     """:func:`embed_input`, refused when the result is not finite."""
-    y = embed_input(x, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused next
+        y = embed_input(x, params)
     _check_finite(y, "embedding")
     return y
 
@@ -293,13 +294,15 @@ def _propagate(
     here): all states ``y_0 .. y_N`` with ``keep``, else only ``[y_N]``."""
     y = _embed(x, params) if y0 is None else y0
     states = [y]
-    for i, bank in enumerate(params.banks):
-        y = forward_step(y, bank, params.biases[i], params.dt, params.activation, params.act_gain)
-        _check_finite(y, f"layer {i}")
-        if keep:
-            states.append(y)
-        else:
-            states[0] = y
+    with np.errstate(over="ignore", invalid="ignore"):  # each layer's overflow is refused
+        for i, bank in enumerate(params.banks):
+            y = forward_step(y, bank, params.biases[i], params.dt, params.activation,
+                             params.act_gain)
+            _check_finite(y, f"layer {i}")
+            if keep:
+                states.append(y)
+            else:
+                states[0] = y
     return states
 
 
@@ -361,9 +364,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _logits(y_out: np.ndarray, clf: Classifier) -> np.ndarray:
+    """Class scores of the final states; an overflowing score is infinite,
+    which :func:`_cross_entropy` charges ``+inf`` without a warning."""
     flat_w = clf.weights.reshape(clf.num_classes, -1)
     flat_y = y_out.reshape(y_out.shape[:-3] + (-1,))
-    return clf.grid.h**2 * (flat_y @ flat_w.T) + clf.mu
+    with np.errstate(over="ignore", invalid="ignore"):
+        return clf.grid.h**2 * (flat_y @ flat_w.T) + clf.mu
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -390,14 +396,17 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return lse - shifted[np.arange(labels.size), labels]
 
 
-def _mean_cross_entropy(labels: np.ndarray, chunk_logits) -> float:
-    """Mean cross-entropy of ``chunk_logits(s)`` against ``labels[s]``: summed
-    per ``CHUNK``, the chunk sums added in chunk order, divided by the count."""
-    m = labels.size
+def _mean_cross_entropy(labels: np.ndarray, chunk_logits: Iterable[np.ndarray]) -> float:
+    """Mean cross-entropy of the batch from its logits, one array per chunk in
+    :func:`_chunks` order: each chunk's sum against its ``labels``, the sums
+    added in chunk order, divided by the count.  It is the data term of both
+    :func:`loss` and :func:`loss_and_gradient`, so their totals agree to the bit.
+    """
     data = 0.0
-    for s in _chunks(m):
-        data += float(_cross_entropy(chunk_logits(s), labels[s]).sum())
-    return data / m if m else 0.0
+    with np.errstate(over="ignore"):  # finite row losses past the float range sum to +inf
+        for s, logits in zip(_chunks(labels.size), chunk_logits):
+            data += float(_cross_entropy(logits, labels[s]).sum())
+    return data / labels.size if labels.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -510,9 +519,9 @@ def loss(
 ) -> LossReport:
     """Mean cross-entropy over the batch plus the regularization value.
 
-    The cross-entropy is summed per ``CHUNK``, the chunk sums are added in
-    chunk order and divided by the batch size, as in :func:`loss_and_gradient`,
-    so both report the same ``data_term`` and ``total`` to the bit.
+    The cross-entropy is summed by :func:`_mean_cross_entropy`, as in
+    :func:`loss_and_gradient`, so both report the same ``data_term`` and
+    ``total`` to the bit.
 
     With ``keep`` the report also holds every chunk's trajectory
     (``LossReport.states``) for a gradient pass at the same point.
@@ -525,14 +534,14 @@ def loss(
     :class:`~mgcnn.errors.DivergenceError` can arise.
     """
     labels = _check_labels(labels, clf.num_classes)
+    slices = _chunks(labels.size)
     if keep or clf.weights.any():
         y_out, states = _propagate_batch(images, params, workers, keep, embedded)
-        data = _mean_cross_entropy(labels, lambda s: _logits(y_out[s], clf))
+        logits = (_logits(y_out[s], clf) for s in slices)
     else:
         y_out = states = None
-        data = _mean_cross_entropy(
-            labels, lambda s: np.broadcast_to(clf.mu, (s.stop - s.start, clf.num_classes))
-        )
+        logits = (np.broadcast_to(clf.mu, (s.stop - s.start, clf.num_classes)) for s in slices)
+    data = _mean_cross_entropy(labels, logits)
     reg_value, _ = reg_value_and_grad(params, clf, reg)
     return LossReport(total=data + reg_value, data_term=data, reg_term=reg_value,
                       features=y_out, states=states)
@@ -602,8 +611,6 @@ def loss_and_gradient(
         else:
             trajectory = [embed_input(x, params) if y0 is None else y0] + kept
         logits = _logits(trajectory[-1], clf)
-        ce_sum = float(_cross_entropy(logits, labels[s]).sum())
-
         d_logit = softmax(logits)
         d_logit[np.arange(labels[s].size), labels[s]] -= 1.0
         d_logit /= m
@@ -613,7 +620,7 @@ def loss_and_gradient(
         g_banks = np.zeros((n, c, c, k, k))
         g_biases = np.zeros((n, c))
         if not sweep:  # dy is exactly +-0: the sweep would add only signed zeros
-            return ce_sum, g_banks, g_biases, g_w, g_mu, None
+            return logits, g_banks, g_biases, g_w, g_mu, None
 
         dy = h2 * np.einsum("ml,lcyx->mcyx", d_logit, clf.weights, optimize=True)
         for i in range(n - 1, -1, -1):
@@ -624,7 +631,7 @@ def loss_and_gradient(
             if i > 0 or embed_grad:
                 dy = dy + bank_apply(_adjoint_weights(params.banks[i].weights), u)
         g_embed = tap_gradient(dy, x[:, None, :, :], k) if embed_grad else None
-        return ce_sum, g_banks, g_biases, g_w, g_mu, g_embed
+        return logits, g_banks, g_biases, g_w, g_mu, g_embed
 
     grads = Gradients(
         banks=np.zeros((n, c, c, k, k)),
@@ -633,16 +640,15 @@ def loss_and_gradient(
         mu=np.zeros_like(clf.mu),
         embed=np.zeros((c, 1, k, k)) if embed_grad else None,
     )
-    data = 0.0
-    for ce_sum, g_banks, g_biases, g_w, g_mu, g_embed in _map_chunks(run, chunks, workers):
-        data += ce_sum
+    results = _map_chunks(run, chunks, workers)
+    data = _mean_cross_entropy(labels, (logits for logits, *_ in results))
+    for _, g_banks, g_biases, g_w, g_mu, g_embed in results:
         grads.banks += g_banks
         grads.biases += g_biases
         grads.weights += g_w
         grads.mu += g_mu
         if g_embed is not None:
             grads.embed += g_embed
-    data = data / m if m else 0.0
 
     reg_value, reg_grads = reg_value_and_grad(params, clf, reg)
     grads.banks += reg_grads.banks

@@ -287,17 +287,13 @@ class CoarsenMap:
     """Linear map from fine ``k x k`` stencils to coarse ones under ``R K P``.
 
     ``matrix`` acts on row-major flattened weights.  ``cond`` is its 2-norm
-    condition number, fixed at construction.  ``truncation_mass`` is the
-    total absolute weight of the exact coarse operator that fell outside the
-    retained ``k x k`` window, accumulated over all unit-stencil probes
-    (zero for CONSTANT_AVERAGE, whose coarse support is exactly ``k x k``).
+    condition number, fixed at construction.
     """
 
     k: int
     kind: TransferKind
     matrix: np.ndarray
     cond: float
-    truncation_mass: float
 
     def inverse(self) -> np.ndarray:
         """The inverse matrix; refused when ill-posed."""
@@ -337,17 +333,12 @@ def build_coarsen_map(k: int, pair: TransferPair) -> CoarsenMap:
     coarse_ops = restrict_values(bank_apply(probes, fine_delta[None]), pair.kind)
     # (R K P) delta_m has entry a_d at position m - d: gather the window.
     window = (mid + c - np.arange(k)) % n_coarse
-    kept = np.zeros((n_coarse, n_coarse), dtype=bool)
-    kept[window[:, None], window] = True
     matrix = np.ascontiguousarray(coarse_ops[:, window[:, None], window].reshape(k * k, -1).T)
-    truncation = 0.0
-    for mass in np.abs(coarse_ops[:, ~kept]).sum(axis=1):
-        truncation += float(mass)
 
     cond = float(np.linalg.cond(matrix))
     if cond > COND_LIMIT or not np.isfinite(cond):
         raise IllPosedError(f"coarsening map for k={k} is ill-posed (cond={cond:.3e})")
-    return CoarsenMap(k=k, kind=pair.kind, matrix=matrix, cond=cond, truncation_mass=truncation)
+    return CoarsenMap(k=k, kind=pair.kind, matrix=matrix, cond=cond)
 
 
 def _map_bank(bank: StencilBank, m: CoarsenMap, refine: bool) -> StencilBank:

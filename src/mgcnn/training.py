@@ -198,12 +198,29 @@ class BcdConfig:
 # --- classifier subproblem ---------------------------------------------------
 
 
+@dataclass
+class EvalReport:
+    """Accuracy and mean cross-entropy of a classifier on a set of examples."""
+
+    accuracy: float
+    mean_loss: float
+
+
+def _score(features: np.ndarray, labels: np.ndarray, clf: Classifier) -> EvalReport:
+    """Score ``clf`` on fixed final states: the logits are formed once,
+    predictions take the argmax (ties go to the lowest class), and the
+    cross-entropy is averaged over the whole set."""
+    logits = _logits(features, clf)
+    return EvalReport(accuracy=float((logits.argmax(axis=1) == labels).mean()),
+                      mean_loss=float(_cross_entropy(logits, labels).mean()))
+
+
 def classifier_objective(
     features: np.ndarray, labels: np.ndarray, clf: Classifier, reg: RegConfig
 ) -> float:
     """Mean cross-entropy on fixed features plus the spatial penalty."""
     labels = _check_labels(labels, clf.num_classes)
-    ce = float(_cross_entropy(_logits(features, clf), labels).mean())
+    ce = _score(features, labels, clf).mean_loss
     return ce + reg.lambda_w * clf.grid.h**2 * _smooth_sq(clf.weights)
 
 
@@ -762,57 +779,41 @@ def bcd_train(
                 features, train.labels, clf, reg, cfg.newton_steps
             ).classifier
 
-        logits = _logits(features, clf)
+        score = _score(features, train.labels, clf)
         del features  # freed with `states` after the next gradient pass, before the search
-        data_term = float(_cross_entropy(logits, train.labels).mean())
         reg_term, _ = reg_value_and_grad(params, clf, reg)
-        train_acc = float((logits.argmax(axis=1) == train.labels).mean())
         val_acc = math.nan
         if val is not None:
             val_acc = evaluate(val, params, clf, workers, embedded=val_y0).accuracy
         history.append(
             HistoryRow(
                 iteration=it,
-                loss=data_term + reg_term,
-                data_term=data_term,
+                loss=score.mean_loss + reg_term,
+                data_term=score.mean_loss,
                 reg_term=reg_term,
-                train_acc=train_acc,
+                train_acc=score.accuracy,
                 val_acc=val_acc,
             )
         )
     return TrainResult(params, clf, history)
 
 
-@dataclass
-class EvalReport:
-    accuracy: float
-    mean_loss: float
-    confusion: np.ndarray  # (L, L), rows: true class, columns: prediction
-
-
 def evaluate(
     dataset: LabeledDataset, params: NetworkParams, clf: Classifier, workers: int = 1,
     embedded: np.ndarray | None = None,
 ) -> EvalReport:
-    """Accuracy, mean cross-entropy and confusion matrix on a dataset.
+    """Accuracy and mean cross-entropy on a dataset, from one forward pass.
 
     Predictions take the argmax; ties resolve to the lowest class index.
-    ``embedded`` is as in :func:`~mgcnn.network.propagate_final`.
+    The score is the one :func:`bcd_train` records for its training set, so
+    at the same point both give the same bits.  ``embedded`` is as in
+    :func:`~mgcnn.network.propagate_final`.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
     labels = _check_labels(dataset.labels, clf.num_classes)
     features = propagate_final(dataset.images, params, workers=workers, embedded=embedded)
-    logits = _logits(features, clf)
-    pred = logits.argmax(axis=1)
-    L = clf.num_classes
-    confusion = np.zeros((L, L), dtype=np.int64)
-    np.add.at(confusion, (labels, pred), 1)
-    return EvalReport(
-        accuracy=float((pred == labels).mean()),
-        mean_loss=float(_cross_entropy(logits, labels).mean()),
-        confusion=confusion,
-    )
+    return _score(features, labels, clf)
 
 
 HISTORY_COLUMNS = ("iter", "loss", "data_term", "reg_term", "train_acc", "val_acc")

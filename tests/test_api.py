@@ -78,6 +78,8 @@ def test_removed_methods_are_gone():
     assert not hasattr(network.Activation, "from_name")
     # read nowhere
     assert not hasattr(network.Classifier, "channels")
+    assert "confusion" not in training.EvalReport.__dataclass_fields__
+    assert "truncation_mass" not in CoarsenMap.__dataclass_fields__
 
 
 def test_penalty_has_one_home():

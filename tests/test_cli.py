@@ -271,7 +271,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(images) in err and named in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_failure_is_four(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """
         dataset = bars

@@ -209,7 +209,6 @@ class TestForwardPropagate:
         for got, ref in zip(states, want):
             assert rel_err(got, ref) <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_layer(self):
         p = small_params(num_layers=6, act=Activation.IDENTITY)
         for b in p.banks:
@@ -554,26 +553,30 @@ class TestGradient:
         assert rep_only.data_term == rep_grad.data_term
         assert rep_only.reg_term == rep_grad.reg_term
 
-    @pytest.mark.parametrize("act, channels, n, classes, m", [
-        (Activation.IDENTITY, 2, 6, 2, 300),  # chunks of 256 and 44 examples
-        (Activation.TANH, 2, 6, 3, 300),
-        (Activation.TANH, 3, 14, 10, 540),  # 3 x 14^2 features, three chunks
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("act, channels, n, classes, m, zero_weights", [
+        (Activation.IDENTITY, 2, 6, 2, 300, False),  # chunks of 256 and 44 examples
+        (Activation.TANH, 2, 6, 3, 300, False),
+        (Activation.TANH, 3, 14, 10, 540, False),  # 3 x 14^2 features, three chunks
+        (Activation.TANH, 2, 6, 3, 540, True),  # offset-only logits, no sweep
     ])
     def test_multi_chunk_loss_matches_the_gradient_pass_to_the_bit(
-        self, act, channels, n, classes, m
+        self, act, channels, n, classes, m, zero_weights, workers
     ):
         # the Armijo test compares a trial's loss with the gradient pass's
         rng = np.random.default_rng(42)
         p = scramble_in_time(small_params(channels=channels, num_layers=3, act=act), seed=43)
         clf = Classifier(Grid2D(n, n, 1.0), rng.normal(size=(classes, channels, n, n)),
                          rng.normal(size=classes))
+        if zero_weights:
+            clf.weights[:] = 0.0
         imgs = rng.random((m, n, n))
         labels = np.arange(m) % classes
         reg = RegConfig(lambda_w=0.05, lambda_theta=0.02)
-        kept = loss(imgs, labels, p, clf, reg, keep=True)
-        fresh, _ = loss_and_gradient(imgs, labels, p, clf, reg)
-        fed, _ = loss_and_gradient(imgs, labels, p, clf, reg, states=kept.states)
-        for report in (loss(imgs, labels, p, clf, reg), kept):
+        kept = loss(imgs, labels, p, clf, reg, workers, keep=True)
+        fresh, _ = loss_and_gradient(imgs, labels, p, clf, reg, workers)
+        fed, _ = loss_and_gradient(imgs, labels, p, clf, reg, workers, states=kept.states)
+        for report in (loss(imgs, labels, p, clf, reg, workers), kept):
             for grad_report in (fresh, fed):
                 assert report.data_term == grad_report.data_term
                 assert report.total == grad_report.total

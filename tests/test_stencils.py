@@ -343,11 +343,6 @@ class TestCoarsenMap:
             want = galerkin_coarse_stencil(w, 16, 16, pair.kind.value)
             np.testing.assert_allclose(coarsen_one(w, m), want, atol=1e-12)
 
-    def test_truncation_mass(self):
-        assert build_coarsen_map(3, CA).truncation_mass <= 1e-14
-        # the bilinear pair widens the operator beyond 3x3, so mass is lost
-        assert build_coarsen_map(3, FW).truncation_mass > 1e-3
-
     def test_conditioning_within_limits(self):
         for pair in (CA, FW):
             m = build_coarsen_map(3, pair)
@@ -388,9 +383,7 @@ class TestRefine:
 
     def test_ill_conditioned_map_refuses_to_solve(self):
         m = build_coarsen_map(3, CA)
-        bad = CoarsenMap(
-            k=m.k, kind=m.kind, matrix=m.matrix, cond=1e13, truncation_mass=0.0
-        )
+        bad = CoarsenMap(k=m.k, kind=m.kind, matrix=m.matrix, cond=1e13)
         with pytest.raises(IllPosedError):
             refine_one(IDENTITY[0, 0], bad)
 
@@ -404,10 +397,8 @@ class TestRefine:
     def test_bank_refuses_ill_posed_maps(self):
         m = build_coarsen_map(3, CA)
         bank = StencilBank(np.eye(2)[:, :, None, None] * IDENTITY[0, 0])
-        ill = CoarsenMap(k=m.k, kind=m.kind, matrix=m.matrix, cond=1e13, truncation_mass=0.0)
-        singular = CoarsenMap(
-            k=3, kind=m.kind, matrix=np.zeros((9, 9)), cond=1.0, truncation_mass=0.0
-        )
+        ill = CoarsenMap(k=m.k, kind=m.kind, matrix=m.matrix, cond=1e13)
+        singular = CoarsenMap(k=3, kind=m.kind, matrix=np.zeros((9, 9)), cond=1.0)
         for bad in (ill, singular):
             with pytest.raises(IllPosedError):
                 refine_bank(bank, bad)
