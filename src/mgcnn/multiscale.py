@@ -141,15 +141,20 @@ def _train_stage(
     cfg: BcdConfig,
     val: LabeledDataset | None,
     workers: int,
+    warm: bool,
 ) -> tuple[TrainResult, float, float]:
     """One stage of a warm-started chain: the trained result, its accuracy
     on ``val`` (on ``ds`` without one) and the seconds :func:`bcd_train` took.
 
     The accuracy is the last history row's, which scored the result's
-    model; only a stage of no iteration calls :func:`evaluate` itself.
+    model; only a stage of no iteration calls :func:`evaluate` itself.  A
+    ``warm`` stage's result holds the initial loss of the model it was given
+    (``TrainResult.initial_loss``), from the first gradient pass of
+    :func:`bcd_train`.
     """
     start = time.perf_counter()
-    res = bcd_train(ds, params, clf, reg, cfg, val=val, workers=workers)
+    res = bcd_train(ds, params, clf, reg, cfg, val=val, workers=workers,
+                    record_initial_loss=warm)
     wall = time.perf_counter() - start
     if not res.history:
         scored = val if val is not None else ds
@@ -197,9 +202,15 @@ def multilevel_train(
     call's first Newton fit starts from the zero classifier, since the
     refined one can be saturated on the level's features.
 
-    An initial loss whose classifier weights are all zero, as every cold
-    model's and a cold ``init``'s are, takes no forward pass
-    (:func:`~mgcnn.network.loss`).
+    Each level's warm initial loss comes from its :func:`bcd_train` call's
+    first gradient pass (``record_initial_loss``), which runs at the model
+    the level starts from, so no level propagates its training images
+    before training.  In full batch it is the bits of
+    :func:`~mgcnn.network.loss`; a minibatch level's can differ from them in
+    the last bits.  A level of zero iterations takes it from
+    :func:`~mgcnn.network.loss`.  A cold initial loss is a
+    :func:`~mgcnn.network.loss` pass, which for a classifier whose weights
+    are all zero, as every cold model's is, propagates nothing.
 
     A level's ``final_acc`` is its last history row's accuracy, on the
     validation level (``val_acc``) or without one on the training level
@@ -230,12 +241,13 @@ def multilevel_train(
         cfg = schedule.configs[level]
         val = val_pyramid.datasets[level] if val_pyramid is not None else None
 
-        init_warm = loss(ds.images, ds.labels, params, clf, reg, workers=workers).total
         init_cold = nan
         if cold_init is not None:
             init_cold = loss(ds.images, ds.labels, *cold_init(level), reg, workers=workers).total
 
-        res, final_acc, wall = _train_stage(ds, params, clf, reg, cfg, val, workers)
+        res, final_acc, wall = _train_stage(ds, params, clf, reg, cfg, val, workers, True)
+        init_warm = res.initial_loss if res.history else loss(
+            ds.images, ds.labels, params, clf, reg, workers=workers).total
         params, clf = res.params, res.classifier
         results.append(LevelResult(level, res.history, init_warm, init_cold, final_acc, wall))
         if level > 0:
@@ -317,9 +329,12 @@ def shallow_to_deep_train(
     loss and the first propagation step of its :func:`bcd_train` call.  That
     call's first Newton fit starts from the zero classifier.
 
-    An initial loss whose classifier weights are all zero, as a cold
-    model's from ``make_model`` usually is, takes no forward pass
-    (:func:`~mgcnn.network.loss`).
+    A later depth's warm initial loss comes from its :func:`bcd_train`
+    call's first gradient pass, as in :func:`multilevel_train`, and from
+    :func:`~mgcnn.network.loss` when ``cfg.outer_iters = 0``.  A cold
+    initial loss is a :func:`~mgcnn.network.loss` pass, which takes no
+    forward pass for a classifier whose weights are all zero, as a cold
+    model's from ``make_model`` usually is.
 
     A depth's ``final_acc`` is its last history row's accuracy: ``val_acc``,
     or ``train_acc`` without ``val``.  With ``cfg.outer_iters = 0`` it is
@@ -339,14 +354,16 @@ def shallow_to_deep_train(
         init_cold = loss(train.images, train.labels, cold_p, cold_c, reg, workers=workers).total
         cold_history: list[HistoryRow] | None = None
         if pos == 0:
-            init_warm = nan
             params, clf = cold_p, cold_c
         else:
             params = prolong_depth(params, depth // depths[pos - 1])
-            init_warm = loss(train.images, train.labels, params, clf, reg, workers=workers).total
             cold_history = bcd_train(train, cold_p, cold_c, reg, cfg, val=val, workers=workers).history
 
-        res, final_acc, wall = _train_stage(train, params, clf, reg, cfg, val, workers)
+        res, final_acc, wall = _train_stage(train, params, clf, reg, cfg, val, workers, pos > 0)
+        init_warm = nan
+        if pos > 0:
+            init_warm = res.initial_loss if res.history else loss(
+                train.images, train.labels, params, clf, reg, workers=workers).total
         params, clf = res.params, res.classifier
         results.append(
             DepthResult(depth, res.history, init_warm, init_cold, cold_history, final_acc, wall)

@@ -287,6 +287,12 @@ def _check_embedded(embedded: np.ndarray | None, images: np.ndarray, params: Net
         raise ValueError(f"embedded must have shape {shape}, got {np.shape(embedded)}")
 
 
+def _check_label_count(labels: np.ndarray, images: np.ndarray) -> None:
+    """Refuse ``labels`` that do not hold one entry per image of the batch."""
+    if labels.size != np.shape(images)[0]:
+        raise ValueError(f"{labels.size} labels for {np.shape(images)[0]} images")
+
+
 def _propagate(
     x: np.ndarray, params: NetworkParams, keep: bool, y0: np.ndarray | None = None
 ) -> list[np.ndarray]:
@@ -417,7 +423,9 @@ class LossReport:
     computed them, so a caller that accepts this point can reuse them.
     ``states`` holds, when :func:`loss` was asked to keep them, each chunk's
     trajectory ``y_1 .. y_N``, which :func:`loss_and_gradient` takes in place
-    of its forward pass.  Neither takes part in comparison.
+    of its forward pass.  ``logits`` holds the ``(m, L)`` class scores that
+    :func:`loss_and_gradient` formed, in example order.  None of the three
+    takes part in comparison.
     """
 
     total: float
@@ -425,6 +433,7 @@ class LossReport:
     reg_term: float
     features: np.ndarray | None = field(default=None, compare=False, repr=False)
     states: list[list[np.ndarray]] | None = field(default=None, compare=False, repr=False)
+    logits: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -532,8 +541,11 @@ def loss(
     then formed from ``mu`` alone, to the same bits: no image is read, the
     report's ``features`` and ``states`` are ``None``, and no
     :class:`~mgcnn.errors.DivergenceError` can arise.
+
+    A label count other than the image count raises ``ValueError``.
     """
     labels = _check_labels(labels, clf.num_classes)
+    _check_label_count(labels, images)
     slices = _chunks(labels.size)
     if keep or clf.weights.any():
         y_out, states = _propagate_batch(images, params, workers, keep, embedded)
@@ -586,10 +598,14 @@ def loss_and_gradient(
     gradient reads: the bank, bias and embedding gradients are the
     penalty's (:func:`reg_value_and_grad`; zero for the embedding) to the
     bit.
+
+    The report keeps the batch's logits (``LossReport.logits``).  A label
+    count other than the image count raises ``ValueError``.
     """
     images = np.asarray(images, dtype=np.float64)
     _check_embedded(embedded, images, params)
     labels = _check_labels(labels, clf.num_classes)
+    _check_label_count(labels, images)
     m = images.shape[0]
     n, c, k = params.num_layers, params.channels, params.kernel_size
     h2 = clf.grid.h**2
@@ -601,6 +617,7 @@ def loss_and_gradient(
     else:
         chunks = list(zip(slices, states))
     sweep = bool(clf.weights.any())
+    logits = np.empty((m, clf.num_classes))
 
     def run(chunk: tuple[slice, list[np.ndarray] | None]):
         s, kept = chunk
@@ -610,8 +627,8 @@ def loss_and_gradient(
             trajectory = _propagate(x, params, keep=sweep, y0=y0)
         else:
             trajectory = [embed_input(x, params) if y0 is None else y0] + kept
-        logits = _logits(trajectory[-1], clf)
-        d_logit = softmax(logits)
+        logits[s] = _logits(trajectory[-1], clf)
+        d_logit = softmax(logits[s])
         d_logit[np.arange(labels[s].size), labels[s]] -= 1.0
         d_logit /= m
 
@@ -620,7 +637,7 @@ def loss_and_gradient(
         g_banks = np.zeros((n, c, c, k, k))
         g_biases = np.zeros((n, c))
         if not sweep:  # dy is exactly +-0: the sweep would add only signed zeros
-            return logits, g_banks, g_biases, g_w, g_mu, None
+            return g_banks, g_biases, g_w, g_mu, None
 
         dy = h2 * np.einsum("ml,lcyx->mcyx", d_logit, clf.weights, optimize=True)
         for i in range(n - 1, -1, -1):
@@ -631,7 +648,7 @@ def loss_and_gradient(
             if i > 0 or embed_grad:
                 dy = dy + bank_apply(_adjoint_weights(params.banks[i].weights), u)
         g_embed = tap_gradient(dy, x[:, None, :, :], k) if embed_grad else None
-        return logits, g_banks, g_biases, g_w, g_mu, g_embed
+        return g_banks, g_biases, g_w, g_mu, g_embed
 
     grads = Gradients(
         banks=np.zeros((n, c, c, k, k)),
@@ -641,8 +658,8 @@ def loss_and_gradient(
         embed=np.zeros((c, 1, k, k)) if embed_grad else None,
     )
     results = _map_chunks(run, chunks, workers)
-    data = _mean_cross_entropy(labels, (logits for logits, *_ in results))
-    for _, g_banks, g_biases, g_w, g_mu, g_embed in results:
+    data = _mean_cross_entropy(labels, (logits[s] for s in slices))
+    for g_banks, g_biases, g_w, g_mu, g_embed in results:
         grads.banks += g_banks
         grads.biases += g_biases
         grads.weights += g_w
@@ -660,5 +677,6 @@ def loss_and_gradient(
                     ("embedding", grads.embed)):
         if g is not None and not np.all(np.isfinite(g)):
             raise DivergenceError(f"gradient became non-finite in {name}")
-    report = LossReport(total=data + reg_value, data_term=data, reg_term=reg_value)
+    report = LossReport(total=data + reg_value, data_term=data, reg_term=reg_value,
+                        logits=logits)
     return report, grads

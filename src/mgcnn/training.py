@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -64,6 +64,7 @@ from .errors import DivergenceError
 from .network import (
     Classifier,
     Gradients,
+    LossReport,
     NetworkParams,
     RegConfig,
     RegGrads,
@@ -74,9 +75,11 @@ from .network import (
     softmax,
     zero_classifier,
     _check_labels,
+    _chunks,
     _cross_entropy,
     _embed,
     _logits,
+    _mean_cross_entropy,
     _smooth_grad,
     _smooth_sq,
 )
@@ -622,9 +625,17 @@ class HistoryRow:
 
 @dataclass
 class TrainResult:
+    """The trained model and one history row per iteration.
+
+    ``initial_loss`` is the training set's loss at the model that
+    :func:`bcd_train` was given, recorded only when it was asked to
+    (``record_initial_loss``) and at least one iteration ran; NaN otherwise.
+    """
+
     params: NetworkParams
     classifier: Classifier
     history: list[HistoryRow]
+    initial_loss: float = math.nan
 
 
 def _minibatches(m: int, size: int, rng: np.random.Generator):
@@ -633,6 +644,29 @@ def _minibatches(m: int, size: int, rng: np.random.Generator):
     of an epoch are skipped."""
     while True:
         yield from np.split(rng.permutation(m)[: m - m % size], m // size)
+
+
+def _whole_set_loss(
+    train: LabeledDataset,
+    idx: np.ndarray,
+    report: LossReport,
+    params: NetworkParams,
+    clf: Classifier,
+    workers: int,
+) -> float:
+    """The loss of all of ``train`` at the point of ``report``, a gradient
+    pass over the minibatch ``train[idx]``: the batch's logit rows come from
+    the report, the others' from one pass over the rest.  A classifier whose
+    weights are all zero needs no pass, since its rows are its offsets."""
+    m = len(train)
+    logits = np.empty((m, clf.num_classes))
+    logits[idx] = report.logits
+    rest = np.setdiff1d(np.arange(m), idx)
+    if clf.weights.any():
+        logits[rest] = _logits(propagate_final(train.images[rest], params, workers=workers), clf)
+    else:
+        logits[rest] = clf.mu
+    return _mean_cross_entropy(train.labels, (logits[s] for s in _chunks(m))) + report.reg_term
 
 
 def _prop_step(params: NetworkParams, grads: Gradients, t: float) -> NetworkParams:
@@ -653,6 +687,7 @@ def bcd_train(
     cfg: BcdConfig,
     val: LabeledDataset | None = None,
     workers: int = 1,
+    record_initial_loss: bool = False,
 ) -> TrainResult:
     """Run ``cfg.outer_iters`` BCD iterations; inputs are left untouched.
 
@@ -709,6 +744,20 @@ def bcd_train(
     the first history row's data term is at most ``log L``.  A cold start
     passes the zero classifier anyway.  With ``newton_steps = 0`` the given
     classifier is kept.
+
+    With ``record_initial_loss`` the result's ``initial_loss`` is the loss
+    of the whole training set at ``params`` and ``clf``, taken from the first
+    gradient pass, which runs at that point.  In full batch it is that
+    pass's total, so it costs nothing and equals
+    :func:`~mgcnn.network.loss`'s total to the bit.  With minibatches the
+    batch's logits come from the pass and one more pass over the other
+    examples gives theirs (none for a classifier whose weights are all zero),
+    and the cross-entropy is summed as :func:`~mgcnn.network.loss` sums it.
+    The batch's logit product has other row counts than
+    :func:`~mgcnn.network.loss`'s, so the value can differ from it in the
+    last bits.  A point at which that pass diverges raises
+    :class:`~mgcnn.errors.DivergenceError`.  Without an iteration the value
+    stays NaN.
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
@@ -717,6 +766,7 @@ def bcd_train(
     params = params.copy()
     clf = clf.copy()
     history: list[HistoryRow] = []
+    initial_loss = math.nan
     m, size = len(train), cfg.batch_size
     full_batch = not size or size >= m
     batches = None if full_batch else _minibatches(m, size, np.random.default_rng(cfg.seed))
@@ -734,6 +784,10 @@ def bcd_train(
             images, labels, params, clf, reg, workers=workers, states=states,
             embed_grad=params.embed_learnable, embedded=train_y0,
         )
+        if it == 1 and record_initial_loss:
+            initial_loss = report.total if full_batch else _whole_set_loss(
+                train, idx, report, params, clf, workers)
+        report = replace(report, logits=None)  # only the initial loss reads them
         states = accepted = None  # accepted: the loss report of the accepted trial
         if isinstance(rule, FixedStep):
             params = _prop_step(params, grads, rule.step_size)
@@ -795,7 +849,7 @@ def bcd_train(
                 val_acc=val_acc,
             )
         )
-    return TrainResult(params, clf, history)
+    return TrainResult(params, clf, history, initial_loss)
 
 
 def evaluate(

@@ -283,8 +283,10 @@ class TestExitCodes:
         final_time = 8.0
         outer_iters = 1
         """)
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-        assert "numerical" in capsys.readouterr().err
+        # multilevel takes its coarsest level's warm initial loss from training
+        for command in ("train", "multilevel"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 4
+            assert "numerical" in capsys.readouterr().err
 
     def test_odd_grid_adapt_is_nonzero(self, tmp_path):
         model_path = tmp_path / "odd.bin"
@@ -515,11 +517,16 @@ seed = 0
 class TestWorkerCount:
     """At a fixed BLAS thread count every worker count writes the same bytes."""
 
-    @pytest.mark.parametrize("command, dataset", [
-        ("train", "bars"), ("deepen", "bars"), ("multilevel", "blobs"),
+    @pytest.mark.parametrize("command, dataset, extra", [
+        pytest.param("train", "bars", "", id="train-bars"),
+        pytest.param("deepen", "bars", "", id="deepen-bars"),
+        pytest.param("multilevel", "blobs", "", id="multilevel-blobs"),
+        # minibatches of 500: the warm levels' initial losses splice the
+        # gradient pass's logits with a pass over the other 28 examples
+        pytest.param("multilevel", "blobs", "batch_size = 500\n", id="multilevel-blobs-minibatch"),
     ])
-    def test_two_workers_write_the_sequential_bytes(self, tmp_path, command, dataset):
-        cfg = write_cfg(tmp_path, THREE_CHUNKS.format(dataset=dataset))
+    def test_two_workers_write_the_sequential_bytes(self, tmp_path, command, dataset, extra):
+        cfg = write_cfg(tmp_path, THREE_CHUNKS.format(dataset=dataset) + extra)
         # BLAS threads are fixed when numpy loads, so each run is its own process
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
                "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -528,9 +535,11 @@ class TestWorkerCount:
             out = tmp_path / mode[-1].strip("-")
             subprocess.run([sys.executable, "-m", "mgcnn.cli", command, "--config", cfg, *mode,
                             "--out", str(out)], env=env, check=True, timeout=300)
-            # summary.csv holds wall-clock seconds
             files = sorted([*out.glob("history*.csv"), out / "model.bin"])
             written.append({p.name: p.read_bytes() for p in files})
+            if command != "train":  # summary.csv: every column but the wall-clock seconds
+                written[-1]["summary"] = [{k: v for k, v in row.items() if k != "wall_seconds"}
+                                          for row in read_csv(out / "summary.csv")]
         assert written[0] == written[1]
 
 

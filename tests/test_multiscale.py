@@ -519,31 +519,129 @@ class TestZeroClassifierInitialLoss:
             assert dep.init_loss_cold == want
 
     def test_only_a_trained_classifier_propagates(self, monkeypatch):
-        steps, seen = [], []
-        step, real = network_mod.forward_step, multiscale_mod.loss
+        # and only in the first gradient pass of its level's training
+        seen, real = [], multiscale_mod.loss
 
-        def counted_step(*args, **kwargs):
-            steps.append(1)
-            return step(*args, **kwargs)
+        def spy_loss(images, labels, params, clf, *args, **kwargs):
+            seen.append(bool(clf.weights.any()))
+            return real(images, labels, params, clf, *args, **kwargs)
 
-        def counted_loss(images, labels, params, clf, *args, **kwargs):
-            before = len(steps)
-            out = real(images, labels, params, clf, *args, **kwargs)
-            seen.append((bool(clf.weights.any()), len(steps) > before))
-            return out
-
-        monkeypatch.setattr(network_mod, "forward_step", counted_step)
-        monkeypatch.setattr(multiscale_mod, "loss", counted_loss)
+        monkeypatch.setattr(multiscale_mod, "loss", spy_loss)
+        outside, started = TestWarmInitialLoss.spied(monkeypatch)
         ds = make_synthetic(SyntheticKind.BARS, 20, Grid2D(8, 8, 1.0), seed=8)
         pyr = ResolutionPyramid.build(ds, 1, CA, blur_sigma=0.0)
+        reg = RegConfig(0.01, 0.01)
 
         def cold(level):
             return varied_params(30 + level), zero_classifier(pyr.datasets[level].grid, 2, 2)
 
-        multilevel_train(pyr, LevelSchedule.uniform(BcdConfig(outer_iters=1, newton_steps=1), 2),
-                         cold(1), RegConfig(0.01, 0.01), cold_init=cold)
-        # coarse warm and cold, then the fine level's warm loss from the refined fit and its cold
-        assert seen == [(False, False), (False, False), (True, True), (False, False)]
+        res = multilevel_train(pyr, LevelSchedule.uniform(BcdConfig(outer_iters=1, newton_steps=1),
+                                                          2), cold(1), reg, cold_init=cold)
+        assert seen == [False, False]  # the coarse and the fine cold losses; no warm one
+        assert outside == []
+        fine_ds, refined_p, refined_c, record = started[1]
+        assert record and refined_c.weights.any()
+        assert res.levels[1].init_loss_warm == \
+            loss(fine_ds.images, fine_ds.labels, refined_p, refined_c, reg).total
+
+
+class TestWarmInitialLoss:
+    """A warm stage's initial loss comes from its training's first gradient
+    pass: no forward pass runs outside ``bcd_train``, and the value is that
+    of ``loss`` at the model the stage starts from."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        """Forward steps outside ``bcd_train``, and each call's start model."""
+        outside, started, inside = [], [], []
+        step, train = network_mod.forward_step, multiscale_mod.bcd_train
+
+        def counted_step(*args, **kwargs):
+            if not inside:
+                outside.append(1)
+            return step(*args, **kwargs)
+
+        def spy_train(ds, params, clf, *args, **kwargs):
+            started.append((ds, params, clf, kwargs.get("record_initial_loss", False)))
+            inside.append(1)
+            try:
+                return train(ds, params, clf, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(network_mod, "forward_step", counted_step)
+        monkeypatch.setattr(multiscale_mod, "bcd_train", spy_train)
+        return outside, started
+
+    @staticmethod
+    def assert_loss_at_start(init_loss, start, reg, batch_size):
+        ds, params, clf, record = start
+        assert record
+        want = loss(ds.images, ds.labels, params, clf, reg).total
+        if batch_size is None:
+            assert init_loss == want
+        else:
+            assert abs(init_loss - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("batch_size", [None, 10])
+    def test_multilevel(self, monkeypatch, batch_size):
+        outside, started = self.spied(monkeypatch)
+        ds = make_synthetic(SyntheticKind.BARS, 30, Grid2D(8, 8, 1.0), seed=12)
+        pyr = ResolutionPyramid.build(ds, 1, CA)
+        reg = RegConfig(0.01, 0.01)
+        rng = np.random.default_rng(13)
+        grid = pyr.datasets[1].grid
+        init = varied_params(14), Classifier(grid, rng.normal(size=(2, 2) + grid.shape),
+                                             rng.normal(size=2))
+        cfg = BcdConfig(outer_iters=2, newton_steps=2, batch_size=batch_size)
+        res = multilevel_train(pyr, LevelSchedule.uniform(cfg, 2), init, reg)
+        assert outside == []
+        assert len(started) == 2
+        for lv, start in zip(res.levels, started):
+            self.assert_loss_at_start(lv.init_loss_warm, start, reg, batch_size)
+
+    @pytest.mark.parametrize("batch_size", [None, 10])
+    def test_shallow_to_deep(self, monkeypatch, batch_size):
+        outside, started = self.spied(monkeypatch)
+        ds = make_synthetic(SyntheticKind.BLOBS, 30, Grid2D(6, 6, 1.0), seed=15)
+        reg = RegConfig(0.01, 0.01)
+        init = NetworkInit(channels=2, final_time=0.5, init_scale=0.3)
+        res = shallow_to_deep_train(
+            ds, [1, 2], BcdConfig(outer_iters=2, newton_steps=2, batch_size=batch_size), reg,
+            lambda depth, seed: (init.network_params(depth, seed), zero_classifier(ds.grid, 2, 2)))
+        assert outside == []
+        # depth 1, then depth 2's cold control and its warm stage; only the warm one records
+        assert [record for *_, record in started] == [False, False, True]
+        assert math.isnan(res.depths[0].init_loss_warm)
+        assert started[2][2].weights.any()
+        self.assert_loss_at_start(res.depths[1].init_loss_warm, started[2], reg, batch_size)
+
+    def test_a_stage_of_no_iteration_records_loss(self, monkeypatch):
+        seen, real = [], multiscale_mod.loss
+
+        def spy_loss(images, labels, params, clf, *args, **kwargs):
+            out = real(images, labels, params, clf, *args, **kwargs)
+            seen.append((bool(clf.weights.any()), out.total))
+            return out
+
+        monkeypatch.setattr(multiscale_mod, "loss", spy_loss)
+        ds = make_synthetic(SyntheticKind.BARS, 30, Grid2D(8, 8, 1.0), seed=16)
+        pyr = ResolutionPyramid.build(ds, 1, CA)
+        init = varied_params(17), zero_classifier(pyr.datasets[1].grid, 2, 2)
+        sched = LevelSchedule([BcdConfig(outer_iters=0), BcdConfig(outer_iters=2, newton_steps=2)])
+        res = multilevel_train(pyr, sched, init, RegConfig(0.01, 0.01))
+        fine = res.levels[1]
+        assert fine.history == []
+        # the trained coarse classifier, refined, scores the fine level once
+        assert seen == [(True, fine.init_loss_warm)]
+        deep = shallow_to_deep_train(
+            ds, [1, 2], BcdConfig(outer_iters=0), RegConfig(0.01, 0.01),
+            lambda depth, seed: (varied_params(seed, num_layers=depth),
+                                 zero_classifier(ds.grid, 2, 2)))
+        # each depth's cold loss, then depth 2's warm one
+        assert [total for _, total in seen[1:]] == \
+            [deep.depths[0].init_loss_cold, deep.depths[1].init_loss_cold,
+             deep.depths[1].init_loss_warm]
 
 
 class TestStageScoring:
@@ -629,6 +727,6 @@ class TestStageScoring:
         res = self.multilevel(pyr, vpyr, [0, 2])  # level_iters = 0,2
         fine = res.levels[-1]
         assert fine.level == 0 and fine.history == []
-        # the fine level's one evaluate, after its warm initial loss on the training images
+        # the fine level's one evaluate and, on the training images, its warm initial loss
         assert counts == [1 if with_val else 2]
         assert fine.final_acc == evaluate(scored, res.params, res.classifier).accuracy

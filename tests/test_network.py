@@ -719,6 +719,31 @@ class TestEmbeddingReuse:
                 loss_and_gradient(imgs, labels, p, clf, reg, embedded=bad)
 
 
+class TestLabelCount:
+    """``loss`` and ``loss_and_gradient`` take one label per image."""
+
+    @pytest.mark.parametrize("zero", [False, True])  # zero weights: no image is read
+    @pytest.mark.parametrize("count", [299, 301])
+    def test_other_counts_refused(self, count, zero):
+        imgs, _, p, clf, reg = TestZeroWeightClassifier.problem(m=300, L=3)
+        if not zero:
+            clf = Classifier(clf.grid, np.ones_like(clf.weights), clf.mu)
+        labels = np.arange(count) % 3
+        for fn in (loss, loss_and_gradient):
+            with pytest.raises(ValueError, match=f"{count} labels for 300 images"):
+                fn(imgs, labels, p, clf, reg)
+
+
+class TestGradientLogits:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_keeps_each_chunks_logits(self, workers):
+        imgs, labels, p, clf, reg = TestTrajectoryReuse.problem(Activation.TANH, seed=45)
+        report, _ = loss_and_gradient(imgs, labels, p, clf, reg, workers=workers)
+        features = propagate_final(imgs, p)
+        want = np.concatenate([_logits(features[s], clf) for s in network_mod._chunks(len(imgs))])
+        assert report.logits.tobytes() == want.tobytes()
+
+
 class TestZeroWeightClassifier:
     """Zero classifier weights: every logit row is the offsets, and the
     adjoint entering the reverse sweep is exactly +-0."""

@@ -20,6 +20,7 @@ from mgcnn.network import (
     Classifier,
     _cross_entropy,
     _logits,
+    loss,
     loss_and_gradient,
     propagate_final,
     random_network_params,
@@ -1350,6 +1351,88 @@ class TestReportLifetimes:
         fresh = outer_iters if batch_size else 0  # training-set feature passes
         assert checks.count("propagate_final") == outer_iters + fresh
         assert checks.count("newton") == outer_iters
+
+
+class TestInitialLoss:
+    """``record_initial_loss`` gives the whole training set's loss at the
+    given model from the first gradient pass, and changes nothing else."""
+
+    @staticmethod
+    def start(ds, activation=Activation.TANH, seed=40):
+        params = varied_params(seed, num_layers=2)
+        params.activation = activation
+        rng = np.random.default_rng(seed)
+        clf = Classifier(ds.grid, rng.normal(size=(2, 2) + ds.grid.shape), rng.normal(size=2))
+        return params, clf
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("activation", [Activation.TANH, Activation.IDENTITY])
+    @pytest.mark.parametrize("m", [7, 300, 540])  # one chunk, two, three
+    def test_full_batch_is_the_loss_to_the_bit(self, m, activation, workers):
+        ds = blob_set(n=m, seed=41)
+        params, clf = self.start(ds, activation)
+        reg, cfg = RegConfig(0.02, 0.05), BcdConfig(outer_iters=2, newton_steps=2)
+        res = bcd_train(ds, params, clf, reg, cfg, workers=workers, record_initial_loss=True)
+        assert res.initial_loss == loss(ds.images, ds.labels, params, clf, reg).total
+        plain = bcd_train(ds, params, clf, reg, cfg, workers=workers)
+        assert math.isnan(plain.initial_loss)
+        assert_same_run(res, plain)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("zero", [False, True])
+    @pytest.mark.parametrize("m, batch_size", [(30, 10), (540, 500)])
+    def test_minibatch_splices_the_batch_with_the_rest(self, monkeypatch, m, batch_size, zero,
+                                                      workers):
+        ds = blob_set(n=m, seed=42)
+        params, clf = self.start(ds)
+        if zero:
+            clf = zero_classifier(ds.grid, 2, 2)
+        reg = RegConfig(0.02, 0.05)
+        cfg = BcdConfig(outer_iters=2, newton_steps=2, batch_size=batch_size)
+        sizes, final = [], training_mod.propagate_final
+
+        def spy_final(images, *args, **kwargs):
+            sizes.append(len(images))
+            return final(images, *args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "propagate_final", spy_final)
+        plain = bcd_train(ds, params, clf, reg, cfg, workers=workers)
+        plain_sizes = sizes[:]
+        sizes.clear()
+        res = bcd_train(ds, params, clf, reg, cfg, workers=workers, record_initial_loss=True)
+        assert_same_run(res, plain)
+        want = loss(ds.images, ds.labels, params, clf, reg).total
+        if zero:  # the rest's rows are the offsets: no pass, and the same bits
+            assert res.initial_loss == want
+            assert sizes == plain_sizes
+        else:
+            assert abs(res.initial_loss - want) <= 1e-14 * want
+            assert sizes == [m - batch_size] + plain_sizes
+
+    @pytest.mark.parametrize("batch_size", [None, 10])
+    def test_diverging_start_raises(self, monkeypatch, batch_size):
+        # zero images stay zero through a linear layer without bias, and one
+        # layer with a frozen embedding applies no adjoint bank, so with
+        # minibatches only the pass over the rest, of images of ones, diverges
+        ds = blob_set(n=30, seed=43)
+        first = next(training_mod._minibatches(30, 10, np.random.default_rng(0)))
+        ds.images[:] = 1.0
+        ds.images[first] = 0.0
+        params = random_network_params(channels=2, num_layers=1, final_time=1.0, seed=44,
+                                       activation=Activation.IDENTITY)
+        params.banks[0].weights[:] = 1e308
+        clf = Classifier(ds.grid, np.ones((2, 2) + ds.grid.shape), np.zeros(2))
+        trials, trial_loss = [], training_mod.loss
+
+        def spy_loss(*args, **kwargs):
+            trials.append(1)
+            return trial_loss(*args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "loss", spy_loss)
+        with pytest.raises(DivergenceError, match="layer"):
+            bcd_train(ds, params, clf, RegConfig(1e-3, 1e-3),
+                      BcdConfig(outer_iters=1, batch_size=batch_size), record_initial_loss=True)
+        assert trials == []
 
 
 class TestEmbeddingOnce:
