@@ -141,26 +141,26 @@ def _train_stage(
     cfg: BcdConfig,
     val: LabeledDataset | None,
     workers: int,
-    warm: bool,
-) -> tuple[TrainResult, float, float]:
-    """One stage of a warm-started chain: the trained result, its accuracy
-    on ``val`` (on ``ds`` without one) and the seconds :func:`bcd_train` took.
+) -> tuple[TrainResult, float, float, float]:
+    """One stage of a warm-started chain: the trained result, the initial
+    loss of the model it was given on ``ds``, its accuracy on ``val`` (on
+    ``ds`` without one) and the seconds :func:`bcd_train` took.
 
-    The accuracy is the last history row's, which scored the result's
-    model; only a stage of no iteration calls :func:`evaluate` itself.  A
-    ``warm`` stage's result holds the initial loss of the model it was given
-    (``TrainResult.initial_loss``), from the first gradient pass of
-    :func:`bcd_train`.
+    The initial loss is the result's (``TrainResult.initial_loss``), from
+    the first gradient pass of :func:`bcd_train`, and the accuracy is the
+    last history row's, which scored the result's model.  Only a stage of no
+    iteration calls :func:`~mgcnn.network.loss` and :func:`evaluate` itself.
     """
     start = time.perf_counter()
-    res = bcd_train(ds, params, clf, reg, cfg, val=val, workers=workers,
-                    record_initial_loss=warm)
+    res = bcd_train(ds, params, clf, reg, cfg, val=val, workers=workers)
     wall = time.perf_counter() - start
     if not res.history:
+        init_loss = loss(ds.images, ds.labels, params, clf, reg, workers=workers).total
         scored = val if val is not None else ds
-        return res, evaluate(scored, res.params, res.classifier, workers=workers).accuracy, wall
+        acc = evaluate(scored, res.params, res.classifier, workers=workers).accuracy
+        return res, init_loss, acc, wall
     last = res.history[-1]
-    return res, last.val_acc if val is not None else last.train_acc, wall
+    return res, res.initial_loss, last.val_acc if val is not None else last.train_acc, wall
 
 
 @dataclass
@@ -203,8 +203,8 @@ def multilevel_train(
     refined one can be saturated on the level's features.
 
     Each level's warm initial loss comes from its :func:`bcd_train` call's
-    first gradient pass (``record_initial_loss``), which runs at the model
-    the level starts from, so no level propagates its training images
+    first gradient pass (``TrainResult.initial_loss``), which runs at the
+    model the level starts from, so no level propagates its training images
     before training.  In full batch it is the bits of
     :func:`~mgcnn.network.loss`; a minibatch level's can differ from them in
     the last bits.  A level of zero iterations takes it from
@@ -245,9 +245,7 @@ def multilevel_train(
         if cold_init is not None:
             init_cold = loss(ds.images, ds.labels, *cold_init(level), reg, workers=workers).total
 
-        res, final_acc, wall = _train_stage(ds, params, clf, reg, cfg, val, workers, True)
-        init_warm = res.initial_loss if res.history else loss(
-            ds.images, ds.labels, params, clf, reg, workers=workers).total
+        res, init_warm, final_acc, wall = _train_stage(ds, params, clf, reg, cfg, val, workers)
         params, clf = res.params, res.classifier
         results.append(LevelResult(level, res.history, init_warm, init_cold, final_acc, wall))
         if level > 0:
@@ -359,11 +357,8 @@ def shallow_to_deep_train(
             params = prolong_depth(params, depth // depths[pos - 1])
             cold_history = bcd_train(train, cold_p, cold_c, reg, cfg, val=val, workers=workers).history
 
-        res, final_acc, wall = _train_stage(train, params, clf, reg, cfg, val, workers, pos > 0)
-        init_warm = nan
-        if pos > 0:
-            init_warm = res.initial_loss if res.history else loss(
-                train.images, train.labels, params, clf, reg, workers=workers).total
+        res, init_loss, final_acc, wall = _train_stage(train, params, clf, reg, cfg, val, workers)
+        init_warm = init_loss if pos > 0 else nan
         params, clf = res.params, res.classifier
         results.append(
             DepthResult(depth, res.history, init_warm, init_cold, cold_history, final_acc, wall)

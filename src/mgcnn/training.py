@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -628,8 +628,8 @@ class TrainResult:
     """The trained model and one history row per iteration.
 
     ``initial_loss`` is the training set's loss at the model that
-    :func:`bcd_train` was given, recorded only when it was asked to
-    (``record_initial_loss``) and at least one iteration ran; NaN otherwise.
+    :func:`bcd_train` was given, from its first gradient pass; NaN when no
+    iteration ran.
     """
 
     params: NetworkParams
@@ -687,7 +687,6 @@ def bcd_train(
     cfg: BcdConfig,
     val: LabeledDataset | None = None,
     workers: int = 1,
-    record_initial_loss: bool = False,
 ) -> TrainResult:
     """Run ``cfg.outer_iters`` BCD iterations; inputs are left untouched.
 
@@ -745,15 +744,15 @@ def bcd_train(
     passes the zero classifier anyway.  With ``newton_steps = 0`` the given
     classifier is kept.
 
-    With ``record_initial_loss`` the result's ``initial_loss`` is the loss
-    of the whole training set at ``params`` and ``clf``, taken from the first
-    gradient pass, which runs at that point.  In full batch it is that
-    pass's total, so it costs nothing and equals
-    :func:`~mgcnn.network.loss`'s total to the bit.  With minibatches the
-    batch's logits come from the pass and one more pass over the other
-    examples gives theirs (none for a classifier whose weights are all zero),
-    and the cross-entropy is summed as :func:`~mgcnn.network.loss` sums it.
-    The batch's logit product has other row counts than
+    The result's ``initial_loss`` is the loss of the whole training set at
+    ``params`` and ``clf``, taken from the first gradient pass, which runs
+    at that point.  In full batch it is that pass's total, so it costs
+    nothing and equals :func:`~mgcnn.network.loss`'s total to the bit.  With
+    minibatches the batch's logits come from the pass and one more pass over
+    the other examples gives theirs.  A classifier whose weights are all
+    zero, as a cold start's is, needs no such pass: its rows are its
+    offsets.  The cross-entropy is summed as :func:`~mgcnn.network.loss`
+    sums it, but the batch's logit product has other row counts than
     :func:`~mgcnn.network.loss`'s, so the value can differ from it in the
     last bits.  A point at which that pass diverges raises
     :class:`~mgcnn.errors.DivergenceError`.  Without an iteration the value
@@ -784,10 +783,9 @@ def bcd_train(
             images, labels, params, clf, reg, workers=workers, states=states,
             embed_grad=params.embed_learnable, embedded=train_y0,
         )
-        if it == 1 and record_initial_loss:
+        if it == 1:
             initial_loss = report.total if full_batch else _whole_set_loss(
                 train, idx, report, params, clf, workers)
-        report = replace(report, logits=None)  # only the initial loss reads them
         states = accepted = None  # accepted: the loss report of the accepted trial
         if isinstance(rule, FixedStep):
             params = _prop_step(params, grads, rule.step_size)

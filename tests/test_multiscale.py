@@ -39,6 +39,7 @@ from mgcnn.stencils import StencilBank, build_coarsen_map
 from mgcnn.training import (
     ArmijoBacktracking,
     BcdConfig,
+    EvalReport,
     RegConfig,
     TrainResult,
     bcd_train,
@@ -474,10 +475,10 @@ class TestZeroClassifierInitialLoss:
             return step(*args, **kwargs)
 
         monkeypatch.setattr(network_mod, "forward_step", counted)
-        monkeypatch.setattr(multiscale_mod, "_train_stage", lambda ds, p, c, *rest:
-                            (TrainResult(p, c, []), math.nan, 0.0))
         monkeypatch.setattr(multiscale_mod, "bcd_train", lambda ds, p, c, *rest, **kw:
                             TrainResult(p, c, []))
+        monkeypatch.setattr(multiscale_mod, "evaluate", lambda *args, **kwargs:
+                            EvalReport(math.nan, math.nan))
         return steps
 
     @pytest.mark.parametrize("m", [7, 90, 300, 540])  # below, between, above CHUNK multiples
@@ -539,8 +540,8 @@ class TestZeroClassifierInitialLoss:
                                                           2), cold(1), reg, cold_init=cold)
         assert seen == [False, False]  # the coarse and the fine cold losses; no warm one
         assert outside == []
-        fine_ds, refined_p, refined_c, record = started[1]
-        assert record and refined_c.weights.any()
+        fine_ds, refined_p, refined_c = started[1]
+        assert refined_c.weights.any()
         assert res.levels[1].init_loss_warm == \
             loss(fine_ds.images, fine_ds.labels, refined_p, refined_c, reg).total
 
@@ -562,7 +563,7 @@ class TestWarmInitialLoss:
             return step(*args, **kwargs)
 
         def spy_train(ds, params, clf, *args, **kwargs):
-            started.append((ds, params, clf, kwargs.get("record_initial_loss", False)))
+            started.append((ds, params, clf))
             inside.append(1)
             try:
                 return train(ds, params, clf, *args, **kwargs)
@@ -575,8 +576,7 @@ class TestWarmInitialLoss:
 
     @staticmethod
     def assert_loss_at_start(init_loss, start, reg, batch_size):
-        ds, params, clf, record = start
-        assert record
+        ds, params, clf = start
         want = loss(ds.images, ds.labels, params, clf, reg).total
         if batch_size is None:
             assert init_loss == want
@@ -610,8 +610,8 @@ class TestWarmInitialLoss:
             ds, [1, 2], BcdConfig(outer_iters=2, newton_steps=2, batch_size=batch_size), reg,
             lambda depth, seed: (init.network_params(depth, seed), zero_classifier(ds.grid, 2, 2)))
         assert outside == []
-        # depth 1, then depth 2's cold control and its warm stage; only the warm one records
-        assert [record for *_, record in started] == [False, False, True]
+        # depth 1, then depth 2's cold control and its warm stage
+        assert len(started) == 3
         assert math.isnan(res.depths[0].init_loss_warm)
         assert started[2][2].weights.any()
         self.assert_loss_at_start(res.depths[1].init_loss_warm, started[2], reg, batch_size)
@@ -638,10 +638,12 @@ class TestWarmInitialLoss:
             ds, [1, 2], BcdConfig(outer_iters=0), RegConfig(0.01, 0.01),
             lambda depth, seed: (varied_params(seed, num_layers=depth),
                                  zero_classifier(ds.grid, 2, 2)))
-        # each depth's cold loss, then depth 2's warm one
+        # each depth's cold loss, then its stage's loss at its start: depth 1
+        # starts from its cold model (and reports NaN), depth 2 warm
         assert [total for _, total in seen[1:]] == \
-            [deep.depths[0].init_loss_cold, deep.depths[1].init_loss_cold,
-             deep.depths[1].init_loss_warm]
+            [deep.depths[0].init_loss_cold, deep.depths[0].init_loss_cold,
+             deep.depths[1].init_loss_cold, deep.depths[1].init_loss_warm]
+        assert math.isnan(deep.depths[0].init_loss_warm)
 
 
 class TestStageScoring:

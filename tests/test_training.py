@@ -1146,10 +1146,12 @@ class TestTrajectoryReuse:
     # ``cold`` starts from a zero classifier without the path penalty, so the
     # first propagation gradient is exactly zero: the first search accepts
     # its trial at the unchanged point, and that trial's features and
-    # trajectory are used like any other's.
+    # trajectory are used like any other's.  With minibatches a trained
+    # classifier's initial loss adds one pass over the examples outside the
+    # first batch.
     @pytest.mark.parametrize("rule, batch_size, layers_per_pass, cold, fresh_passes", [
         (ArmijoBacktracking(), None, [2, 0, 0, 0], False, 0),
-        (ArmijoBacktracking(), 10, [2, 2, 2, 2], False, 4),
+        (ArmijoBacktracking(), 10, [2, 2, 2, 2], False, 1 + 4),
         (FixedStep(0.05), None, [2, 2, 2, 2], False, 4),
         (ArmijoBacktracking(), None, [2, 0, 0, 0], True, 0),
     ])
@@ -1213,7 +1215,8 @@ class TestMinibatchFeatures:
                          workers=workers)
 
     @pytest.mark.parametrize("cold, workers, sizes", [
-        (False, 1, [20, 20, 20]),  # every search accepted, so only the rest ran
+        # the initial loss's rest; then every search accepted, so only the rest ran
+        (False, 1, [20] + [20, 20, 20]),
         (True, 1, [300, 20, 20]),
         (True, 2, [300, 20, 20]),
     ])
@@ -1354,8 +1357,8 @@ class TestReportLifetimes:
 
 
 class TestInitialLoss:
-    """``record_initial_loss`` gives the whole training set's loss at the
-    given model from the first gradient pass, and changes nothing else."""
+    """``TrainResult.initial_loss`` is the whole training set's loss at the
+    given model, from the first gradient pass."""
 
     @staticmethod
     def start(ds, activation=Activation.TANH, seed=40):
@@ -1372,11 +1375,8 @@ class TestInitialLoss:
         ds = blob_set(n=m, seed=41)
         params, clf = self.start(ds, activation)
         reg, cfg = RegConfig(0.02, 0.05), BcdConfig(outer_iters=2, newton_steps=2)
-        res = bcd_train(ds, params, clf, reg, cfg, workers=workers, record_initial_loss=True)
+        res = bcd_train(ds, params, clf, reg, cfg, workers=workers)
         assert res.initial_loss == loss(ds.images, ds.labels, params, clf, reg).total
-        plain = bcd_train(ds, params, clf, reg, cfg, workers=workers)
-        assert math.isnan(plain.initial_loss)
-        assert_same_run(res, plain)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("zero", [False, True])
@@ -1388,26 +1388,35 @@ class TestInitialLoss:
         if zero:
             clf = zero_classifier(ds.grid, 2, 2)
         reg = RegConfig(0.02, 0.05)
-        cfg = BcdConfig(outer_iters=2, newton_steps=2, batch_size=batch_size)
-        sizes, final = [], training_mod.propagate_final
+        cfg = BcdConfig(outer_iters=1, newton_steps=2, batch_size=batch_size)
+        before_search, final, trial_loss = [], training_mod.propagate_final, training_mod.loss
+        searched = []
 
         def spy_final(images, *args, **kwargs):
-            sizes.append(len(images))
+            if not searched:
+                before_search.append(len(images))
             return final(images, *args, **kwargs)
 
+        def spy_loss(*args, **kwargs):
+            searched.append(1)
+            return trial_loss(*args, **kwargs)
+
         monkeypatch.setattr(training_mod, "propagate_final", spy_final)
-        plain = bcd_train(ds, params, clf, reg, cfg, workers=workers)
-        plain_sizes = sizes[:]
-        sizes.clear()
-        res = bcd_train(ds, params, clf, reg, cfg, workers=workers, record_initial_loss=True)
-        assert_same_run(res, plain)
+        monkeypatch.setattr(training_mod, "loss", spy_loss)
+        res = bcd_train(ds, params, clf, reg, cfg, workers=workers)
         want = loss(ds.images, ds.labels, params, clf, reg).total
         if zero:  # the rest's rows are the offsets: no pass, and the same bits
             assert res.initial_loss == want
-            assert sizes == plain_sizes
+            assert before_search == []
         else:
             assert abs(res.initial_loss - want) <= 1e-14 * want
-            assert sizes == [m - batch_size] + plain_sizes
+            assert before_search == [m - batch_size]
+
+    def test_no_iteration_leaves_it_nan(self):
+        ds = blob_set(n=7, seed=45)
+        params, clf = self.start(ds)
+        res = bcd_train(ds, params, clf, RegConfig(0.02, 0.05), BcdConfig(outer_iters=0))
+        assert res.history == [] and math.isnan(res.initial_loss)
 
     @pytest.mark.parametrize("batch_size", [None, 10])
     def test_diverging_start_raises(self, monkeypatch, batch_size):
@@ -1431,7 +1440,7 @@ class TestInitialLoss:
         monkeypatch.setattr(training_mod, "loss", spy_loss)
         with pytest.raises(DivergenceError, match="layer"):
             bcd_train(ds, params, clf, RegConfig(1e-3, 1e-3),
-                      BcdConfig(outer_iters=1, batch_size=batch_size), record_initial_loss=True)
+                      BcdConfig(outer_iters=1, batch_size=batch_size))
         assert trials == []
 
 
