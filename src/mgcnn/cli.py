@@ -118,7 +118,8 @@ class RunConfig:
     newton_steps: int = _key(5, "Newton steps on the classifier per iteration")
     step_rule: str = _key("armijo", "propagation step rule: armijo or fixed")
     step_size: float = _key(1.0, "step size (fixed), or the first iteration's trial step "
-                                 "and the cap on later ones (armijo)")
+                                 "and the cap on later ones (armijo; a deeper depth of deepen "
+                                 "starts where the previous depth's search left off)")
     armijo_beta: float = _key(0.5, "backtracking shrink factor; a rejected trial skips the "
                                    "grid points a quadratic model rules out, up to a 10x "
                                    "shrink")

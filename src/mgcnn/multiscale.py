@@ -141,10 +141,12 @@ def _train_stage(
     cfg: BcdConfig,
     val: LabeledDataset | None,
     workers: int,
+    first_step: float | None = None,
 ) -> tuple[TrainResult, float, float, float]:
     """One stage of a warm-started chain: the trained result, the initial
     loss of the model it was given on ``ds``, its accuracy on ``val`` (on
-    ``ds`` without one) and the seconds :func:`bcd_train` took.
+    ``ds`` without one) and the seconds :func:`bcd_train` took, which starts
+    its first Armijo search at ``first_step`` when given.
 
     The initial loss is the result's (``TrainResult.initial_loss``), from
     the first gradient pass of :func:`bcd_train`, and the accuracy is the
@@ -152,7 +154,7 @@ def _train_stage(
     iteration calls :func:`~mgcnn.network.loss` and :func:`evaluate` itself.
     """
     start = time.perf_counter()
-    res = bcd_train(ds, params, clf, reg, cfg, val=val, workers=workers)
+    res = bcd_train(ds, params, clf, reg, cfg, val=val, workers=workers, first_step=first_step)
     wall = time.perf_counter() - start
     if not res.history:
         init_loss = loss(ds.images, ds.labels, params, clf, reg, workers=workers).total
@@ -327,6 +329,18 @@ def shallow_to_deep_train(
     loss and the first propagation step of its :func:`bcd_train` call.  That
     call's first Newton fit starts from the zero classifier.
 
+    The Armijo search carries on along the chain too: a later depth's first
+    search starts at the previous depth's ``TrainResult.next_step``, one
+    expansion above the step accepted there, rather than at ``step_size``.
+    Halving ``dt`` about halves each layer's gradient, so the deeper
+    network's natural step is about twice the one accepted last, where the
+    carried start lies for ``beta = 1/2``.  Every start is a point
+    ``step_size * beta^k`` of the plain search, which therefore accepts the
+    same step whenever it rejects every trial above the carried start.  The
+    first depth, the cold controls and ``FixedStep`` start at
+    ``step_size``; so does every level of :func:`multilevel_train`, where
+    a carried step changed outputs and saved no trial.
+
     A later depth's warm initial loss comes from its :func:`bcd_train`
     call's first gradient pass, as in :func:`multilevel_train`, and from
     :func:`~mgcnn.network.loss` when ``cfg.outer_iters = 0``.  A cold
@@ -347,6 +361,7 @@ def shallow_to_deep_train(
     results: list[DepthResult] = []
     params: NetworkParams | None = None
     clf: Classifier | None = None
+    first_step: float | None = None  # where the previous depth's search left off
     for pos, depth in enumerate(depths):
         cold_p, cold_c = make_model(depth, cfg.seed + pos)
         init_cold = loss(train.images, train.labels, cold_p, cold_c, reg, workers=workers).total
@@ -357,9 +372,10 @@ def shallow_to_deep_train(
             params = prolong_depth(params, depth // depths[pos - 1])
             cold_history = bcd_train(train, cold_p, cold_c, reg, cfg, val=val, workers=workers).history
 
-        res, init_loss, final_acc, wall = _train_stage(train, params, clf, reg, cfg, val, workers)
+        res, init_loss, final_acc, wall = _train_stage(train, params, clf, reg, cfg, val, workers,
+                                                       first_step)
         init_warm = init_loss if pos > 0 else nan
-        params, clf = res.params, res.classifier
+        params, clf, first_step = res.params, res.classifier, res.next_step
         results.append(
             DepthResult(depth, res.history, init_warm, init_cold, cold_history, final_acc, wall)
         )

@@ -600,7 +600,9 @@ def loss_and_gradient(
     bit.
 
     The report keeps the batch's logits (``LossReport.logits``).  A label
-    count other than the image count raises ``ValueError``.
+    count other than the image count raises ``ValueError``.  A state or
+    gradient that overflows raises :class:`~mgcnn.errors.DivergenceError`
+    without a numpy warning.
     """
     images = np.asarray(images, dtype=np.float64)
     _check_embedded(embedded, images, params)
@@ -619,6 +621,7 @@ def loss_and_gradient(
     sweep = bool(clf.weights.any())
     logits = np.empty((m, clf.num_classes))
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite gradient is refused below
     def run(chunk: tuple[slice, list[np.ndarray] | None]):
         s, kept = chunk
         x = images[s]
@@ -659,18 +662,18 @@ def loss_and_gradient(
     )
     results = _map_chunks(run, chunks, workers)
     data = _mean_cross_entropy(labels, (logits[s] for s in slices))
-    for g_banks, g_biases, g_w, g_mu, g_embed in results:
-        grads.banks += g_banks
-        grads.biases += g_biases
-        grads.weights += g_w
-        grads.mu += g_mu
-        if g_embed is not None:
-            grads.embed += g_embed
-
     reg_value, reg_grads = reg_value_and_grad(params, clf, reg)
-    grads.banks += reg_grads.banks
-    grads.biases += reg_grads.biases
-    grads.weights += reg_grads.weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g_banks, g_biases, g_w, g_mu, g_embed in results:
+            grads.banks += g_banks
+            grads.biases += g_biases
+            grads.weights += g_w
+            grads.mu += g_mu
+            if g_embed is not None:
+                grads.embed += g_embed
+        grads.banks += reg_grads.banks
+        grads.biases += reg_grads.biases
+        grads.weights += reg_grads.weights
 
     for name, g in (("banks", grads.banks), ("biases", grads.biases),
                     ("classifier weights", grads.weights), ("mu", grads.mu),

@@ -40,9 +40,11 @@ row blocks, and each solve stopping at the relative residual ``min(0.01,
 far from the optimum and tightens as the gradient shrinks.
 All three are deterministic.  A step that gets no descent direction (a
 singular or non-descent system), or whose direction no halving accepts, ends
-the call where it stands and flags the result.  The subproblem is convex, so
-Newton with step halving needs no second search; on every measured workload
-such a stop came where rounding had ended the decrease.  The contrast basis,
+the call where it stands and flags the result; an objective, gradient,
+system or direction that overflows raises DivergenceError instead.  The
+subproblem is convex, so Newton with step halving needs no second search; on
+every measured workload such a stop came where rounding had ended the
+decrease.  The contrast basis,
 ``[A | 1]``, the penalty block and the sample kernel are built once per
 Newton call; each inner step builds only what the probabilities move.
 
@@ -134,9 +136,9 @@ ARMIJO_SKIP_FLOOR = 0.1
 MAX_HALVINGS = 20
 
 
-def _check_step_size(step_size: float) -> None:
+def _check_step_size(step_size: float, name: str = "step_size") -> None:
     if not (math.isfinite(step_size) and step_size > 0.0):
-        raise ValueError(f"step_size must be finite and > 0, got {step_size!r}")
+        raise ValueError(f"{name} must be finite and > 0, got {step_size!r}")
 
 
 @dataclass(frozen=True)
@@ -165,13 +167,16 @@ class ArmijoBacktracking:
     accepts the step plain backtracking accepts whenever the skipped points
     fail, and otherwise a smaller grid step, never a larger one.
 
-    Within one :func:`bcd_train` call the first search starts at
+    The first search of a :func:`bcd_train` call starts at ``step_size``,
+    or at the ``first_step`` the caller hands over, capped at
     ``step_size``; each later one warm-starts one expansion above the step
     accepted last, ``min(step_size, t_last / beta)``, so ``step_size`` also
     caps every step.  After a search that accepts no step, the next one
-    starts where that one started.  ``beta`` and ``c`` must lie strictly
-    between 0 and 1, ``step_size`` must be finite and > 0, and
-    ``max_backtracks`` at least 1.
+    starts where that one started.  The call returns the start its next
+    search would have used (``TrainResult.next_step``), and
+    :func:`~mgcnn.multiscale.shallow_to_deep_train` hands it to the next
+    warm depth.  ``beta`` and ``c`` must lie strictly between 0 and 1,
+    ``step_size`` must be finite and > 0, and ``max_backtracks`` at least 1.
     """
 
     step_size: float = 1.0
@@ -243,6 +248,7 @@ class NewtonResult:
     used_fallback: bool = False
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows is refused as divergence
 def newton_classifier_step(
     features: np.ndarray,
     labels: np.ndarray,
@@ -267,6 +273,12 @@ def newton_classifier_step(
     ``||g||`` the 2-norm of that step's gradient, or at 200 iterations, so
     far from the optimum it stops early.  The direct routes ignore the
     forcing term.
+
+    Features so large that a quantity built from them overflows raise
+    :class:`~mgcnn.errors.DivergenceError`, without a numpy warning: the
+    objective at ``clf``, a step's gradient or its norm, the Newton system
+    of any route, or its direction.  A trial point whose objective
+    overflows is rejected like any other that does not descend.
     """
     labels = _check_labels(labels, clf.num_classes)
     m = labels.size
@@ -288,6 +300,8 @@ def newton_classifier_step(
     direction = _newton_solver(A, lam, w_shape)
     x = np.concatenate([clf.weights.reshape(L, F), clf.mu[:, None]], axis=1)  # rows [w_j | mu_j]
     obj, logits = evaluate(x)
+    if not math.isfinite(obj):
+        raise DivergenceError("classifier objective became non-finite")
     objectives: list[float] = []
     used_fallback = False
     trials = [0.5**i for i in range(MAX_HALVINGS)]
@@ -297,9 +311,12 @@ def newton_classifier_step(
         resid = (probs - (labels[:, None] == np.arange(L))) / m
         g_w = resid.T @ A + lam * _smooth_grad(x[:, :F].reshape(w_shape)).reshape(L, F)
         g = np.concatenate([g_w, resid.sum(axis=0)[:, None]], axis=1)
+        g_norm = float(np.linalg.norm(g))
+        if not math.isfinite(g_norm):
+            raise DivergenceError("classifier gradient became non-finite")
         if float(np.abs(g).max()) < 1e-13:
             break
-        d = direction(probs, g, min(NEWTON_FORCING, float(np.linalg.norm(g))))
+        d = direction(probs, g, min(NEWTON_FORCING, g_norm))
         descent = d is not None and float((d * g).sum()) < 0.0
         for t in trials if descent else ():
             trial = x + t * d
@@ -563,8 +580,10 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
 
     Each call computes the per-sample contrast covariances
     (:func:`_contrast_covariance`) once and hands them to the route.  The
-    map returns ``None`` when the solve fails, and
-    :func:`newton_classifier_step` then ends its call.
+    map returns ``None`` when the solve fails on a singular system, and
+    :func:`newton_classifier_step` then ends its call.  A system or
+    direction that is not finite raises
+    :class:`~mgcnn.errors.DivergenceError`.
     """
     m, F = A.shape
     L = w_shape[0]
@@ -594,17 +613,21 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
             matvec = _contrast_matvec(A, cov, lam, w_shape)
             op = scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=matvec)
             d, info = scipy.sparse.linalg.cg(op, b.reshape(-1), maxiter=200, atol=0.0, rtol=rtol)
-            if info < 0 or not np.all(np.isfinite(d)):
+            if info < 0:
                 raise np.linalg.LinAlgError(f"CG failed (info={info})")
             return d.reshape(b.shape)
 
     def direction(probs: np.ndarray, g: np.ndarray, rtol: float = 1e-8) -> np.ndarray | None:
         try:
             d_c = contrast_solve(_contrast_covariance(probs, Q), Q.T @ -g, rtol)
-        except (np.linalg.LinAlgError, ValueError):
+        except np.linalg.LinAlgError:
             return None
+        except ValueError as exc:  # scipy's refusal of a non-finite matrix or right-hand side
+            raise DivergenceError("Newton system became non-finite") from exc
         d = Q @ d_c
         d[:, :F] += _penalty_solve(-g[:, :F].mean(axis=0), lam, field_shape)
+        if not np.all(np.isfinite(d)):
+            raise DivergenceError("Newton direction became non-finite")
         return d
 
     return direction
@@ -629,13 +652,19 @@ class TrainResult:
 
     ``initial_loss`` is the training set's loss at the model that
     :func:`bcd_train` was given, from its first gradient pass; NaN when no
-    iteration ran.
+    iteration ran.  ``next_step`` is the first trial step the call's next
+    Armijo search would have taken: ``min(step_size, t_last / beta)`` after
+    a search that accepted ``t_last``, the last search's own start after
+    one that accepted nothing, and the call's first start when no search
+    ran (no iteration, or ``FixedStep``).  Passed to another call as
+    ``first_step``, it continues the search where this call left it.
     """
 
     params: NetworkParams
     classifier: Classifier
     history: list[HistoryRow]
     initial_loss: float = math.nan
+    next_step: float = math.nan
 
 
 def _minibatches(m: int, size: int, rng: np.random.Generator):
@@ -687,6 +716,7 @@ def bcd_train(
     cfg: BcdConfig,
     val: LabeledDataset | None = None,
     workers: int = 1,
+    first_step: float | None = None,
 ) -> TrainResult:
     """Run ``cfg.outer_iters`` BCD iterations; inputs are left untouched.
 
@@ -702,9 +732,13 @@ def bcd_train(
     takes the first trial that passes the sufficient-decrease test; each
     rejected trial skips the grid points its quadratic model rules out, as
     :class:`ArmijoBacktracking` describes.  ``t0`` is ``step_size`` at
-    first, then ``min(step_size, t_last / beta)`` from the step accepted
-    last (Nocedal and Wright, *Numerical Optimization*, section 3.5), so a
+    first, or ``min(step_size, first_step)`` when ``first_step`` is given,
+    then ``min(step_size, t_last / beta)`` from the step accepted last
+    (Nocedal and Wright, *Numerical Optimization*, section 3.5), so a
     search does not pay again for the rejected trials above the last step.
+    The result's ``next_step`` is the ``t0`` the next search would take.
+    A ``first_step`` that is not finite and > 0 raises ``ValueError``;
+    ``FixedStep`` ignores it.
     A trial whose forward pass diverges counts as an infinite loss, so it
     is rejected; the gradient pass at the current point still raises
     :class:`~mgcnn.errors.DivergenceError`.  A search that accepts nothing
@@ -762,6 +796,11 @@ def bcd_train(
         raise ValueError("training set is empty")
     if val is not None and len(val) == 0:
         raise ValueError("validation set is empty")
+    rule = cfg.prop_step_rule
+    t0 = rule.step_size
+    if first_step is not None:
+        _check_step_size(first_step, "first_step")
+        t0 = min(t0, first_step)
     params = params.copy()
     clf = clf.copy()
     history: list[HistoryRow] = []
@@ -769,8 +808,6 @@ def bcd_train(
     m, size = len(train), cfg.batch_size
     full_batch = not size or size >= m
     batches = None if full_batch else _minibatches(m, size, np.random.default_rng(cfg.seed))
-    rule = cfg.prop_step_rule
-    t0 = rule.step_size
     states = None  # the trajectory of train.images at params, when known
     hoist = full_batch and not params.embed_learnable
     train_y0 = _embed(train.images, params) if hoist else None
@@ -847,7 +884,7 @@ def bcd_train(
                 val_acc=val_acc,
             )
         )
-    return TrainResult(params, clf, history, initial_loss)
+    return TrainResult(params, clf, history, initial_loss, t0)
 
 
 def evaluate(

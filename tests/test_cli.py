@@ -283,8 +283,10 @@ class TestExitCodes:
         final_time = 8.0
         outer_iters = 1
         """)
-        # multilevel takes its coarsest level's warm initial loss from training
-        for command in ("train", "multilevel"):
+        # multilevel takes its coarsest level's warm initial loss from
+        # training; deepen's first depth propagates to finite features so
+        # large that the Newton gradient overflows
+        for command in ("train", "multilevel", "deepen"):
             assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 4
             assert "numerical" in capsys.readouterr().err
 

@@ -8,6 +8,7 @@ import pytest
 
 from mgcnn import multiscale as multiscale_mod
 from mgcnn import network as network_mod
+from mgcnn import training as training_mod
 from mgcnn.data import LabeledDataset, SyntheticKind, make_synthetic, split
 from mgcnn.errors import DimensionError
 from mgcnn.grid import (
@@ -40,6 +41,7 @@ from mgcnn.training import (
     ArmijoBacktracking,
     BcdConfig,
     EvalReport,
+    FixedStep,
     RegConfig,
     TrainResult,
     bcd_train,
@@ -451,6 +453,101 @@ class TestShallowToDeep:
         assert len(d4.cold_history) == 10
         assert d4.init_loss_warm < d4.init_loss_cold
         assert res.params.num_layers == 4
+
+
+class StageSpy:
+    """Each ``bcd_train`` call of a chain, in order: the ``first_step`` it
+    was given, every propagation step it tried, and its ``next_step``.
+    With ``carry`` false each call drops its ``first_step``, so every search
+    starts at ``step_size``: the chain without the carried start."""
+
+    def __init__(self, monkeypatch, carry=True):
+        self.calls = []
+        train, prop_step = multiscale_mod.bcd_train, training_mod._prop_step
+
+        def spy_train(*args, first_step=None, **kwargs):
+            self.calls.append(dict(first_step=first_step, trials=[]))
+            res = train(*args, first_step=first_step if carry else None, **kwargs)
+            self.calls[-1]["next_step"] = res.next_step
+            return res
+
+        def spy_prop_step(params, grads, t):
+            self.calls[-1]["trials"].append(t)
+            return prop_step(params, grads, t)
+
+        monkeypatch.setattr(multiscale_mod, "bcd_train", spy_train)
+        monkeypatch.setattr(training_mod, "_prop_step", spy_prop_step)
+
+
+class TestCarriedStep:
+    """A warm depth's first Armijo search starts where the previous depth's
+    search left off; every other search starts at ``step_size``."""
+
+    @staticmethod
+    def chain(cfg):
+        """Depths 1, 2 and 4.  ``bcd_train`` runs depth 1, then depth 2's
+        cold control and warm stage, then depth 4's."""
+        ds = make_synthetic(SyntheticKind.BARS, 40, Grid2D(8, 8, 1.0), seed=3)
+        init = NetworkInit(channels=2, final_time=1.0, init_scale=0.5)
+        return shallow_to_deep_train(
+            ds, [1, 2, 4], cfg, RegConfig(0.01, 0.01),
+            lambda depth, seed: (init.network_params(depth, seed), zero_classifier(ds.grid, 2, 2)))
+
+    def test_a_warm_depth_starts_at_the_last_depths_next_step(self, monkeypatch):
+        spy = StageSpy(monkeypatch)
+        self.chain(BcdConfig(outer_iters=2, newton_steps=2))
+        first, cold2, warm2, cold4, warm4 = spy.calls
+        for call in (first, cold2, cold4):
+            assert call["first_step"] is None and call["trials"][0] == 1.0
+        for before, warm in ((first, warm2), (warm2, warm4)):
+            assert warm["first_step"] == before["next_step"] == warm["trials"][0]
+        assert warm4["trials"][0] < 1.0  # a carried start below step_size
+
+    def test_a_search_that_rejects_all_above_the_carried_start_keeps_its_result(
+            self, monkeypatch):
+        spy = StageSpy(monkeypatch)
+        carried = self.chain(BcdConfig(outer_iters=2, newton_steps=2))
+        monkeypatch.undo()
+        plain_spy = StageSpy(monkeypatch, carry=False)
+        plain = self.chain(BcdConfig(outer_iters=2, newton_steps=2))
+        # depth 4's plain search rejects every grid point above the carried
+        # start, then tries what the carried search tries
+        start, trials = spy.calls[4]["trials"][0], plain_spy.calls[4]["trials"]
+        assert start < 1.0 and all(t > start for t in trials[:trials.index(start)])
+        assert trials[trials.index(start):] == spy.calls[4]["trials"]
+        for a, b in zip(carried.depths, plain.depths, strict=True):
+            assert (a.history, a.cold_history, a.init_loss_warm) == \
+                (b.history, b.cold_history, b.init_loss_warm)
+        for a, b in zip(carried.params.banks, plain.params.banks, strict=True):
+            assert a.weights.tobytes() == b.weights.tobytes()
+        assert carried.params.biases.tobytes() == plain.params.biases.tobytes()
+        assert carried.classifier.weights.tobytes() == plain.classifier.weights.tobytes()
+        assert carried.classifier.mu.tobytes() == plain.classifier.mu.tobytes()
+
+    def test_fixed_step_takes_step_size_at_every_depth(self, monkeypatch):
+        spy = StageSpy(monkeypatch)
+        self.chain(BcdConfig(outer_iters=2, newton_steps=2, prop_step_rule=FixedStep(0.05)))
+        assert [call["trials"] for call in spy.calls] == [[0.05, 0.05]] * 5
+
+    def test_a_chain_of_no_iteration_carries_step_size(self, monkeypatch):
+        spy = StageSpy(monkeypatch)
+        self.chain(BcdConfig(outer_iters=0))
+        assert [call["trials"] for call in spy.calls] == [[]] * 5
+        assert [call["next_step"] for call in spy.calls] == [1.0] * 5
+        assert [call["first_step"] for call in spy.calls] == [None, None, 1.0, None, 1.0]
+
+    def test_every_multilevel_level_starts_at_step_size(self, monkeypatch):
+        spy = StageSpy(monkeypatch)
+        ds = make_synthetic(SyntheticKind.BARS, 40, Grid2D(8, 8, 1.0), seed=3)
+        pyr = ResolutionPyramid.build(ds, 1, CA)
+        init = NetworkInit(channels=2, final_time=1.0, init_scale=0.5)
+        multilevel_train(pyr, LevelSchedule.uniform(BcdConfig(outer_iters=2, newton_steps=2), 2),
+                         (init.network_params(2, 0), zero_classifier(pyr.datasets[1].grid, 2, 2)),
+                         RegConfig(0.01, 0.01))
+        coarse, fine = spy.calls
+        assert coarse["next_step"] < 1.0  # a step the fine level could have carried
+        for call in (coarse, fine):
+            assert call["first_step"] is None and call["trials"][0] == 1.0
 
 
 class TestZeroClassifierInitialLoss:

@@ -12,6 +12,7 @@ import pytest
 
 from mgcnn import network as network_mod
 from mgcnn import stencils as stencils_mod
+from mgcnn.data import SyntheticKind, make_synthetic
 from mgcnn.errors import DimensionError, DivergenceError
 from mgcnn.grid import Grid2D
 from mgcnn.network import (
@@ -403,6 +404,33 @@ class TestNonFiniteLogits:
         rep = loss(rng.random((5, 6, 6)), np.arange(5) % 3, p, Classifier(Grid2D(6, 6, 1.0), w, mu),
                    RegConfig(0.01, 0.01))
         assert np.isposinf(rep.data_term) and np.isposinf(rep.total)
+
+
+class TestDivergentGradient:
+    """An overflow in the gradient pass raises ``DivergenceError``, and numpy
+    warns of nothing first (every warning is an error here)."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("where", ["softmax", "adjoint"])
+    def test_overflow_is_divergence(self, where, workers):
+        ds = make_synthetic(SyntheticKind.BLOBS, 30, Grid2D(8, 8, 1.0), seed=0)
+        rng = np.random.default_rng(63)
+        clf = Classifier(ds.grid, rng.normal(size=(2, 2, 8, 8)), np.zeros(2))
+        if where == "softmax":
+            # finite features whose logits overflow: softmax meets inf - inf
+            p = small_params(num_layers=1, act=Activation.IDENTITY)
+            p.banks[0].weights[:] = 0.05e308
+            images = ds.images
+        else:
+            # zero images keep every state at zero; the adjoint pass overflows
+            p = small_params(num_layers=4, act=Activation.IDENTITY)
+            for b in p.banks:
+                b.weights *= 1e300
+            images = np.zeros_like(ds.images)
+        assert np.isfinite(propagate_final(images, p)).all()
+        with pytest.raises(DivergenceError, match="gradient became non-finite"):
+            loss_and_gradient(images, ds.labels, p, clf, workers=workers)
 
 
 class TestGradient:

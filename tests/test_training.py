@@ -289,6 +289,31 @@ class TestNewtonClassifierStep:
         ref = classifier_objective(features, labels, res.classifier, reg)
         assert abs(res.objectives[-1] - ref) <= rtol * ref
 
+    # A pixel of 1e160 in every example cancels from the zero classifier's
+    # gradient, as the labels are balanced, but each route's system squares
+    # it past the float range.  In class 0 alone it overflows the gradient's
+    # norm, and under a weight of 1e160 the objective.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case, side, lam, match", [
+        ("contrast", 4, 0.0, "Newton system"),
+        ("sample", 8, 0.1, "Newton system"),
+        ("cg", 64, 0.0, "Newton direction"),
+        ("gradient", 4, 0.0, "classifier gradient"),
+        ("objective", 4, 0.0, "classifier objective"),
+    ])
+    def test_overflowing_features_are_divergence(self, case, side, lam, match):
+        rng = np.random.default_rng(12)
+        features = rng.normal(size=(10, 1, side, side))
+        labels = np.arange(10) % 2
+        clf = zero_classifier(Grid2D(side, side, 1.0), 1, 2)
+        features[labels == 0 if case == "gradient" else slice(None), 0, 0, 0] = 1e160
+        if case == "objective":
+            clf.weights[0, 0, 0, 0] = 1e160
+        if case in ("contrast", "sample", "cg"):
+            assert training_mod._newton_route(10, clf.weights.shape, lam) == case
+        with pytest.raises(DivergenceError, match=match):
+            newton_classifier_step(features, labels, clf, RegConfig(lam, 0.0), steps=3)
+
 
 def newton_problem(seed, field_shape, m=7, L=3, scale=1.0):
     rng = np.random.default_rng(seed)
@@ -1020,6 +1045,54 @@ class TestArmijoWarmStart:
             assert (row.data_term, row.reg_term) == (data_term, reg_term)
         np.testing.assert_array_equal(res.params.biases, p.biases)
         np.testing.assert_array_equal(res.classifier.weights, clf.weights)
+
+
+class TestFirstStep:
+    """``first_step`` starts the first Armijo search, capped at
+    ``step_size``; ``next_step`` is where the next search would start."""
+
+    @staticmethod
+    def run(monkeypatch, rule, iters=3, reject=(), **kwargs):
+        spy = SearchSpy(monkeypatch, reject=reject)
+        ds = blob_set(n=30, seed=3)
+        res = bcd_train(ds, varied_params(10, num_layers=2), zero_classifier(ds.grid, 2, 2),
+                        RegConfig(0.02, 0.05),
+                        BcdConfig(outer_iters=iters, newton_steps=2, prop_step_rule=rule),
+                        **kwargs)
+        return spy, res
+
+    @pytest.mark.parametrize("first_step, start", [
+        (None, 1.0), (0.25, 0.25), (2.0**-10, 2.0**-10), (1.0, 1.0), (4.0, 1.0),
+    ])
+    def test_first_search_starts_at_the_capped_first_step(self, monkeypatch, first_step, start):
+        rule = ArmijoBacktracking(step_size=1.0)
+        spy, res = self.run(monkeypatch, rule, first_step=first_step)
+        assert spy.iters[0]["trials"][0][0] == start
+        for it, later in zip(spy.iters, spy.iters[1:] + [None]):
+            nxt = min(rule.step_size, spy.accepted(it, rule) / rule.beta)
+            assert nxt == (res.next_step if later is None else later["trials"][0][0])
+
+    def test_next_step_after_a_search_that_accepts_nothing(self, monkeypatch):
+        rule = ArmijoBacktracking(step_size=1.0, max_backtracks=5)
+        spy, res = self.run(monkeypatch, rule, reject={3}, first_step=0.125)
+        assert spy.accepted(spy.iters[2], rule) is None
+        assert res.next_step == spy.iters[2]["trials"][0][0] < 1.0
+
+    @pytest.mark.parametrize("rule", [ArmijoBacktracking(), FixedStep(0.05)],
+                             ids=["armijo", "fixed"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -math.inf, math.nan, math.inf])
+    def test_refuses_bad_values(self, monkeypatch, rule, bad):
+        with pytest.raises(ValueError, match="first_step"):
+            self.run(monkeypatch, rule, first_step=bad)
+
+    def test_fixed_step_ignores_it(self, monkeypatch):
+        spy, _ = self.run(monkeypatch, FixedStep(0.05), first_step=1e-3)
+        assert [it["trials"] for it in spy.iters] == [[[0.05, None]]] * 3
+
+    @pytest.mark.parametrize("first_step, start", [(None, 1.0), (0.25, 0.25), (4.0, 1.0)])
+    def test_no_iteration_returns_its_start(self, monkeypatch, first_step, start):
+        spy, res = self.run(monkeypatch, ArmijoBacktracking(), iters=0, first_step=first_step)
+        assert spy.iters == [] and res.next_step == start
 
 
 class TestArmijoSkip:
