@@ -496,23 +496,28 @@ def _smooth_grad(w: np.ndarray) -> np.ndarray:
 def reg_value_and_grad(
     params: NetworkParams, clf: Classifier, reg: RegConfig
 ) -> tuple[float, RegGrads]:
-    """Value and gradients of both smoothness penalties."""
+    """Value and gradients of both smoothness penalties.
+
+    A value that overflows raises :class:`~mgcnn.errors.DivergenceError`,
+    without a numpy warning.
+    """
     h2 = clf.grid.h**2
     n, c, k = params.num_layers, params.channels, params.kernel_size
-
-    value = reg.lambda_w * h2 * _smooth_sq(clf.weights)
-    g_w = reg.lambda_w * h2 * _smooth_grad(clf.weights)
-
     g_banks = np.zeros((n, c, c, k, k))
     g_biases = np.zeros((n, c))
-    if reg.lambda_theta > 0.0 and n > 1:
-        banks = np.stack([b.weights for b in params.banks])
-        for theta, g in ((banks, g_banks), (params.biases, g_biases)):
-            diff = theta[1:] - theta[:-1]
-            value += reg.lambda_theta * float((diff * diff).sum()) / params.dt
-            scale = 2.0 * reg.lambda_theta / params.dt
-            g[:-1] -= scale * diff
-            g[1:] += scale * diff
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        value = reg.lambda_w * h2 * _smooth_sq(clf.weights)
+        g_w = reg.lambda_w * h2 * _smooth_grad(clf.weights)
+        if reg.lambda_theta > 0.0 and n > 1:
+            banks = np.stack([b.weights for b in params.banks])
+            for theta, g in ((banks, g_banks), (params.biases, g_biases)):
+                diff = theta[1:] - theta[:-1]
+                value += reg.lambda_theta * float((diff * diff).sum()) / params.dt
+                scale = 2.0 * reg.lambda_theta / params.dt
+                g[:-1] -= scale * diff
+                g[1:] += scale * diff
+    if not np.isfinite(value):
+        raise DivergenceError("penalty became non-finite")
     return value, RegGrads(banks=g_banks, biases=g_biases, weights=g_w)
 
 

@@ -54,19 +54,19 @@ The smoothness penalties are those of :func:`mgcnn.network.loss`.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
 from .data import LabeledDataset
-from .errors import DivergenceError
+from .errors import DimensionError, DivergenceError
 from .network import (
     Classifier,
     Gradients,
-    LossReport,
     NetworkParams,
     RegConfig,
     RegGrads,
@@ -667,35 +667,42 @@ class TrainResult:
     next_step: float = math.nan
 
 
-def _minibatches(m: int, size: int, rng: np.random.Generator):
-    """Without-replacement minibatches of ``size`` from ``m`` examples, one
-    seeded shuffle per epoch; the ``m % size`` examples left over at the end
-    of an epoch are skipped."""
+def _batches(m: int, size: int, rng: np.random.Generator):
+    """Each iteration's ``(batch, rest)`` indices into ``m`` examples.  A
+    ``size`` of at least ``m`` is the full batch: ``slice(None)`` and an
+    empty rest, every time.  A smaller one draws without-replacement
+    minibatches, one seeded shuffle per epoch, and skips the ``m % size``
+    examples left over at the end of an epoch; the rest is the batch's
+    complement, in ascending order."""
+    if size >= m:
+        yield from itertools.repeat((slice(None), np.arange(0)))
     while True:
-        yield from np.split(rng.permutation(m)[: m - m % size], m // size)
+        for batch in np.split(rng.permutation(m)[: m - m % size], m // size):
+            yield batch, np.setdiff1d(np.arange(m), batch)
 
 
-def _whole_set_loss(
-    train: LabeledDataset,
-    idx: np.ndarray,
-    report: LossReport,
-    params: NetworkParams,
-    clf: Classifier,
-    workers: int,
-) -> float:
-    """The loss of all of ``train`` at the point of ``report``, a gradient
-    pass over the minibatch ``train[idx]``: the batch's logit rows come from
-    the report, the others' from one pass over the rest.  A classifier whose
-    weights are all zero needs no pass, since its rows are its offsets."""
-    m = len(train)
-    logits = np.empty((m, clf.num_classes))
-    logits[idx] = report.logits
-    rest = np.setdiff1d(np.arange(m), idx)
-    if clf.weights.any():
-        logits[rest] = _logits(propagate_final(train.images[rest], params, workers=workers), clf)
-    else:
-        logits[rest] = clf.mu
-    return _mean_cross_entropy(train.labels, (logits[s] for s in _chunks(m))) + report.reg_term
+def _whole_set(batch: slice | np.ndarray, rows: np.ndarray, rest: np.ndarray, fill) -> np.ndarray:
+    """The whole set's rows: ``rows`` at ``batch`` and ``fill(rest)`` at
+    ``rest``.  With an empty rest ``rows`` is the whole set and comes back
+    as it is; otherwise ``fill`` runs before the whole-set array is made."""
+    if rest.size == 0:
+        return rows
+    rest_rows = fill(rest)
+    out = np.empty((len(rows) + rest.size,) + rows.shape[1:])
+    out[batch], out[rest] = rows, rest_rows
+    return out
+
+
+def _check_set(dataset: LabeledDataset, params: NetworkParams, clf: Classifier, name: str) -> None:
+    """Refuse an empty ``dataset``, one off the classifier's grid, and a
+    classifier that reads other channels than the network has."""
+    if len(dataset) == 0:
+        raise ValueError(f"{name} is empty")
+    if dataset.grid != clf.grid:
+        raise DimensionError(f"{name} lives on {dataset.grid}, the classifier on {clf.grid}")
+    if clf.weights.shape[1] != params.channels:
+        raise DimensionError(f"the classifier reads {clf.weights.shape[1]} channels, "
+                             f"the network has {params.channels}")
 
 
 def _prop_step(params: NetworkParams, grads: Gradients, t: float) -> NetworkParams:
@@ -722,9 +729,11 @@ def bcd_train(
 
     Each history row reflects the full training set after that iteration's
     propagation and classifier updates; its ``val_acc`` is :func:`evaluate`'s
-    accuracy on ``val``, NaN without one.  An empty ``train`` or ``val`` is
-    refused before any training.  Replays are bit-identical for a fixed
-    config and seed.
+    accuracy on ``val``, NaN without one.  Before any pass, an empty
+    ``train`` or ``val`` raises ``ValueError``, and one off the classifier's
+    grid, or a classifier that reads other channels than the network has,
+    :class:`~mgcnn.errors.DimensionError`.  Replays are bit-identical for a
+    fixed config and seed.
 
     Each iteration steps the propagation parameters along the batch's
     negative gradient.  ``FixedStep`` steps by ``step_size``.  Armijo
@@ -746,19 +755,26 @@ def bcd_train(
     current point, whose loss equals the gradient pass's total to the bit,
     so it is accepted at ``t0``.
 
-    In full-batch mode each Armijo iterate is propagated once.  The
-    accepted trial has already run the whole training set through the new
-    parameters: its final states serve as the Newton features, and its
-    trajectory, which the classifier update leaves valid, replaces the
-    forward pass of the next iteration's gradient.  A frozen embedding gets
-    no gradient.  With minibatches the accepted trial has propagated only
-    the batch: its final states are spliced with a fresh pass over the other
-    examples, bit for bit the features of a whole fresh pass, since each
-    example propagates on its own.  With ``FixedStep``, after a search that
-    accepts no step, and after a minibatch trial of a classifier whose
-    weights are all zero, which :func:`~mgcnn.network.loss` forms without
-    features, they come from a fresh pass over the whole set.  In these
-    cases the next gradient runs its own forward pass.
+    Each iteration draws a batch and the rest of the training set: in full
+    batch the batch is the whole set and the rest is empty; with minibatches
+    (``cfg.batch_size`` below the set's size) the batch is a seeded draw
+    without replacement, one shuffle per epoch, and the rest is its
+    complement.  Where the call needs one row per training example it takes
+    the batch's rows from a pass already made and the rest's from one pass
+    over the rest, which in full batch is no pass at all.  Each example
+    propagates on its own, so final states formed this way are bit for bit
+    those of a whole fresh pass.
+
+    The Newton features are the accepted Armijo trial's final states of the
+    batch with those of the rest.  In full batch each Armijo iterate is
+    thus propagated once, and the accepted trial's trajectory, which the
+    classifier update leaves valid, replaces the forward pass of the next
+    iteration's gradient.  A frozen embedding gets no gradient.  With
+    ``FixedStep``, after a search that accepts no step, and after a
+    minibatch trial of a classifier whose weights are all zero, which
+    :func:`~mgcnn.network.loss` forms without features, no trial holds the
+    batch's states: the features come from a fresh pass over the whole set,
+    and the next gradient runs its own forward pass.
 
     A frozen embedding never changes, so in full-batch mode ``y_0 = L x``
     of the training and of the validation set is formed and checked once
@@ -779,23 +795,21 @@ def bcd_train(
     classifier is kept.
 
     The result's ``initial_loss`` is the loss of the whole training set at
-    ``params`` and ``clf``, taken from the first gradient pass, which runs
-    at that point.  In full batch it is that pass's total, so it costs
-    nothing and equals :func:`~mgcnn.network.loss`'s total to the bit.  With
-    minibatches the batch's logits come from the pass and one more pass over
-    the other examples gives theirs.  A classifier whose weights are all
-    zero, as a cold start's is, needs no such pass: its rows are its
-    offsets.  The cross-entropy is summed as :func:`~mgcnn.network.loss`
-    sums it, but the batch's logit product has other row counts than
-    :func:`~mgcnn.network.loss`'s, so the value can differ from it in the
-    last bits.  A point at which that pass diverges raises
-    :class:`~mgcnn.errors.DivergenceError`.  Without an iteration the value
-    stays NaN.
+    ``params`` and ``clf``, formed the same way from the first gradient
+    pass, which runs at that point: its logits of the batch, the rest's
+    from a pass over the rest, and its penalty.  A classifier whose weights
+    are all zero, as a cold start's is, needs no pass over the rest: its
+    rows are its offsets.  The cross-entropy is summed as
+    :func:`~mgcnn.network.loss` sums it, so in full batch the value equals
+    its total to the bit; with minibatches the batch's logit product has
+    other row counts than :func:`~mgcnn.network.loss`'s, so the value can
+    differ from it in the last bits.  A point at which the pass over the
+    rest diverges raises :class:`~mgcnn.errors.DivergenceError`.  Without
+    an iteration the value stays NaN.
     """
-    if len(train) == 0:
-        raise ValueError("training set is empty")
-    if val is not None and len(val) == 0:
-        raise ValueError("validation set is empty")
+    _check_set(train, params, clf, "training set")
+    if val is not None:
+        _check_set(val, params, clf, "validation set")
     rule = cfg.prop_step_rule
     t0 = rule.step_size
     if first_step is not None:
@@ -805,24 +819,31 @@ def bcd_train(
     clf = clf.copy()
     history: list[HistoryRow] = []
     initial_loss = math.nan
-    m, size = len(train), cfg.batch_size
-    full_batch = not size or size >= m
-    batches = None if full_batch else _minibatches(m, size, np.random.default_rng(cfg.seed))
+    m = len(train)
+    size = cfg.batch_size or m
+    full_batch = size >= m
+    batches = _batches(m, size, np.random.default_rng(cfg.seed))
     states = None  # the trajectory of train.images at params, when known
     hoist = full_batch and not params.embed_learnable
     train_y0 = _embed(train.images, params) if hoist else None
     val_y0 = _embed(val.images, params) if hoist and val is not None else None
 
+    def rest_pass(rest: np.ndarray) -> np.ndarray:
+        return propagate_final(train.images[rest], params, workers=workers)
+
     for it in range(1, cfg.outer_iters + 1):
-        idx = slice(None) if full_batch else next(batches)
-        images, labels = train.images[idx], train.labels[idx]
+        batch, rest = next(batches)
+        images, labels = train.images[batch], train.labels[batch]
         report, grads = loss_and_gradient(
             images, labels, params, clf, reg, workers=workers, states=states,
             embed_grad=params.embed_learnable, embedded=train_y0,
         )
-        if it == 1:
-            initial_loss = report.total if full_batch else _whole_set_loss(
-                train, idx, report, params, clf, workers)
+        if it == 1:  # a zero-weight classifier's rows are its offsets, whatever the features
+            fill = (lambda r: _logits(rest_pass(r), clf)) if clf.weights.any() else lambda r: clf.mu
+            logits = _whole_set(batch, report.logits, rest, fill)
+            initial_loss = _mean_cross_entropy(train.labels, (logits[s] for s in _chunks(m)))
+            initial_loss += report.reg_term
+            del logits
         states = accepted = None  # accepted: the loss report of the accepted trial
         if isinstance(rule, FixedStep):
             params = _prop_step(params, grads, rule.step_size)
@@ -849,18 +870,14 @@ def bcd_train(
                 t, shrink = t * rule.beta, rule.beta
                 while t * excess > bound and shrink * rule.beta >= ARMIJO_SKIP_FLOOR:
                     t, shrink = t * rule.beta, shrink * rule.beta
-        if accepted is None or accepted.features is None:
-            accepted = None  # a zero-weight trial's featureless report goes before the pass
+        # the report goes before any pass; only `states` carries its trajectory on
+        rows, states = (None, None) if accepted is None else (accepted.features, accepted.states)
+        del accepted
+        if rows is None:  # FixedStep, no step accepted, or a zero-weight trial's bare report
             features = propagate_final(train.images, params, workers=workers, embedded=train_y0)
-        elif full_batch:
-            features, states = accepted.features, accepted.states
-        else:  # the batch's final states from the trial, a fresh pass over the rest
-            features = np.empty((m,) + accepted.features.shape[1:])
-            features[idx] = accepted.features
-            accepted = None  # the trial's copy goes before the fresh pass
-            rest = np.setdiff1d(np.arange(m), idx)
-            features[rest] = propagate_final(train.images[rest], params, workers=workers)
-        del accepted  # only `states` carries the trajectory to the next gradient pass
+        else:
+            features = _whole_set(batch, rows, rest, rest_pass)
+        del rows
         if cfg.newton_steps > 0:
             if it == 1:  # the first fit starts from zero, as the docstring explains
                 clf = zero_classifier(clf.grid, clf.weights.shape[1], clf.num_classes)
@@ -896,10 +913,11 @@ def evaluate(
     Predictions take the argmax; ties resolve to the lowest class index.
     The score is the one :func:`bcd_train` records for its training set, so
     at the same point both give the same bits.  ``embedded`` is as in
-    :func:`~mgcnn.network.propagate_final`.
+    :func:`~mgcnn.network.propagate_final`.  A dataset off the classifier's
+    grid, or a classifier that reads other channels than the network has,
+    raises :class:`~mgcnn.errors.DimensionError`.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate an empty dataset")
+    _check_set(dataset, params, clf, "dataset")
     labels = _check_labels(dataset.labels, clf.num_classes)
     features = propagate_final(dataset.images, params, workers=workers, embedded=embedded)
     return _score(features, labels, clf)
@@ -913,7 +931,4 @@ def history_to_csv(history: list[HistoryRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_COLUMNS)
-        for row in history:
-            writer.writerow(
-                [row.iteration, row.loss, row.data_term, row.reg_term, row.train_acc, row.val_acc]
-            )
+        writer.writerows(astuple(row) for row in history)

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -312,6 +313,41 @@ class TestExitCodes:
         assert code == 1
         assert "grid 2x2 is smaller than the 3x3 stencil" in capsys.readouterr().err
         assert not (out / "model.bin").exists()
+
+
+class TestOverflowingPenalty:
+    """A propagation step of 1e300 on the bundled bars config makes the
+    path penalty's squared layer differences overflow.  An Armijo trial
+    there is rejected like any other, and a point kept there is a numerical
+    failure; neither raises a numpy warning."""
+
+    @staticmethod
+    def run(tmp_path, command, extra=""):
+        text = (CONFIG_DIR / "bars.cfg").read_text()
+        cfg = write_cfg(tmp_path, text + "num_examples = 60\nstep_size = 1e300\n"
+                        "outer_iters = 2\n" + extra)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # exits 1 as unexpected
+            return main([command, "--config", cfg, "--sequential",
+                         "--out", str(tmp_path / command)])
+
+    def test_armijo_rejects_the_trial(self, tmp_path):
+        assert self.run(tmp_path, "train") == 0
+        rows = read_csv(tmp_path / "train" / "history.csv")
+        assert [float(row["loss"]) for row in rows] == [0.017237753335426667,
+                                                       0.017045646412839427]
+
+    @pytest.mark.parametrize("command, extra", [("deepen", ""), ("multilevel", "layers = 3\n")],
+                             ids=["deepen", "multilevel"])
+    def test_chains_reject_the_trial(self, tmp_path, command, extra):
+        assert self.run(tmp_path, command, extra) == 0
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ""), ("deepen", ""), ("multilevel", "layers = 3\n"),
+    ], ids=["train", "deepen", "multilevel"])
+    def test_kept_point_is_four(self, tmp_path, capsys, command, extra):
+        assert self.run(tmp_path, command, "step_rule = fixed\n" + extra) == 4
+        assert "numerical failure: penalty became non-finite" in capsys.readouterr().err
 
 
 class TestTrainCommand:

@@ -13,7 +13,7 @@ import mgcnn.network as network_mod
 import mgcnn.training as training_mod
 from mgcnn.cli import _load_dataset, parse_config
 from mgcnn.data import LabeledDataset, SyntheticKind, make_synthetic
-from mgcnn.errors import DivergenceError
+from mgcnn.errors import DimensionError, DivergenceError
 from mgcnn.grid import Grid2D
 from mgcnn.network import (
     Activation,
@@ -67,6 +67,18 @@ class TestRegValueAndGrad:
         # The Laplacian of a constant field cancels only to rounding.
         assert np.abs(grads.weights).max() <= 1e-12
         np.testing.assert_array_equal(grads.banks, 0.0)
+
+    @pytest.mark.parametrize("block", ["banks", "biases", "classifier"])
+    def test_overflow_is_divergence_without_a_warning(self, block):
+        rng = np.random.default_rng(2)
+        clf = Classifier(Grid2D(4, 4, 1.0), rng.normal(size=(2, 2, 4, 4)), rng.normal(size=2))
+        p = varied_params(2)
+        arrays = {"banks": p.banks[0].weights, "biases": p.biases[0], "classifier": clf.weights}
+        arrays[block][...] *= 1e200  # finite entries whose squared differences overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="penalty became non-finite"):
+                reg_value_and_grad(p, clf, RegConfig(0.5, 0.5))
 
     def test_zero_weights_give_zero(self):
         g = Grid2D(4, 4, 1.0)
@@ -735,13 +747,30 @@ class TestMinibatches:
     def test_epochs_reshuffle_and_skip_the_remainder(self):
         # m = 10, size 4: each shuffle yields two batches, and the last two
         # examples of every epoch's order are never drawn.
-        batches = training_mod._minibatches(10, 4, np.random.default_rng(5))
-        got = [next(batches) for _ in range(5)]
+        batches = training_mod._batches(10, 4, np.random.default_rng(5))
+        got = [next(batches)[0] for _ in range(5)]
         rng = np.random.default_rng(5)
         orders = [rng.permutation(10) for _ in range(3)]
         expected = [order[i : i + 4] for order in orders for i in (0, 4)][:5]
         for g, e in zip(got, expected, strict=True):
             np.testing.assert_array_equal(g, e)
+
+    @pytest.mark.parametrize("size", [7, 100])
+    def test_full_batch_is_the_whole_set_and_an_empty_rest(self, size):
+        rng = np.random.default_rng(5)
+        batches = training_mod._batches(7, size, rng)
+        for _ in range(4):
+            batch, rest = next(batches)
+            assert batch == slice(None) and rest.size == 0
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+    def test_rest_is_the_complement_of_the_batch(self):
+        batches = training_mod._batches(10, 3, np.random.default_rng(6))
+        for _ in range(7):
+            batch, rest = next(batches)
+            assert batch.size == 3
+            np.testing.assert_array_equal(np.sort(np.concatenate([batch, rest])), np.arange(10))
+            np.testing.assert_array_equal(rest, np.sort(rest))
 
 
 class TestBcdTrain:
@@ -761,6 +790,30 @@ class TestBcdTrain:
         with pytest.raises(ValueError, match="validation set is empty"):
             bcd_train(ds, varied_params(7, num_layers=2), zero_classifier(ds.grid, 2, 2),
                       RegConfig(0.01, 0.01), BcdConfig(outer_iters=2), val=ds.subset([]))
+
+    @pytest.mark.parametrize("case, message", [
+        ("validation grid", r"validation set lives on Grid2D\(nx=16, ny=16, h=1.0\), "
+                            r"the classifier on Grid2D\(nx=12, ny=12, h=1.0\)"),
+        ("classifier grid", r"training set lives on Grid2D\(nx=12, ny=12, h=1.0\), "
+                            r"the classifier on Grid2D\(nx=16, ny=16, h=1.0\)"),
+        ("classifier channels", "the classifier reads 3 channels, the network has 2"),
+    ], ids=["validation-grid", "classifier-grid", "classifier-channels"])
+    def test_mismatched_grids_and_channels_refused_before_training(self, monkeypatch, case,
+                                                                   message):
+        for name in ("_embed", "loss_and_gradient", "propagate_final"):
+            monkeypatch.setattr(training_mod, name, None)  # any pass would fail
+        ds = make_synthetic(SyntheticKind.BARS, 40, Grid2D(12, 12, 1.0), seed=3)
+        other = make_synthetic(SyntheticKind.BARS, 10, Grid2D(16, 16, 1.0), seed=4)
+        val, clf = ds.subset(np.arange(10)), zero_classifier(ds.grid, 2, 2)
+        if case == "validation grid":
+            val = other
+        elif case == "classifier grid":
+            clf = zero_classifier(other.grid, 2, 2)
+        else:
+            clf = zero_classifier(ds.grid, 3, 2)
+        with pytest.raises(DimensionError, match=message):
+            bcd_train(ds, varied_params(7, num_layers=2), clf, RegConfig(0.01, 0.01),
+                      BcdConfig(outer_iters=2), val=val)
 
     def test_inputs_left_untouched(self):
         ds = blob_set()
@@ -1273,19 +1326,52 @@ class TestTrajectoryReuse:
 
 
 class TestMinibatchFeatures:
-    """Minibatch BCD splices the accepted trial's final states of the batch
-    with a fresh pass over the rest.  A zero classifier's trial reads no
-    images, so a cold start's first features come from one whole pass."""
+    """Newton's features are, bit for bit, the final states of a whole fresh
+    pass at the point the search kept, however they are formed: a full
+    batch's accepted trial hands over its own; a minibatch trial's batch
+    rows are spliced with a fresh pass over the rest; ``FixedStep``, a
+    search that accepts nothing and a zero-weight minibatch trial, which
+    reads no images, leave a fresh pass over the whole set."""
 
     @staticmethod
-    def run(ds, workers=1, cold=False):
+    def run(ds, workers=1, cold=False, batch_size=280, rule=ArmijoBacktracking()):
         # a batch of 280 spans two chunks of the trial's pass
         params, clf = TestTrajectoryReuse.start(ds)
         if cold:
             clf = zero_classifier(ds.grid, 2, 2)
         return bcd_train(ds, params, clf, RegConfig(0.02, 0.05),
-                         BcdConfig(outer_iters=3, newton_steps=2, batch_size=280),
+                         BcdConfig(outer_iters=3, newton_steps=2, batch_size=batch_size,
+                                   prop_step_rule=rule),
                          workers=workers)
+
+    def spied_run(self, monkeypatch, **kwargs):
+        """Run with every Newton call's features checked against a fresh
+        pass at the kept point; return the sizes of the fresh passes."""
+        ds = blob_set(n=300, seed=24)
+        final, newton = training_mod.propagate_final, training_mod.newton_classifier_step
+        reg_value = training_mod.reg_value_and_grad
+        fresh_sizes, pending, compared = [], [], []
+
+        def spy_final(images, *args, **kwargs):
+            fresh_sizes.append(len(images))
+            return final(images, *args, **kwargs)
+
+        def spy_newton(features, *args, **kwargs):
+            pending.append(features)
+            return newton(features, *args, **kwargs)
+
+        def spy_reg(params, *args):  # the history row's penalty, at the kept point
+            fresh = final(ds.images, params)
+            assert pending.pop().tobytes() == fresh.tobytes()
+            compared.append(1)
+            return reg_value(params, *args)
+
+        monkeypatch.setattr(training_mod, "propagate_final", spy_final)
+        monkeypatch.setattr(training_mod, "newton_classifier_step", spy_newton)
+        monkeypatch.setattr(training_mod, "reg_value_and_grad", spy_reg)
+        res = self.run(ds, **kwargs)
+        assert len(res.history) == len(compared) == 3
+        return fresh_sizes
 
     @pytest.mark.parametrize("cold, workers, sizes", [
         # the initial loss's rest; then every search accepted, so only the rest ran
@@ -1294,31 +1380,20 @@ class TestMinibatchFeatures:
         (True, 2, [300, 20, 20]),
     ])
     def test_newton_gets_the_features_of_a_fresh_pass(self, monkeypatch, cold, workers, sizes):
-        ds = blob_set(n=300, seed=24)
-        trial_loss, final = training_mod.loss, training_mod.propagate_final
-        newton = training_mod.newton_classifier_step
-        trials, fresh_sizes, compared = [], [], []
+        assert self.spied_run(monkeypatch, workers=workers, cold=cold) == sizes
 
-        def spy_loss(images, labels, params, *args, **kwargs):
-            trials.append(params)
-            return trial_loss(images, labels, params, *args, **kwargs)
-
-        def spy_final(images, *args, **kwargs):
-            fresh_sizes.append(len(images))
-            return final(images, *args, **kwargs)
-
-        def spy_newton(features, *args, **kwargs):
-            fresh = final(ds.images, trials[-1])  # the accepted trial is the last one
-            assert features.tobytes() == fresh.tobytes()
-            compared.append(1)
-            return newton(features, *args, **kwargs)
-
-        monkeypatch.setattr(training_mod, "loss", spy_loss)
-        monkeypatch.setattr(training_mod, "propagate_final", spy_final)
-        monkeypatch.setattr(training_mod, "newton_classifier_step", spy_newton)
-        res = self.run(ds, workers, cold)
-        assert len(res.history) == len(compared) == 3
-        assert fresh_sizes == sizes
+    @pytest.mark.parametrize("batch_size, rule, sizes", [
+        (None, ArmijoBacktracking(), []),  # the accepted trial's own states, no pass
+        (None, FixedStep(0.05), [300] * 3),
+        # a first trial that diverges, and no second one
+        (None, ArmijoBacktracking(1e100, max_backtracks=1), [300] * 3),
+        (280, ArmijoBacktracking(1e100, max_backtracks=1), [20] + [300] * 3),
+    ], ids=["full-batch-accepted", "fixed-step", "none-accepted", "minibatch-none-accepted"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_feature_source_is_a_fresh_pass(self, monkeypatch, batch_size, rule, sizes,
+                                                  workers):
+        assert self.spied_run(monkeypatch, workers=workers, batch_size=batch_size,
+                              rule=rule) == sizes
 
     def test_cg_route_on_two_workers_matches_one(self, monkeypatch):
         monkeypatch.setattr(training_mod, "_newton_route", lambda *args: "cg")
@@ -1497,7 +1572,7 @@ class TestInitialLoss:
         # layer with a frozen embedding applies no adjoint bank, so with
         # minibatches only the pass over the rest, of images of ones, diverges
         ds = blob_set(n=30, seed=43)
-        first = next(training_mod._minibatches(30, 10, np.random.default_rng(0)))
+        first, _ = next(training_mod._batches(30, 10, np.random.default_rng(0)))
         ds.images[:] = 1.0
         ds.images[first] = 0.0
         params = random_network_params(channels=2, num_layers=1, final_time=1.0, seed=44,
@@ -1594,6 +1669,13 @@ class TestEvaluate:
         params = random_network_params(channels=2, num_layers=0, final_time=1.0)
         with pytest.raises(ValueError):
             evaluate(ds, params, zero_classifier(ds.grid, 2, 2))
+
+    def test_dataset_off_the_classifier_grid_refused(self, monkeypatch):
+        monkeypatch.setattr(training_mod, "propagate_final", None)  # a pass would fail
+        ds = blob_set(n=10)
+        with pytest.raises(DimensionError, match=r"dataset lives on Grid2D\(nx=6, ny=6, h=1.0\), "
+                                                 r"the classifier on Grid2D\(nx=8, ny=8, h=1.0\)"):
+            evaluate(ds, varied_params(3, num_layers=2), zero_classifier(Grid2D(8, 8, 1.0), 2, 2))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_embedded_gives_the_same_bits(self, monkeypatch, workers):
