@@ -48,19 +48,25 @@ decrease.  The contrast basis,
 ``[A | 1]``, the penalty block and the sample kernel are built once per
 Newton call; each inner step builds only what the probabilities move.
 
+The module imports the ``scipy`` package alone.  ``scipy.linalg`` loads on
+a process's first Newton call (or its first contrast basis), and
+``scipy.sparse.linalg`` only when the CG route first runs, so importing
+this module, and every command that trains nothing, stays clear of both.
+Every solver call goes through the module global ``scipy``.
+
 The smoothness penalties are those of :func:`mgcnn.network.loss`.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib
 import itertools
 import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
+import scipy
 
 from .data import LabeledDataset
 from .errors import DimensionError, DivergenceError
@@ -196,11 +202,21 @@ class ArmijoBacktracking:
 
 @dataclass
 class BcdConfig:
+    """Settings of one :func:`bcd_train` call.  ``outer_iters``,
+    ``newton_steps`` and ``batch_size`` must be at least 0; a ``batch_size``
+    of ``None`` or 0 is the full batch."""
+
     outer_iters: int
     newton_steps: int = 5
     prop_step_rule: FixedStep | ArmijoBacktracking = field(default_factory=ArmijoBacktracking)
-    batch_size: int | None = None  # None: full batch
+    batch_size: int | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("outer_iters", "newton_steps", "batch_size"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 # --- classifier subproblem ---------------------------------------------------
@@ -226,10 +242,13 @@ def _score(features: np.ndarray, labels: np.ndarray, clf: Classifier) -> EvalRep
 def classifier_objective(
     features: np.ndarray, labels: np.ndarray, clf: Classifier, reg: RegConfig
 ) -> float:
-    """Mean cross-entropy on fixed features plus the spatial penalty."""
+    """Mean cross-entropy on fixed features plus the spatial penalty; a
+    penalty that overflows is ``+inf``, without a numpy warning."""
     labels = _check_labels(labels, clf.num_classes)
     ce = _score(features, labels, clf).mean_loss
-    return ce + reg.lambda_w * clf.grid.h**2 * _smooth_sq(clf.weights)
+    with np.errstate(over="ignore"):
+        penalty = _smooth_sq(clf.weights)
+    return ce + reg.lambda_w * clf.grid.h**2 * penalty
 
 
 @dataclass
@@ -338,8 +357,9 @@ def _contrast_basis(L: int) -> np.ndarray:
     """Orthonormal ``(L, L-1)`` basis of the class contrasts: the transposed
     rows of scipy's Helmert matrix below its first, so column ``a - 1`` holds
     ``1/sqrt(a(a+1))`` on classes ``0..a-1`` and ``-a/sqrt(a(a+1))`` on class
-    ``a``, and every column sums to zero.
+    ``a``, and every column sums to zero.  Loads ``scipy.linalg`` on first use.
     """
+    importlib.import_module("scipy.linalg")
     return np.ascontiguousarray(scipy.linalg.helmert(L).T)
 
 
@@ -578,6 +598,9 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
       :func:`newton_classifier_step` passes its forcing term as ``rtol``;
       the direct routes ignore it.
 
+    Building the CG route loads ``scipy.sparse.linalg``, and the contrast
+    basis ``scipy.linalg``, if the process has not yet loaded them.
+
     Each call computes the per-sample contrast covariances
     (:func:`_contrast_covariance`) once and hands them to the route.  The
     map returns ``None`` when the solve fails on a singular system, and
@@ -608,6 +631,7 @@ def _newton_solver(A: np.ndarray, lam: float, w_shape: tuple[int, ...]):
             return scipy.linalg.solve(H, b.reshape(-1), assume_a="sym").reshape(b.shape)
 
     else:
+        importlib.import_module("scipy.sparse.linalg")
 
         def contrast_solve(cov: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
             matvec = _contrast_matvec(A, cov, lam, w_shape)

@@ -301,6 +301,15 @@ class TestNewtonClassifierStep:
         ref = classifier_objective(features, labels, res.classifier, reg)
         assert abs(res.objectives[-1] - ref) <= rtol * ref
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_penalty_objective_is_infinite(self):
+        # weights of 1e200 whose neighbour differences square past the float range
+        rng = np.random.default_rng(12)
+        features = rng.normal(size=(6, 2, 4, 4))
+        clf = Classifier(Grid2D(4, 4, 1.0), 1e200 * rng.normal(size=(2, 2, 4, 4)), np.zeros(2))
+        assert np.isfinite(network_mod._logits(features, clf)).all()
+        assert classifier_objective(features, np.arange(6) % 2, clf, RegConfig(0.05, 0.0)) == math.inf
+
     # A pixel of 1e160 in every example cancels from the zero classifier's
     # gradient, as the labels are balanced, but each route's system squares
     # it past the float range.  In class 0 alone it overflows the gradient's
@@ -1228,6 +1237,18 @@ class TestStepRuleValidation:
         ArmijoBacktracking()
         ArmijoBacktracking(step_size=1e300, beta=1e-300, c=0.999, max_backtracks=1)
         FixedStep(1e-300)
+
+
+class TestBcdConfigValidation:
+    @pytest.mark.parametrize("name", ["outer_iters", "newton_steps", "batch_size"])
+    def test_negative_counts_refused(self, name):
+        kwargs = {"outer_iters": 1, name: -5}
+        with pytest.raises(ValueError, match=name):
+            BcdConfig(**kwargs)
+
+    def test_zero_counts_and_full_batch_accepted(self):
+        BcdConfig(outer_iters=0, newton_steps=0, batch_size=0)
+        assert BcdConfig(outer_iters=0).batch_size is None
 
 
 def assert_same_run(a, b):
